@@ -53,7 +53,7 @@ def main():
     kinds = sorted({m["kind"] for _, m in capture})
     print(f"message kinds on the wire: {', '.join(kinds)}")
     print("no message body carries raw observations — only centroids,")
-    print("Lagrangian values, objective values, and box/big-M metadata.")
+    print("Lagrangian values, objective values, and box metadata.")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .core import (
     apply_coupling,
     apply_coupling_adjoint,
     build_consensus_topology,
-    compute_big_m,
     primal_residual,
     read_instance,
     write_instance,
@@ -64,7 +63,6 @@ __all__ = [
     "apply_coupling",
     "apply_coupling_adjoint",
     "build_consensus_topology",
-    "compute_big_m",
     "primal_residual",
     "read_instance",
     "write_instance",

@@ -67,7 +67,6 @@ def _config_from_args(args) -> RunConfig:
         eps_primal=args.eps_primal, eps_dg=args.eps_dg, tau=args.tau,
         t_comm=args.t_comm, rel_tol=args.rel_tol, max_nodes=args.max_nodes,
         lloyd_starts=args.lloyd_starts, seed=args.seed,
-        parallel_nodes=getattr(args, "parallel_nodes", False),
     )
 
 
@@ -271,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the distributed algorithm in-process")
     p.add_argument("--instance", required=True, help="instance JSON file")
     _add_run_flags(p)
-    p.add_argument("--parallel-nodes", action="store_true",
-                   help="solve node subproblems concurrently")
     p.add_argument("--csv", required=True, help="per-iteration output CSV")
     p.set_defaults(func=cmd_run)
 

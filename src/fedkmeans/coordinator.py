@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, apply_coupling, apply_coupling_adjoint, build_consensus_topology
-from .master import Bundle, BundleEntry, HessianApprox, bfgs_update, btm_direction, bundle_push, qnda_update, sg_update, step_size
+from .core import BoundingBox, NodeDataset, ProblemInstance, apply_coupling, apply_coupling_adjoint, build_consensus_topology
+from .master import Bundle, BundleEntry, HessianApprox, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push, qnda_update, sg_update, step_size
 from .subsolver import LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, relabel_to_reference, solve_subproblem
 
 __all__ = [
@@ -27,13 +26,14 @@ __all__ = [
     "CentralResult",
     "InProcessBackend",
     "IterationRecord",
+    "NodeSession",
+    "NodeSolveFailed",
     "NodeSolveReply",
     "RunAborted",
     "RunConfig",
     "RunResult",
     "central_solve",
     "modeled_computation_time",
-    "perform_node_solve",
     "relative_duality_gap",
     "run",
     "write_run_csv",
@@ -63,7 +63,6 @@ class RunConfig:
     max_nodes: int = 5_000_000
     lloyd_starts: int = 5
     seed: int = 0
-    parallel_nodes: bool = False
     lam0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -144,70 +143,103 @@ class NodeSolveReply:
     solve_time: float
 
 
+class NodeSolveFailed(RuntimeError):
+    """A remote node reports that its exact subproblem solve failed."""
+
+
 def derive_node_seed(seed: int, node_id: int, t: int) -> int:
     """Deterministic per-(run, node, iteration) seed for the Lloyd incumbent."""
     return (seed * 1_000_003 + node_id * 10_007 + t) % (2 ** 31 - 1)
 
 
-def perform_node_solve(observations, K, box, c_flat, reference, *, rel_tol, max_nodes,
-                       lloyd_starts, seed, node_id, t) -> NodeSolveReply:
-    """Node-side exact subproblem solve shared by all backends."""
-    from .core import NodeDataset
-
-    data = NodeDataset(node_id=node_id, observations=np.asarray(observations, dtype=float))
-    c = np.asarray(c_flat, dtype=float).reshape(K, data.n_y)
-    sub = LagrangianSubproblem(data=data, K=K, box=box, c=c)
-    started = time.perf_counter()
-    solution = solve_subproblem(
-        sub, rel_tol=rel_tol, max_nodes=max_nodes,
-        lloyd_starts=lloyd_starts, lloyd_seed=derive_node_seed(seed, node_id, t),
-    )
-    if reference is not None:
-        solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
-    return NodeSolveReply(
-        centroids=solution.centroids,
-        lagrangian_value=solution.lagrangian_value,
-        solve_time=time.perf_counter() - started,
-    )
+# RunConfig fields every node solves with, and how a node reads each from HELLO.
+_SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int, "lloyd_starts": int, "seed": int}
 
 
-def compute_node_objective(observations, mean_centroids) -> float:
-    """z_i: cost of the node's local data under the averaged centroids."""
-    Y = np.asarray(observations, dtype=float)
-    M = np.asarray(mean_centroids, dtype=float)
-    d2 = np.sum((Y[:, None, :] - M[None, :, :]) ** 2, axis=2)
-    return float(np.sum(np.min(d2, axis=1)))
+@dataclass(frozen=True)
+class NodeSession:
+    """One node's side of a run: its data and the settings of every solve.
+
+    Both backends open sessions from the same :meth:`hello_body` dict (the
+    networked backend sends it as the HELLO body), so in-process and
+    networked nodes solve with identical settings by construction.
+    """
+
+    data: NodeDataset
+    K: int
+    box: BoundingBox
+    rel_tol: float
+    max_nodes: int
+    lloyd_starts: int
+    seed: int
+
+    @staticmethod
+    def hello_body(instance: ProblemInstance, config: RunConfig) -> dict:
+        """The JSON-ready settings every node of a run needs besides its data."""
+        return {
+            "K": instance.K, "n_y": instance.n_y,
+            "box": {"lo": instance.box.lo.tolist(), "hi": instance.box.hi.tolist()},
+            **{name: getattr(config, name) for name in _SOLVER_SETTINGS},
+        }
+
+    @classmethod
+    def open(cls, data: NodeDataset, body: dict) -> "NodeSession":
+        """Session for ``data`` under a :meth:`hello_body`; ValueError if they do not fit."""
+        K, n_y = int(body["K"]), int(body["n_y"])
+        if n_y != data.n_y:
+            raise ValueError(f"node {data.node_id}: run has n_y={n_y}, node data has n_y={data.n_y}")
+        if K < 2:
+            raise ValueError(f"node {data.node_id}: K must be at least 2, got {K}")
+        box = BoundingBox(np.array(body["box"]["lo"], dtype=float), np.array(body["box"]["hi"], dtype=float))
+        if box.n_y != n_y or not all(box.contains(y) for y in data.observations):
+            raise ValueError(f"node {data.node_id}: the run's box does not contain the node data")
+        return cls(data=data, K=K, box=box,
+                   **{name: read(body[name]) for name, read in _SOLVER_SETTINGS.items()})
+
+    def solve(self, t: int, c, reference) -> NodeSolveReply:
+        """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given."""
+        sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
+                                   c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
+        started = time.perf_counter()
+        solution = solve_subproblem(
+            sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes, lloyd_starts=self.lloyd_starts,
+            lloyd_seed=derive_node_seed(self.seed, self.data.node_id, t),
+        )
+        if reference is not None:
+            solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
+        return NodeSolveReply(
+            centroids=solution.centroids,
+            lagrangian_value=solution.lagrangian_value,
+            solve_time=time.perf_counter() - started,
+        )
+
+    def objective(self, mean_centroids) -> float:
+        """z_i: cost of the node's local data under the averaged centroids."""
+        Y = self.data.observations
+        M = np.asarray(mean_centroids, dtype=float)
+        d2 = np.sum((Y[:, None, :] - M[None, :, :]) ** 2, axis=2)
+        return float(np.sum(np.min(d2, axis=1)))
 
 
 class InProcessBackend:
-    """Runs node subproblems in the coordinator process."""
+    """Runs one :class:`NodeSession` per node in the coordinator process.
+
+    Solves run one after another; per-node parallelism comes from running
+    each node as its own ``fedkmeans node`` process.
+    """
 
     def __init__(self, instance: ProblemInstance, config: RunConfig):
-        self.instance = instance
-        self.config = config
-        self._pool = ThreadPoolExecutor(max_workers=instance.n_nodes) if config.parallel_nodes else None
+        body = NodeSession.hello_body(instance, config)
+        self.sessions = [NodeSession.open(node, body) for node in instance.nodes]
 
     def solve_batch(self, t, c_list, reference, node_indices) -> list[NodeSolveReply]:
-        cfg = self.config
-
-        def solve_one(i):
-            node = self.instance.nodes[i]
-            return perform_node_solve(
-                node.observations, self.instance.K, self.instance.box, c_list[i], reference,
-                rel_tol=cfg.rel_tol, max_nodes=cfg.max_nodes, lloyd_starts=cfg.lloyd_starts,
-                seed=cfg.seed, node_id=node.node_id, t=t,
-            )
-
-        if self._pool is not None:
-            return list(self._pool.map(solve_one, node_indices))
-        return [solve_one(i) for i in node_indices]
+        return [self.sessions[i].solve(t, c_list[i], reference) for i in node_indices]
 
     def objective_batch(self, t, mean_centroids) -> list[float]:
-        return [compute_node_objective(node.observations, mean_centroids) for node in self.instance.nodes]
+        return [session.objective(mean_centroids) for session in self.sessions]
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
+        pass
 
 
 # --------------------------------- run loop ----------------------------------
@@ -314,8 +346,10 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
                 break
             prev_lam, prev_g = lam, g
             lam = new_lam
-    except NodeLimitExceeded as exc:
+    except (NodeLimitExceeded, NodeSolveFailed) as exc:
         raise RunAborted(f"exact subproblem solve failed: {exc}", tuple(records)) from exc
+    except TrustRegionSolverError as exc:
+        raise RunAborted(f"master solver failed: {exc}", tuple(records)) from exc
     except RunAborted:
         raise
     except RuntimeError as exc:
@@ -371,8 +405,6 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
     gap.  If the time budget runs out the final entry carries the proven gap
     at that point.
     """
-    from .core import NodeDataset
-
     merged = NodeDataset(node_id=0, observations=instance.merged_observations())
     sub = LagrangianSubproblem(
         data=merged, K=instance.K, box=instance.box,

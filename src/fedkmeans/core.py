@@ -1,4 +1,4 @@
-"""Domain types, consensus-topology algebra, big-M values, and instance I/O.
+"""Domain types, consensus-topology algebra, and instance I/O.
 
 A problem instance holds the per-node observation sets plus the global data
 bounding box.  The linear-chain consensus constraints (centroids of node i
@@ -10,8 +10,7 @@ matrix is never materialized outside of test oracles.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "apply_coupling",
     "apply_coupling_adjoint",
     "build_consensus_topology",
-    "compute_big_m",
     "primal_residual",
     "read_instance",
     "write_instance",
@@ -97,31 +95,15 @@ class BoundingBox:
         return BoundingBox(np.min(los, axis=0), np.max(his, axis=0))
 
 
-def compute_big_m(y: np.ndarray, box: BoundingBox) -> float:
-    """Largest squared distance from ``y`` to any point of the box.
-
-    The maximum of the convex squared distance over a box separates per
-    dimension and is attained at a corner, so it is
-    ``sum_l max((y_l-lo_l)^2, (y_l-hi_l)^2)``.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != box.lo.shape:
-        raise ValueError("dimension mismatch between observation and box")
-    if not box.contains(y):
-        raise ValueError("observation lies outside the bounding box")
-    return float(np.sum(np.maximum((y - box.lo) ** 2, (y - box.hi) ** 2)))
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A federated clustering instance: K, per-node data, box, and big-M."""
+    """A federated clustering instance: K, per-node data, and the box containing it."""
 
     name: str
     K: int
     n_y: int
     nodes: tuple[NodeDataset, ...]
     box: BoundingBox
-    big_m: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.K < 2:
@@ -135,11 +117,6 @@ class ProblemInstance:
             for y in node.observations:
                 if not self.box.contains(y):
                     raise ValueError(f"node {node.node_id}: observation outside the box")
-        if not self.big_m:
-            object.__setattr__(self, "big_m", {
-                node.node_id: np.array([compute_big_m(y, self.box) for y in node.observations])
-                for node in self.nodes
-            })
 
     @property
     def n_nodes(self) -> int:
@@ -253,7 +230,6 @@ def _instance_to_dict(instance: ProblemInstance) -> dict:
             for node in instance.nodes
         ],
         "box": {"lo": instance.box.lo.tolist(), "hi": instance.box.hi.tolist()},
-        "big_m": {str(nid): np.asarray(m).tolist() for nid, m in instance.big_m.items()},
     }
 
 
@@ -270,25 +246,19 @@ def read_instance(path) -> ProblemInstance:
 
 
 def instance_from_dict(raw: dict) -> ProblemInstance:
+    """Instance from its JSON form; keys other than the instance fields are ignored."""
     try:
         nodes = tuple(
             NodeDataset(node_id=int(n["node_id"]), observations=np.array(n["observations"], dtype=float))
             for n in raw["nodes"]
         )
         box = BoundingBox(np.array(raw["box"]["lo"], dtype=float), np.array(raw["box"]["hi"], dtype=float))
-        big_m = {int(k): np.array(v, dtype=float) for k, v in raw.get("big_m", {}).items()}
-        instance = ProblemInstance(
+        return ProblemInstance(
             name=str(raw["name"]), K=int(raw["K"]), n_y=int(raw["n_y"]),
-            nodes=nodes, box=box, big_m=big_m,
+            nodes=nodes, box=box,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
-    for node in instance.nodes:
-        expected = np.array([compute_big_m(y, instance.box) for y in node.observations])
-        stored = instance.big_m.get(node.node_id)
-        if stored is None or stored.shape != expected.shape or not np.allclose(stored, expected, rtol=0, atol=1e-9):
-            raise ValueError(f"big_m values for node {node.node_id} are missing or inconsistent")
-    return instance
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox
-from .coordinator import NodeSolveReply, compute_node_objective, perform_node_solve
+from .coordinator import NodeSession, NodeSolveFailed, NodeSolveReply
+from .subsolver import NodeLimitExceeded
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -80,9 +80,13 @@ def read_message(sock: socket.socket) -> dict:
     if length > MAX_FRAME_BYTES:
         raise NetworkError(f"declared frame length {length} exceeds the 16 MiB limit")
     payload = _recv_exact(sock, length)
-    message = json.loads(payload.decode("utf-8"))
-    if message.get("kind") not in MESSAGE_KINDS:
-        raise NetworkError(f"unknown message kind {message.get('kind')!r}")
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:
+        raise NetworkError(f"malformed frame payload: {exc}") from exc
+    kind = message.get("kind") if isinstance(message, dict) else None
+    if kind not in MESSAGE_KINDS:
+        raise NetworkError(f"unknown message kind {kind!r}")
     return message
 
 
@@ -97,8 +101,11 @@ def serve_node(dataset, bind_address: tuple[str, int], *, ready_event=None) -> N
     """Serve one node's solve/objective steps until a TERMINATE message.
 
     ``dataset`` is a :class:`fedkmeans.core.NodeDataset`; problem metadata
-    (K, box, solver settings) arrives in the HELLO message.  Requests on a
-    connection are handled sequentially.
+    (K, box, solver settings) arrives in the HELLO message and opens a
+    :class:`fedkmeans.coordinator.NodeSession`.  Requests on a connection are
+    handled sequentially.  A connection that breaks the protocol or whose
+    solve fails gets an ERROR frame and is dropped; the node then waits for
+    the next coordinator.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -115,66 +122,51 @@ def serve_node(dataset, bind_address: tuple[str, int], *, ready_event=None) -> N
 
 def _serve_connection(conn: socket.socket, dataset) -> bool:
     """Handle one coordinator connection; True once TERMINATE was received."""
-    context = None
+    session = run_id = None
     while True:
         try:
             message = read_message(conn)
-        except NetworkError:
-            return False  # connection dropped; wait for a new coordinator
+        except NetworkError as exc:
+            _send_error(conn, run_id, None, exc)  # the peer may be gone already
+            return False
         kind = message["kind"]
+        if kind == "TERMINATE":
+            return True
         try:
+            body = message.get("body") or {}
             if kind == "HELLO":
-                body = message["body"]
-                context = {
-                    "run_id": message.get("run_id"),
-                    "K": int(body["K"]),
-                    "box": BoundingBox(np.array(body["box"]["lo"]), np.array(body["box"]["hi"])),
-                    "big_m": np.array(body["big_m"], dtype=float),
-                    "rel_tol": float(body["rel_tol"]),
-                    "max_nodes": int(body["max_nodes"]),
-                    "lloyd_starts": int(body["lloyd_starts"]),
-                    "seed": int(body["seed"]),
-                }
-                send_message(conn, {"kind": "HELLO", "run_id": context["run_id"],
-                                    "body": {"node_id": dataset.node_id}})
+                session = NodeSession.open(dataset, body)
+                run_id = message.get("run_id")
+                reply = {"kind": "HELLO", "body": {"node_id": dataset.node_id}}
+            elif session is None:
+                raise NetworkError(f"{kind} before HELLO")
             elif kind == "SOLVE":
-                if context is None:
-                    raise NetworkError("SOLVE before HELLO")
-                body = message["body"]
-                reference = body.get("reference")
-                reply = perform_node_solve(
-                    dataset.observations, context["K"], context["box"], body["c"],
-                    None if reference is None else np.array(reference, dtype=float),
-                    rel_tol=context["rel_tol"], max_nodes=context["max_nodes"],
-                    lloyd_starts=context["lloyd_starts"], seed=context["seed"],
-                    node_id=dataset.node_id, t=int(message["t"]),
-                )
-                send_message(conn, {
-                    "kind": "SOLUTION", "run_id": context["run_id"], "t": message["t"],
-                    "body": {
-                        "centroids": reply.centroids.tolist(),
-                        "lagrangian_value": reply.lagrangian_value,
-                        "solve_time": reply.solve_time,
-                    },
-                })
+                solved = session.solve(int(message["t"]), body["c"], body.get("reference"))
+                reply = {"kind": "SOLUTION", "body": {
+                    "centroids": solved.centroids.tolist(),
+                    "lagrangian_value": solved.lagrangian_value,
+                    "solve_time": solved.solve_time,
+                }}
             elif kind == "AVERAGE":
-                if context is None:
-                    raise NetworkError("AVERAGE before HELLO")
-                z = compute_node_objective(dataset.observations, np.array(message["body"]["mean_centroids"]))
-                send_message(conn, {"kind": "OBJECTIVE", "run_id": context["run_id"],
-                                    "t": message["t"], "body": {"z": z}})
-            elif kind == "TERMINATE":
-                return True
+                reply = {"kind": "OBJECTIVE", "body": {"z": session.objective(body["mean_centroids"])}}
             else:
                 raise NetworkError(f"unexpected message kind {kind!r}")
-        except NetworkError:
-            raise
-        except Exception as exc:  # solver failure: report and close
-            try:
-                send_message(conn, {"kind": "ERROR", "run_id": message.get("run_id"),
-                                    "t": message.get("t"), "body": {"error": str(exc)}})
-            finally:
-                return False
+            send_message(conn, {**reply, "run_id": run_id, "t": message.get("t")})
+        except Exception as exc:
+            _send_error(conn, message.get("run_id"), message.get("t"), exc)
+            return False
+
+
+def _send_error(conn: socket.socket, run_id, t, exc: Exception) -> None:
+    """Best-effort ERROR frame, of class "solver" for an inexact solve, else "internal"."""
+    if isinstance(exc, NodeLimitExceeded):
+        body = {"error": str(exc), "class": "solver"}
+    else:
+        body = {"error": f"{type(exc).__name__}: {exc}", "class": "internal"}
+    try:
+        send_message(conn, {"kind": "ERROR", "run_id": run_id, "t": t, "body": body})
+    except (OSError, NetworkError):
+        pass
 
 
 # ----------------------------- coordinator side ------------------------------
@@ -205,27 +197,17 @@ class NetworkedBackend:
                 sock = socket.create_connection((host, port), timeout=self.timeout)
                 sock.settimeout(self.timeout)
                 self._socks.append(sock)
-            for i, sock in enumerate(self._socks):
-                node = self.instance.nodes[i]
-                hello = {
-                    "kind": "HELLO", "run_id": self.run_id, "t": 0,
-                    "body": {
-                        "K": self.instance.K,
-                        "n_y": self.instance.n_y,
-                        "box": {"lo": self.instance.box.lo.tolist(), "hi": self.instance.box.hi.tolist()},
-                        "big_m": np.asarray(self.instance.big_m[node.node_id]).tolist(),
-                        "rel_tol": self.config.rel_tol,
-                        "max_nodes": self.config.max_nodes,
-                        "lloyd_starts": self.config.lloyd_starts,
-                        "seed": self.config.seed,
-                    },
-                }
-                reply = self._exchange(i, hello)
-                if reply["kind"] != "HELLO":
-                    raise NetworkError(f"node {i}: unexpected HELLO reply {reply['kind']}")
+            hello = {"kind": "HELLO", "run_id": self.run_id, "t": 0,
+                     "body": NodeSession.hello_body(self.instance, self.config)}
+            for i in range(len(self._socks)):
+                self._send(i, hello)
+                self._recv(i, "HELLO", 0)
         except OSError as exc:
             self.close()
             raise NetworkError(f"connecting to nodes failed: {exc}") from exc
+        except NetworkError:
+            self.close()
+            raise
 
     def _send(self, i: int, message: dict) -> None:
         if self.capture is not None:
@@ -235,20 +217,25 @@ class NetworkedBackend:
         except OSError as exc:
             raise NetworkError(f"node {i}: send failed: {exc}") from exc
 
-    def _recv(self, i: int) -> dict:
+    def _recv(self, i: int, kind: str, t: int) -> dict:
+        """Node i's next message; it must be ``kind`` for this run and iteration ``t``."""
         try:
             message = read_message(self._socks[i])
-        except (OSError, socket.timeout) as exc:
+        except OSError as exc:
             raise NetworkError(f"node {i}: receive failed or timed out: {exc}") from exc
         if self.capture is not None:
             self.capture.append(("recv", message))
         if message["kind"] == "ERROR":
-            raise NetworkError(f"node {i} reported: {message['body'].get('error')}")
+            body = message.get("body") or {}
+            if body.get("class") == "solver":
+                raise NodeSolveFailed(f"node {i}: {body.get('error')}")
+            raise NetworkError(f"node {i} reported: {body.get('error')}")
+        if message["kind"] != kind:
+            raise NetworkError(f"node {i}: expected {kind}, got {message['kind']}")
+        if message.get("run_id") != self.run_id or message.get("t") != t:
+            raise NetworkError(f"node {i}: {kind} for run {message.get('run_id')!r} t={message.get('t')!r}, "
+                               f"expected run {self.run_id!r} t={t}")
         return message
-
-    def _exchange(self, i: int, message: dict) -> dict:
-        self._send(i, message)
-        return self._recv(i)
 
     def solve_batch(self, t, c_list, reference, node_indices) -> list[NodeSolveReply]:
         ref = None if reference is None else np.asarray(reference).tolist()
@@ -257,10 +244,7 @@ class NetworkedBackend:
                            "body": {"c": np.asarray(c_list[i]).tolist(), "reference": ref}})
         replies = []
         for i in node_indices:  # gather preserves node-index order
-            message = self._recv(i)
-            if message["kind"] != "SOLUTION":
-                raise NetworkError(f"node {i}: expected SOLUTION, got {message['kind']}")
-            body = message["body"]
+            body = self._recv(i, "SOLUTION", t)["body"]
             replies.append(NodeSolveReply(
                 centroids=np.array(body["centroids"], dtype=float),
                 lagrangian_value=float(body["lagrangian_value"]),
@@ -273,13 +257,7 @@ class NetworkedBackend:
                    "body": {"mean_centroids": np.asarray(mean_centroids).tolist()}}
         for i in range(len(self._socks)):
             self._send(i, payload)
-        zs = []
-        for i in range(len(self._socks)):
-            message = self._recv(i)
-            if message["kind"] != "OBJECTIVE":
-                raise NetworkError(f"node {i}: expected OBJECTIVE, got {message['kind']}")
-            zs.append(float(message["body"]["z"]))
-        return zs
+        return [float(self._recv(i, "OBJECTIVE", t)["body"]["z"]) for i in range(len(self._socks))]
 
     def close(self):
         for i, sock in enumerate(self._socks):

@@ -331,7 +331,7 @@ def test_criterion_10_transport_transparency():
         assert a.numeric_key() == b.numeric_key()
 
     allowed = {
-        "HELLO": {"K", "n_y", "box", "big_m", "rel_tol", "max_nodes",
+        "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes",
                   "lloyd_starts", "seed", "node_id"},
         "SOLVE": {"c", "reference"},
         "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},

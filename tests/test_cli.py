@@ -5,12 +5,15 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from fedkmeans.cli import main
+from fedkmeans.core import read_instance
+from fedkmeans.net import serve_node
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,18 @@ class TestRun:
                      "--csv", str(tmp_path / "out.csv")])
         assert code == 3
 
+    def test_master_solver_failure_exit_code(self, instance_file, tmp_path, monkeypatch):
+        import fedkmeans.coordinator as coordinator
+        from fedkmeans.master import TrustRegionSolverError
+
+        def failing(*args, **kwargs):
+            raise TrustRegionSolverError("forced")
+
+        monkeypatch.setattr(coordinator, "btm_direction", failing)
+        code = main(["run", "--instance", str(instance_file), "--algorithm", "btm",
+                     "--csv", str(tmp_path / "out.csv")])
+        assert code == 3
+
 
 class TestCentral:
     def test_trace_csv(self, instance_file, tmp_path):
@@ -128,6 +143,26 @@ class TestRemote:
                 server.terminate()
             for server in servers:
                 server.wait(timeout=10)
+
+    def test_remote_solver_failure_exit_code(self, instance_file, tmp_path, capsys):
+        # A node that cannot solve exactly fails the run as a solver failure,
+        # exactly as the same limit does in process.
+        args = ["--max-nodes", "5", "--t-max", "3", "--csv", str(tmp_path / "out.csv")]
+        assert main(["run", "--instance", str(instance_file), *args]) == 3
+        ports = []
+        for node in read_instance(instance_file).nodes:
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                ports.append(probe.getsockname()[1])
+            ready = threading.Event()
+            threading.Thread(target=serve_node, args=(node, ("127.0.0.1", ports[-1])),
+                             kwargs={"ready_event": ready}, daemon=True).start()
+            assert ready.wait(5.0)
+        capsys.readouterr()
+        code = main(["run-remote", "--instance", str(instance_file),
+                     "--nodes", *(f"127.0.0.1:{port}" for port in ports), *args])
+        assert code == 3
+        assert "exact subproblem solve failed: node " in capsys.readouterr().err
 
     def test_network_failure_exit_code(self, instance_file, tmp_path):
         code = main(["run-remote", "--instance", str(instance_file),

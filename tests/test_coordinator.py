@@ -1,5 +1,7 @@
 """Tests for the run loop, averaging heuristic, time model, and central baseline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fedkmeans.coordinator import (
     CentralResult,
     InProcessBackend,
     IterationRecord,
+    NodeSession,
     RunAborted,
     RunConfig,
     central_solve,
@@ -131,13 +134,6 @@ class TestRunLoop:
         for ra, rb in zip(a.records, b.records):
             assert ra.numeric_key() == rb.numeric_key()
 
-    def test_parallel_matches_serial(self):
-        instance = two_node_instance(seed=6)
-        serial = run(instance, RunConfig(algorithm="btm", t_max=5))
-        parallel = run(instance, RunConfig(algorithm="btm", t_max=5, parallel_nodes=True))
-        for ra, rb in zip(serial.records, parallel.records):
-            assert ra.numeric_key() == rb.numeric_key()
-
     def test_best_primal_is_minimum(self):
         instance = two_node_instance(seed=7)
         result = run(instance, RunConfig(algorithm="sg", t_max=8))
@@ -172,10 +168,57 @@ class TestRunLoop:
             run(instance, RunConfig(algorithm="sg", t_max=10), backend=backend)
         assert len(err.value.records) == 2
 
+    def test_master_solver_failure_aborts(self, monkeypatch):
+        import fedkmeans.coordinator as coordinator
+        from fedkmeans.master import TrustRegionSolverError
+
+        def failing(*args, **kwargs):
+            raise TrustRegionSolverError("KKT residual 1e-3 exceeds 1e-8")
+
+        monkeypatch.setattr(coordinator, "btm_direction", failing)
+        with pytest.raises(RunAborted, match="^master solver failed: KKT residual") as err:
+            run(two_node_instance(seed=9), RunConfig(algorithm="btm", t_max=10))
+        assert isinstance(err.value.__cause__, TrustRegionSolverError)
+
     def test_lam0_dimension_checked(self):
         instance = two_node_instance()
         with pytest.raises(ValueError):
             run(instance, RunConfig(algorithm="sg", t_max=2, lam0=np.zeros(3)))
+
+
+class TestNodeSession:
+    def test_hello_body_round_trip(self):
+        instance = two_node_instance(seed=5)
+        config = RunConfig(rel_tol=1e-7, max_nodes=1234, lloyd_starts=3, seed=8)
+        body = NodeSession.hello_body(instance, config)
+        session = NodeSession.open(instance.nodes[1], json.loads(json.dumps(body)))
+        assert session.data is instance.nodes[1]
+        assert (session.K, session.rel_tol, session.max_nodes, session.lloyd_starts, session.seed) \
+            == (instance.K, 1e-7, 1234, 3, 8)
+        np.testing.assert_array_equal(session.box.lo, instance.box.lo)
+        np.testing.assert_array_equal(session.box.hi, instance.box.hi)
+
+    def test_open_rejects_mismatched_settings(self):
+        instance = two_node_instance(seed=5)
+        body = NodeSession.hello_body(instance, RunConfig())
+        node = instance.nodes[0]
+        with pytest.raises(ValueError, match="n_y"):
+            NodeSession.open(node, {**body, "n_y": 3})
+        with pytest.raises(ValueError, match="K must be"):
+            NodeSession.open(node, {**body, "K": 1})
+        with pytest.raises(ValueError, match="box"):
+            NodeSession.open(node, {**body, "box": {"lo": [9.0, 9.0], "hi": [10.0, 10.0]}})
+
+    def test_solve_and_objective(self):
+        instance = two_node_instance(seed=6)
+        session = InProcessBackend(instance, RunConfig()).sessions[0]
+        c = np.array([[0.3, -0.1], [0.0, 0.2]])
+        reply = session.solve(1, c.ravel(), None)
+        sub = LagrangianSubproblem(data=session.data, K=2, box=instance.box, c=c)
+        assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
+        Y = session.data.observations
+        expected = sum(min(float(np.sum((y - m) ** 2)) for m in reply.centroids) for y in Y)
+        assert session.objective(reply.centroids) == pytest.approx(expected)
 
 
 class TestRunCsv:

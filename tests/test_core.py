@@ -1,4 +1,4 @@
-"""Tests for domain types, consensus-topology algebra, big-M, and instance I/O."""
+"""Tests for domain types, consensus-topology algebra, and instance I/O."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from fedkmeans.core import (
     apply_coupling,
     apply_coupling_adjoint,
     build_consensus_topology,
-    compute_big_m,
     primal_residual,
     read_instance,
     write_instance,
@@ -142,35 +141,6 @@ class TestPrimalResidual:
         assert norm > 0.0
 
 
-class TestBigM:
-    def test_corner_point(self):
-        box = BoundingBox(np.array([0.0]), np.array([1.0]))
-        assert compute_big_m(np.array([0.0]), box) == 1.0
-
-    def test_center_point(self):
-        box = BoundingBox(np.zeros(2), np.ones(2))
-        assert compute_big_m(np.array([0.5, 0.5]), box) == 0.5
-
-    def test_outside_box_rejected(self):
-        box = BoundingBox(np.zeros(2), np.ones(2))
-        with pytest.raises(ValueError):
-            compute_big_m(np.array([2.0, 0.5]), box)
-
-    @given(st.integers(1, 4), st.integers(0, 10 ** 6))
-    @settings(max_examples=60, deadline=None)
-    def test_equals_corner_maximum(self, n_y, seed):
-        # The max of a convex function over a box is attained at a corner.
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(-2, 0, size=n_y)
-        hi = lo + rng.uniform(0.1, 3, size=n_y)
-        box = BoundingBox(lo, hi)
-        y = rng.uniform(lo, hi)
-        corners = np.stack(np.meshgrid(*[(lo[l], hi[l]) for l in range(n_y)],
-                                       indexing="ij"), axis=-1).reshape(-1, n_y)
-        brute = max(float(np.sum((y - c) ** 2)) for c in corners)
-        assert compute_big_m(y, box) == pytest.approx(brute, abs=1e-12)
-
-
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
         instance = make_instance(n_nodes=3, n_y=2, K=2, seed=1)
@@ -184,8 +154,6 @@ class TestInstanceIO:
             np.testing.assert_array_equal(a.observations, b.observations)
         np.testing.assert_array_equal(loaded.box.lo, instance.box.lo)
         np.testing.assert_array_equal(loaded.box.hi, instance.box.hi)
-        for nid in instance.big_m:
-            np.testing.assert_array_equal(loaded.big_m[nid], instance.big_m[nid])
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -193,17 +161,21 @@ class TestInstanceIO:
         with pytest.raises(ValueError):
             read_instance(path)
 
-    def test_inconsistent_big_m_rejected(self, tmp_path):
+    def test_legacy_big_m_key_ignored(self, tmp_path):
+        # Instance files once carried per-observation big-M values; they still load.
         import json
 
         instance = make_instance()
         path = tmp_path / "inst.json"
         write_instance(instance, path)
         raw = json.loads(path.read_text(encoding="utf-8"))
-        raw["big_m"]["0"][0] += 1.0
+        assert "big_m" not in raw
+        raw["big_m"] = {"0": [123.0] * 6, "1": []}
         path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(ValueError):
-            read_instance(path)
+        loaded = read_instance(path)
+        for a, b in zip(loaded.nodes, instance.nodes):
+            np.testing.assert_array_equal(a.observations, b.observations)
+        assert not hasattr(loaded, "big_m")
 
     def test_non_finite_observations_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from fedkmeans.coordinator import RunConfig, run
+from fedkmeans.coordinator import NodeSession, RunConfig, run
 from fedkmeans.core import BoundingBox, NodeDataset, ProblemInstance
 from fedkmeans.net import (
     MAX_FRAME_BYTES,
@@ -17,6 +17,8 @@ from fedkmeans.net import (
     decode_frame,
     default_timeout,
     encode_frame,
+    read_message,
+    send_message,
     serve_node,
 )
 
@@ -31,24 +33,61 @@ def make_instance(seed=0):
     return ProblemInstance(name="net", K=2, n_y=2, nodes=nodes, box=box)
 
 
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def start_server(node):
+    """Serve one node on an ephemeral localhost port; returns its address and thread."""
+    address = ("127.0.0.1", free_port())
+    ready = threading.Event()
+    thread = threading.Thread(target=serve_node, args=(node, address),
+                              kwargs={"ready_event": ready}, daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    return address, thread
+
+
 def start_servers(instance):
-    """Serve each node on an ephemeral localhost port; returns addresses and threads."""
-    addresses = []
-    threads = []
-    for node in instance.nodes:
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=serve_node, args=(node, ("127.0.0.1", port)),
-            kwargs={"ready_event": ready}, daemon=True,
-        )
-        thread.start()
-        assert ready.wait(5.0)
-        addresses.append(("127.0.0.1", port))
-        threads.append(thread)
-    return addresses, threads
+    """Serve each node of ``instance``; returns addresses and threads."""
+    served = [start_server(node) for node in instance.nodes]
+    return [a for a, _ in served], [t for _, t in served]
+
+
+def start_fake_node(respond):
+    """Accept one connection and answer each message with ``respond(message)``."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+
+    def loop():
+        with server:
+            conn, _ = server.accept()
+            with conn:
+                while True:
+                    try:
+                        message = read_message(conn)
+                    except NetworkError:
+                        return
+                    reply = respond(message)
+                    if reply is None:
+                        return
+                    send_message(conn, reply)
+
+    threading.Thread(target=loop, daemon=True).start()
+    return server.getsockname()
+
+
+def assert_run_matches_in_process(instance, addresses, config):
+    local = run(instance, config)
+    backend = NetworkedBackend(addresses=addresses, instance=instance, config=config)
+    try:
+        remote = run(instance, config, backend=backend)
+    finally:
+        backend.close()
+    assert [r.numeric_key() for r in remote.records] == [r.numeric_key() for r in local.records]
 
 
 class TestFrames:
@@ -103,7 +142,7 @@ class TestNetworkedRun:
         # observation table.  (A singleton cluster's centroid can coincide with
         # one observation, so the check is structural, not value-based.)
         allowed_body_keys = {
-            "HELLO": {"K", "n_y", "box", "big_m", "rel_tol", "max_nodes",
+            "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes",
                       "lloyd_starts", "seed", "node_id"},
             "SOLVE": {"c", "reference"},
             "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
@@ -138,6 +177,70 @@ class TestNetworkedRun:
             run(instance, config, backend=backend)
         assert len(err.value.records) == 2
         backend.close()
+
+    def test_protocol_violations_do_not_stop_the_node(self):
+        instance = make_instance(seed=6)
+        config = RunConfig(algorithm="qnda", t_max=4)
+        addresses, threads = start_servers(instance)
+        hello = NodeSession.hello_body(instance, config)
+        bad_messages = [
+            {"kind": "SOLVE", "run_id": "x", "t": 1, "body": {"c": [0.0] * 4, "reference": None}},
+            {"kind": "AVERAGE", "run_id": "x", "t": 1, "body": {"mean_centroids": [[0.0, 0.0]] * 2}},
+            {"kind": "SOLUTION", "run_id": "x", "t": 1, "body": {}},
+            {"kind": "BOGUS", "run_id": "x", "t": 1, "body": {}},
+            {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "n_y": 3}},
+            {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "K": 1}},
+        ]
+        for message in bad_messages:
+            with socket.create_connection(addresses[0], timeout=5.0) as sock:
+                sock.sendall(encode_frame(message))
+                reply = read_message(sock)
+                assert reply["kind"] == "ERROR"
+                assert reply["body"]["class"] == "internal"
+                assert sock.recv(1) == b""  # the node dropped this connection
+        assert threads[0].is_alive()
+        assert_run_matches_in_process(instance, addresses, config)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("SOLUTION", "t", 2), ("SOLUTION", "run_id", "old"),
+        ("OBJECTIVE", "t", 0), ("OBJECTIVE", "run_id", "old"),
+    ])
+    def test_stale_reply_rejected(self, kind, field, value):
+        instance = make_instance(seed=7)
+        config = RunConfig(algorithm="sg", t_max=3)
+        session = NodeSession.open(instance.nodes[1], NodeSession.hello_body(instance, config))
+
+        def respond(message):
+            reply = {"run_id": message["run_id"], "t": message["t"]}
+            if message["kind"] == "HELLO":
+                reply.update(kind="HELLO", body={"node_id": 1})
+            elif message["kind"] == "SOLVE":
+                solved = session.solve(message["t"], message["body"]["c"], message["body"]["reference"])
+                reply.update(kind="SOLUTION", body={"centroids": solved.centroids.tolist(),
+                                                    "lagrangian_value": solved.lagrangian_value,
+                                                    "solve_time": solved.solve_time})
+            elif message["kind"] == "AVERAGE":
+                reply.update(kind="OBJECTIVE", body={"z": session.objective(message["body"]["mean_centroids"])})
+            else:
+                return None
+            if reply["kind"] == kind:
+                reply[field] = value
+            return reply
+
+        addresses = [start_server(instance.nodes[0])[0], start_fake_node(respond)]
+        backend = NetworkedBackend(addresses=addresses, instance=instance, config=config)
+        try:
+            c_list = [np.zeros(4), np.zeros(4)]
+            if kind == "SOLUTION":
+                with pytest.raises(NetworkError, match="expected run 'run' t=1"):
+                    backend.solve_batch(1, c_list, None, [0, 1])
+            else:
+                replies = backend.solve_batch(1, c_list, None, [0, 1])
+                mean = np.mean([r.centroids for r in replies], axis=0)
+                with pytest.raises(NetworkError, match="expected run 'run' t=1"):
+                    backend.objective_batch(1, mean)
+        finally:
+            backend.close()
 
     def test_connect_failure(self):
         instance = make_instance(seed=5)
