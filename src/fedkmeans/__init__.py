@@ -28,6 +28,7 @@ from .subsolver import (
     lloyd_incumbent,
     relabel_to_reference,
     solve_subproblem,
+    suffix_lower_bounds,
 )
 from .master import (
     Bundle,
@@ -73,6 +74,7 @@ __all__ = [
     "lloyd_incumbent",
     "relabel_to_reference",
     "solve_subproblem",
+    "suffix_lower_bounds",
     "Bundle",
     "BundleEntry",
     "MasterSolution",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import GRID_AXES, BenchmarkSpec, generate_grid, generate_instance
+from .bench import BenchmarkSpec, generate_grid, generate_instance
 from .coordinator import (
     ALGORITHMS,
     RunAborted,
@@ -24,7 +24,7 @@ from .coordinator import (
     write_run_csv,
 )
 from .core import read_instance, write_instance
-from .net import NetworkError, NetworkedBackend, default_timeout, serve_node
+from .net import NetworkError, NetworkedBackend, serve_node
 
 __all__ = ["main"]
 

@@ -14,12 +14,14 @@ import csv
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import BoundingBox, NodeDataset, ProblemInstance, apply_coupling, apply_coupling_adjoint, build_consensus_topology
 from .master import Bundle, BundleEntry, HessianApprox, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push, qnda_update, sg_update, step_size
-from .subsolver import LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, relabel_to_reference, solve_subproblem
+from .subsolver import (LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, relabel_to_reference,
+                        solve_subproblem, suffix_lower_bounds)
 
 __all__ = [
     "ALGORITHMS",
@@ -196,14 +198,25 @@ class NodeSession:
         return cls(data=data, K=K, box=box,
                    **{name: read(body[name]) for name, read in _SOLVER_SETTINGS.items()})
 
+    @cached_property
+    def suffix_bounds(self) -> np.ndarray:
+        """The node's dual-independent suffix bounds, computed on first use."""
+        return suffix_lower_bounds(self.data, self.K, self.box,
+                                   rel_tol=self.rel_tol, max_nodes=self.max_nodes)
+
     def solve(self, t: int, c, reference) -> NodeSolveReply:
-        """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given."""
+        """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.
+
+        The first solve also computes :attr:`suffix_bounds`, and its
+        ``solve_time`` includes that work.
+        """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
         started = time.perf_counter()
         solution = solve_subproblem(
             sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes, lloyd_starts=self.lloyd_starts,
             lloyd_seed=derive_node_seed(self.seed, self.data.node_id, t),
+            suffix_bounds=self.suffix_bounds,
         )
         if reference is not None:
             solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)

@@ -17,7 +17,7 @@ method (tiny problems: dimension <= ~50, <= ~50 cuts).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -103,9 +103,11 @@ def serve_node(dataset, bind_address: tuple[str, int], *, ready_event=None) -> N
     ``dataset`` is a :class:`fedkmeans.core.NodeDataset`; problem metadata
     (K, box, solver settings) arrives in the HELLO message and opens a
     :class:`fedkmeans.coordinator.NodeSession`.  Requests on a connection are
-    handled sequentially.  A connection that breaks the protocol or whose
-    solve fails gets an ERROR frame and is dropped; the node then waits for
-    the next coordinator.
+    handled sequentially.  A solve that cannot be proven optimal gets an
+    ERROR frame and the connection stays open, so the node still receives
+    the TERMINATE that ends the aborted run.  A connection that breaks the
+    protocol gets an ERROR frame and is dropped; the node then waits for the
+    next coordinator.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -152,6 +154,10 @@ def _serve_connection(conn: socket.socket, dataset) -> bool:
             else:
                 raise NetworkError(f"unexpected message kind {kind!r}")
             send_message(conn, {**reply, "run_id": run_id, "t": message.get("t")})
+        except NodeLimitExceeded as exc:
+            # The request was read and answered in full, so the connection is
+            # still in sync: keep it for the TERMINATE that ends the run.
+            _send_error(conn, message.get("run_id"), message.get("t"), exc)
         except Exception as exc:
             _send_error(conn, message.get("run_id"), message.get("t"), exc)
             return False

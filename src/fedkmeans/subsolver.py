@@ -5,8 +5,14 @@ subproblem separates per cluster and per dimension, so the optimal
 box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations ordered by decreasing
-distance from the data mean), pruning against a Lloyd-style incumbent.  A full
-enumeration oracle is provided for testing.
+distance from the data mean), pruning against a Lloyd-style incumbent.
+
+A node's bound is the closed-form minimum of each cluster over its assigned
+observations plus a suffix bound: a lower bound on the plain K-means cost of
+the unassigned ones.  The suffix bounds do not depend on the dual term, so
+:func:`suffix_lower_bounds` computes them once per dataset, by repetitive
+branch-and-bound over ever longer suffixes.  The search keeps its per-cluster
+sums in Python scalars.  A full enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "lloyd_incumbent",
     "relabel_to_reference",
     "solve_subproblem",
+    "suffix_lower_bounds",
 ]
 
 
@@ -213,14 +220,21 @@ def solve_subproblem(
     lloyd_seed: int = 0,
     time_budget: float | None = None,
     on_progress=None,
+    suffix_bounds=None,
 ) -> SubproblemSolution:
     """Proven global optimum of the node Lagrangian by best-first branch-and-bound.
 
     Branches on the cluster of the next unassigned observation, observations
-    ordered by decreasing distance from the data mean (ties by index), and
-    prunes by :func:`assignment_lower_bound`.  When all per-cluster dual
-    coefficients coincide (e.g. the zero dual), cluster labels are
-    interchangeable and symmetric branches are skipped.
+    ordered by decreasing distance from the data mean (ties by index).  A node
+    that has assigned the first d observations of that order is bounded by
+    the per-cluster closed-form minima of its assigned observations (as in
+    :func:`assignment_lower_bound`) plus ``suffix_bounds[d]``, a lower bound
+    on the plain K-means cost of the unassigned ones (see
+    :func:`suffix_lower_bounds`, which computes it once per dataset because it
+    does not depend on the dual term).  ``None`` means no suffix bound (all
+    zeros).  When all per-cluster dual coefficients coincide (e.g. the zero
+    dual), cluster labels are interchangeable and symmetric branches are
+    skipped.
 
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
     ``time_budget`` (seconds) instead returns the incumbent with its actual
@@ -228,80 +242,214 @@ def solve_subproblem(
     bound or incumbent improvements (used by the central baseline trace).
     """
     Y = subproblem.data.observations
-    n_pts, n_y = Y.shape
-    K = subproblem.K
-    lo, hi = subproblem.box.lo, subproblem.box.hi
-    c = subproblem.c
-
-    order = sorted(range(n_pts), key=lambda j: (-float(np.sum((Y[j] - Y.mean(axis=0)) ** 2)), j))
-    Yo = Y[order]
-    ysq = np.sum(Yo * Yo, axis=1)
-
-    symmetric = bool(np.all(c == c[0]))
-    empty_min = [_empty_cluster_min(c[k], lo, hi)[1] for k in range(K)]
+    n_pts = Y.shape[0]
+    if suffix_bounds is None:
+        suffix_bounds = [0.0] * (n_pts + 1)
+    elif len(suffix_bounds) != n_pts + 1:
+        raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
+    order = _branching_order(Y)
+    tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
 
     incumbent = lloyd_incumbent(subproblem, n_starts=lloyd_starts, seed=lloyd_seed)
-    ub = incumbent.lagrangian_value
-
     start = time.perf_counter()
+
+    def on_leaf(labels):
+        nonlocal incumbent
+        full = [0] * n_pts
+        for pos, lab in zip(order, labels):
+            full[pos] = lab
+        incumbent = evaluate_assignment(subproblem, full)
+        return incumbent.lagrangian_value
+
+    def on_bound(lb):
+        on_progress(time.perf_counter() - start, incumbent, lb)
+
+    lb, explored, status = _best_first(
+        tree, 0, incumbent.lagrangian_value, rel_tol, max_nodes, on_leaf,
+        deadline=None if time_budget is None else start + time_budget,
+        on_bound=None if on_progress is None else on_bound,
+    )
+    if status == "node_limit":
+        raise NodeLimitExceeded(_finish(incumbent, lb, explored), lb, explored)
+    return _finish(incumbent, lb, explored)
+
+
+def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
+                        rel_tol: float = 1e-9, max_nodes: int = 5_000_000) -> np.ndarray:
+    """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`.
+
+    ``sb[d]`` is a proven lower bound on the plain K-means optimum (c = 0,
+    centroids in the box) of the observations at branching positions
+    d..n-1, and ``sb[n] = 0``.  It bounds what the unassigned observations
+    add to any Lagrangian subproblem on ``data``: splitting each cluster's
+    minimum into its assigned and unassigned parts charges the dual term to
+    the assigned part, and what is left for the unassigned parts is at least
+    their K-means optimum.
+
+    Entries are computed from the last position back to the first by
+    repetitive branch-and-bound (Brusco 2006; Koontz, Narendra & Fukunaga
+    1975): the search over suffix d bounds its nodes with the entries already
+    computed.  Each entry is the search's proven lower bound, not its
+    incumbent, which may exceed the optimum by up to ``rel_tol``.  Raises
+    :class:`NodeLimitExceeded` when one suffix search hits ``max_nodes``.
+    """
+    Y = data.observations
+    n_pts, n_y = Y.shape
+    Yo = Y[_branching_order(Y)]
+    zero = np.zeros((K, n_y))
+    sb = [0.0] * (n_pts + 1)
+    tree = _Tree(Yo, K, zero, box, sb)
+    best = ()  # optimal labels of the suffix d+1..n-1
+    for d in range(n_pts - 1, -1, -1):
+        # Incumbent: that assignment, extended by the cheapest label for d.
+        found = min((tree.labels_value(d, (k,) + best), (k,) + best) for k in range(K))
+
+        def on_leaf(labels):
+            nonlocal found
+            found = (tree.labels_value(d, labels), tuple(labels))
+            return found[0]
+
+        sb[d] = sb[d + 1]  # the root's bound until this entry is known
+        lb, explored, status = _best_first(tree, d, found[0], rel_tol, max_nodes, on_leaf)
+        if status == "node_limit":
+            suffix = LagrangianSubproblem(data=NodeDataset(data.node_id, Yo[d:]), K=K, box=box, c=zero)
+            incumbent = evaluate_assignment(suffix, found[1])
+            raise NodeLimitExceeded(_finish(incumbent, lb, explored), lb, explored)
+        sb[d] = max(sb[d + 1], lb)
+        best = found[1]
+    return np.array(sb)
+
+
+def _branching_order(Y: np.ndarray) -> list[int]:
+    """Observation indices by decreasing distance from the data mean, ties by index."""
+    mean = Y.mean(axis=0)
+    return sorted(range(Y.shape[0]), key=lambda j: (-float(np.sum((Y[j] - mean) ** 2)), j))
+
+
+class _Tree:
+    """Search-tree data in plain Python floats: observations in branching
+    order, their squared norms, per-cluster coefficients and suffix bounds.
+
+    A node holds one ``(count, sums, sumsq, value)`` tuple per cluster (see
+    :func:`_add_point`); ``root`` is the tuple of empty clusters.
+    """
+
+    def __init__(self, Yo: np.ndarray, K: int, c: np.ndarray, box: BoundingBox, suffix_bounds):
+        self.points = [tuple(row) for row in Yo.tolist()]
+        self.sq = np.sum(Yo * Yo, axis=1).tolist()
+        self.K = K
+        self.sb = suffix_bounds
+        self.symmetric = bool(np.all(c == c[0]))
+        lo, hi = box.lo.tolist(), box.hi.tolist()
+        self.coef = [tuple(zip([0.5 * v for v in row], row, lo, hi)) for row in c.tolist()]
+        self.root = tuple((0, (0.0,) * Yo.shape[1], 0.0, _empty_cluster_min(c[k], box.lo, box.hi)[1])
+                          for k in range(K))
+
+    def labels_value(self, start: int, labels) -> float:
+        """Objective of labelling positions start..n-1 with ``labels``."""
+        clusters = list(self.root)
+        for d, k in enumerate(labels, start):
+            clusters[k] = _add_point(clusters[k], self.points[d], self.sq[d], self.coef[k])
+        return sum(cluster[3] for cluster in clusters)
+
+
+def _add_point(cluster, y, y_sq: float, coef):
+    """Cluster ``(count, sums, sumsq, value)`` after adding observation ``y``.
+
+    ``count``, ``sums`` and ``sumsq`` are the number, coordinate sums and
+    summed squared norms of the cluster's observations; ``value`` is its
+    closed-form minimum, computed as :func:`_cluster_min` does but in
+    scalars.  ``coef`` holds ``(c_i / 2, c_i, lo_i, hi_i)`` per coordinate.
+    """
+    count, sums, sumsq, _ = cluster
+    count += 1
+    sumsq += y_sq
+    new_sums = []
+    mm = sm = cm = 0.0
+    for s, y_i, (h, c, lo, hi) in zip(sums, y, coef):
+        s += y_i
+        new_sums.append(s)
+        m = (s - h) / count
+        if m < lo:
+            m = lo
+        elif m > hi:
+            m = hi
+        mm += m * m
+        sm += s * m
+        cm += c * m
+    return count, new_sums, sumsq, sumsq + (count * mm - 2.0 * sm + cm)
+
+
+def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: int,
+                on_leaf, deadline: float | None = None, on_bound=None):
+    """Best-first branch-and-bound over the labels of positions start..n-1.
+
+    ``ub`` is the incumbent's value.  ``on_leaf(labels)`` receives every leaf
+    whose bound is below the incumbent and returns that assignment's value,
+    the new incumbent.  ``on_bound(lb)`` is called when the proven bound or
+    the incumbent improves.  Returns ``(lower_bound, explored, status)``,
+    status being "optimal" (gap <= rel_tol proven), "node_limit" or "time".
+    """
+    points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
+    n, K, symmetric = len(points), tree.K, tree.symmetric
+    add_point, push, pop = _add_point, heapq.heappush, heapq.heappop
+    tiebreak = 0
+    threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
     explored = 0
-    counter = itertools.count()
 
-    # Heap entries: (bound, tiebreak, depth, labels, counts, sums, sumsq, per_cluster_min)
-    root_pc = np.array(empty_min)
-    root = (float(root_pc.sum()), next(counter), 0, (),
-            np.zeros(K, dtype=int), np.zeros((K, n_y)), np.zeros(K), root_pc)
-    heap = [root]
-    best_lb = root[0]
-
-    def report():
-        if on_progress is not None:
-            on_progress(time.perf_counter() - start, incumbent, best_lb)
-
-    report()
+    # Heap entries: (bound, tiebreak, depth, labels, labels used, sum of
+    # cluster values, clusters); labels is a linked list (label, parent labels).
+    pc_sum = sum(cluster[3] for cluster in tree.root)
+    heap = [(pc_sum + sb[start], tiebreak, start, None, 0, pc_sum, tree.root)]
+    best_lb = heap[0][0]
+    if on_bound is not None:
+        on_bound(best_lb)
     while heap:
-        bound, _, depth, labels, counts, sums, sumsq, pc = heapq.heappop(heap)
+        bound, _, depth, labels, used, pc_sum, clusters = pop(heap)
+        if bound >= threshold:
+            # Gap <= rel_tol proven.  The optimum is at most the incumbent,
+            # so a larger bound proves no more than the incumbent's value.
+            best_lb = max(best_lb, min(bound, ub))
+            if on_bound is not None:
+                on_bound(best_lb)
+            return best_lb, explored, "optimal"
         if bound > best_lb:
             best_lb = bound
-            report()
-        if bound >= ub - rel_tol * max(abs(ub), _GAP_FLOOR):
-            best_lb = max(best_lb, min(bound, ub))  # gap <= rel_tol proven
-            report()
-            break
-        if depth == n_pts:
+            if on_bound is not None:
+                on_bound(best_lb)
+        if depth == n:
             if bound < ub:  # leaf bound is the exact assignment value
-                full = [0] * n_pts
-                for pos, lab in zip(order, labels):
-                    full[pos] = lab
-                incumbent = evaluate_assignment(subproblem, full)
-                ub = incumbent.lagrangian_value
-                report()
+                path = []
+                while labels is not None:
+                    k, labels = labels
+                    path.append(k)
+                ub = on_leaf(path[::-1])
+                threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
+                if on_bound is not None:
+                    on_bound(best_lb)
             continue
         explored += 1
         if explored >= max_nodes:
-            raise NodeLimitExceeded(_finish(incumbent, ub, best_lb, explored), best_lb, explored)
-        if time_budget is not None and time.perf_counter() - start > time_budget:
-            return _finish(incumbent, ub, min(best_lb, bound), explored)
-        k_cap = K if not symmetric else min(K, int(np.max(labels) + 2 if labels else 1))
-        y = Yo[depth]
-        for k in range(k_cap):
-            new_counts = counts.copy(); new_counts[k] += 1
-            new_sums = sums.copy(); new_sums[k] += y
-            new_sumsq = sumsq.copy(); new_sumsq[k] += ysq[depth]
-            new_pc = pc.copy()
-            _, new_pc[k] = _cluster_min(new_counts[k], new_sums[k], new_sumsq[k], c[k], lo, hi)
-            child_bound = float(new_pc.sum())
-            if child_bound < ub - rel_tol * max(abs(ub), _GAP_FLOOR):
-                heapq.heappush(heap, (child_bound, next(counter), depth + 1,
-                                      labels + (k,), new_counts, new_sums, new_sumsq, new_pc))
-    else:
-        best_lb = ub  # search space exhausted
-        report()
-
-    return _finish(incumbent, ub, best_lb, explored)
+            return best_lb, explored, "node_limit"
+        if deadline is not None and time.perf_counter() > deadline:
+            return min(best_lb, bound), explored, "time"
+        y, y_sq, below = points[depth], sq[depth], sb[depth + 1]
+        for k in range(min(K, used + 1) if symmetric else K):
+            cluster = clusters[k]
+            new = add_point(cluster, y, y_sq, coef[k])
+            child_sum = pc_sum - cluster[3] + new[3]
+            child_bound = child_sum + below
+            if child_bound < threshold:
+                tiebreak += 1
+                push(heap, (child_bound, tiebreak, depth + 1, (k, labels), used if used > k else k + 1,
+                            child_sum, clusters[:k] + (new,) + clusters[k + 1:]))
+    best_lb = ub  # search space exhausted
+    if on_bound is not None:
+        on_bound(best_lb)
+    return best_lb, explored, "optimal"
 
 
-def _finish(incumbent: SubproblemSolution, ub: float, lb: float, explored: int) -> SubproblemSolution:
+def _finish(incumbent: SubproblemSolution, lb: float, explored: int) -> SubproblemSolution:
     stats = dict(incumbent.stats)
     stats["explored"] = explored
     return SubproblemSolution(
@@ -310,7 +458,7 @@ def _finish(incumbent: SubproblemSolution, ub: float, lb: float, explored: int) 
         distances=incumbent.distances,
         lagrangian_value=incumbent.lagrangian_value,
         cluster_cost=incumbent.cluster_cost,
-        proof_gap=_relative_gap(ub, lb),
+        proof_gap=_relative_gap(incumbent.lagrangian_value, lb),
         stats=stats,
     )
 

@@ -220,6 +220,27 @@ class TestNodeSession:
         expected = sum(min(float(np.sum((y - m) ** 2)) for m in reply.centroids) for y in Y)
         assert session.objective(reply.centroids) == pytest.approx(expected)
 
+    def test_suffix_bounds_computed_once(self, monkeypatch):
+        import fedkmeans.coordinator as coordinator
+
+        calls = []
+        original = coordinator.suffix_lower_bounds
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "suffix_lower_bounds", counting)
+        instance = two_node_instance(seed=6, K=3)
+        session = InProcessBackend(instance, RunConfig()).sessions[0]
+        assert calls == []  # not computed when the session opens
+        c = np.array([[0.3, -0.1], [0.0, 0.2], [-0.2, 0.1]])
+        for t, scale in ((1, 0.0), (2, 1.0)):
+            reply = session.solve(t, scale * c.ravel(), None)
+            sub = LagrangianSubproblem(data=session.data, K=3, box=instance.box, c=scale * c)
+            assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
+        assert len(calls) == 1
+
 
 class TestRunCsv:
     def test_round_trip_exact(self, tmp_path):

@@ -7,8 +7,9 @@ import threading
 import numpy as np
 import pytest
 
+from fedkmeans.bench import generate_grid
 from fedkmeans.coordinator import NodeSession, RunConfig, run
-from fedkmeans.core import BoundingBox, NodeDataset, ProblemInstance
+from fedkmeans.core import BoundingBox, NodeDataset, ProblemInstance, read_instance
 from fedkmeans.net import (
     MAX_FRAME_BYTES,
     MESSAGE_KINDS,
@@ -154,6 +155,17 @@ class TestNetworkedRun:
         for _, message in capture:
             assert set(message["body"]) <= allowed_body_keys[message["kind"]]
         assert "observations" not in json.dumps([m for _, m in capture])
+
+    def test_k4_grid_cell_matches_in_process(self, tmp_path):
+        # Iteration 2 is one exact K=4 solve per node at nonzero duals, and the
+        # nodes compute their suffix bounds during their first solve.
+        generate_grid(0, tmp_path)
+        instance = read_instance(tmp_path / "2N2D4K_1.json")
+        addresses, threads = start_servers(instance)
+        assert_run_matches_in_process(instance, addresses, RunConfig(algorithm="sg", t_max=2))
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
 
     def test_dropped_connection_aborts(self):
         from fedkmeans.coordinator import RunAborted

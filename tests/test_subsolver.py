@@ -18,7 +18,9 @@ from fedkmeans.subsolver import (
     lloyd_incumbent,
     relabel_to_reference,
     solve_subproblem,
+    suffix_lower_bounds,
 )
+from fedkmeans.subsolver import _add_point, _branching_order, _Tree
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -217,6 +219,105 @@ class TestSolveSubproblem:
         b = solve_subproblem(sub)
         assert a.assignment == b.assignment
         np.testing.assert_array_equal(a.centroids, b.centroids)
+
+
+class TestScalarChildBound:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_assignment_lower_bound(self, seed):
+        # The search adds one observation at a time in scalar arithmetic and
+        # keeps a running sum of the cluster values.  The summation order
+        # differs from assignment_lower_bound, so equality holds to float64
+        # rounding: 1e-12 relative on unit-scale data.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=8, K=int(rng.integers(2, 5)), n_y=int(rng.integers(1, 5)))
+        Y = sub.data.observations
+        tree = _Tree(Y, sub.K, sub.c, sub.box, [0.0] * 9)
+        prefix = [int(k) for k in rng.integers(0, sub.K, size=int(rng.integers(1, 9)))]
+        clusters = list(tree.root)
+        bound = sum(cluster[3] for cluster in clusters)
+        for d, k in enumerate(prefix):
+            new = _add_point(clusters[k], tree.points[d], tree.sq[d], tree.coef[k])
+            bound = bound - clusters[k][3] + new[3]
+            clusters[k] = new
+            expected = assignment_lower_bound(sub, prefix[:d + 1])
+            assert abs(bound - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+
+def suffix_optimum(sub, d):
+    """Plain K-means optimum (c = 0) of the observations at branching positions d.."""
+    Y = sub.data.observations
+    suffix = Y[_branching_order(Y)][d:]
+    return brute_force_subproblem(LagrangianSubproblem(
+        data=NodeDataset(node_id=0, observations=suffix), K=sub.K, box=sub.box,
+        c=np.zeros((sub.K, sub.data.n_y)))).lagrangian_value
+
+
+class TestSuffixLowerBounds:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_below_each_suffix_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(3, 8)), K=int(rng.integers(2, 4)))
+        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        for d in range(sub.data.n_points):
+            optimum = suffix_optimum(sub, d)
+            assert sb[d] <= optimum + 1e-12 * max(optimum, 1.0)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_non_increasing_and_zero_at_end(self, seed):
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(3, 10)), K=int(rng.integers(2, 4)))
+        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        assert len(sb) == sub.data.n_points + 1
+        assert sb[-1] == 0.0
+        assert all(a >= b for a, b in zip(sb, sb[1:]))
+
+    def test_tight_on_separated_groups(self):
+        # Three tight pairs, K = 3: the whole-data optimum is the within-pair
+        # cost, and the bound proves it to rel_tol.
+        sub = subproblem_1d([0.0, 0.1, 5.0, 5.1, 10.0, 10.1], K=3)
+        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        assert sb[0] == pytest.approx(3 * 0.005, rel=1e-9)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_solve_with_bounds_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(3, 8)), K=int(rng.integers(2, 4)))
+        sub = LagrangianSubproblem(data=sub.data, K=sub.K, box=sub.box,
+                                   c=rng.normal(scale=rng.choice([0.5, 2.0]), size=sub.c.shape))
+        exact = solve_subproblem(sub, suffix_bounds=suffix_lower_bounds(sub.data, sub.K, sub.box))
+        brute = brute_force_subproblem(sub)
+        scale = max(abs(brute.lagrangian_value), 1e-9)
+        assert abs(exact.lagrangian_value - brute.lagrangian_value) <= 1e-9 * scale
+        assert exact.proof_gap <= 1e-9
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_same_answer_fewer_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(6, 13)), K=3)
+        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box,
+                                   c=rng.normal(scale=rng.choice([0.2, 1.0]), size=sub.c.shape))
+        with_bounds = solve_subproblem(sub, suffix_bounds=suffix_lower_bounds(sub.data, 3, sub.box))
+        without = solve_subproblem(sub)
+        assert with_bounds.assignment == without.assignment
+        assert with_bounds.lagrangian_value == without.lagrangian_value
+        assert with_bounds.stats["explored"] <= without.stats["explored"]
+
+    def test_node_limit_raises(self):
+        rng = np.random.default_rng(0)
+        sub = random_subproblem(rng, n_pts=8, K=3)
+        with pytest.raises(NodeLimitExceeded) as err:
+            suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=3)
+        assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
+
+    def test_length_checked(self):
+        sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
+        with pytest.raises(ValueError, match="4 entries"):
+            solve_subproblem(sub, suffix_bounds=[0.0, 0.0, 0.0])
 
 
 class TestRelabel:
