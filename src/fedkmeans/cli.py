@@ -52,7 +52,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rel-tol", type=float, default=1e-9,
                         help="node subproblem relative optimality tolerance (default: 1e-9)")
     parser.add_argument("--max-nodes", type=int, default=5_000_000,
-                        help="branch-and-bound node limit per subproblem solve (default: 5000000)")
+                        help="branch-and-bound node limit per subproblem solve; a node's one-off "
+                             "suffix-bound precompute gets the same limit (default: 5000000)")
     parser.add_argument("--lloyd-starts", type=int, default=5,
                         help="multi-start count for the subproblem incumbent (default: 5)")
     parser.add_argument("--seed", type=int, default=0,

@@ -201,8 +201,7 @@ class NodeSession:
     @cached_property
     def suffix_bounds(self) -> np.ndarray:
         """The node's dual-independent suffix bounds, computed on first use."""
-        return suffix_lower_bounds(self.data, self.K, self.box,
-                                   rel_tol=self.rel_tol, max_nodes=self.max_nodes)
+        return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes)
 
     def solve(self, t: int, c, reference) -> NodeSolveReply:
         """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.

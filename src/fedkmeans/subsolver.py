@@ -83,9 +83,10 @@ class SubproblemSolution:
 class NodeLimitExceeded(RuntimeError):
     """Raised when branch-and-bound hits its node cap before proving optimality."""
 
-    def __init__(self, incumbent: SubproblemSolution, lower_bound: float, explored: int):
+    def __init__(self, incumbent: SubproblemSolution, lower_bound: float, explored: int,
+                 where: str = ""):
         super().__init__(
-            f"node limit reached after {explored} nodes "
+            f"node limit reached after {explored} nodes{where} "
             f"(incumbent {incumbent.lagrangian_value:.6g}, bound {lower_bound:.6g})"
         )
         self.incumbent = incumbent
@@ -275,7 +276,7 @@ def solve_subproblem(
 
 
 def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
-                        rel_tol: float = 1e-9, max_nodes: int = 5_000_000) -> np.ndarray:
+                        max_nodes: int = 5_000_000) -> np.ndarray:
     """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`.
 
     ``sb[d]`` is a proven lower bound on the plain K-means optimum (c = 0,
@@ -289,9 +290,10 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     Entries are computed from the last position back to the first by
     repetitive branch-and-bound (Brusco 2006; Koontz, Narendra & Fukunaga
     1975): the search over suffix d bounds its nodes with the entries already
-    computed.  Each entry is the search's proven lower bound, not its
-    incumbent, which may exceed the optimum by up to ``rel_tol``.  Raises
-    :class:`NodeLimitExceeded` when one suffix search hits ``max_nodes``.
+    computed.  Each search runs to a zero gap, so a child is pruned only when
+    its bound reaches the incumbent and the search's proven bound is the
+    suffix optimum.  The searches share one ``max_nodes`` budget, like a
+    single solve; :class:`NodeLimitExceeded` is raised when it runs out.
     """
     Y = data.observations
     n_pts, n_y = Y.shape
@@ -300,6 +302,7 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     sb = [0.0] * (n_pts + 1)
     tree = _Tree(Yo, K, zero, box, sb)
     best = ()  # optimal labels of the suffix d+1..n-1
+    total = 0
     for d in range(n_pts - 1, -1, -1):
         # Incumbent: that assignment, extended by the cheapest label for d.
         found = min((tree.labels_value(d, (k,) + best), (k,) + best) for k in range(K))
@@ -310,11 +313,13 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
             return found[0]
 
         sb[d] = sb[d + 1]  # the root's bound until this entry is known
-        lb, explored, status = _best_first(tree, d, found[0], rel_tol, max_nodes, on_leaf)
+        lb, explored, status = _best_first(tree, d, found[0], 0.0, max_nodes - total, on_leaf)
+        total += explored
         if status == "node_limit":
             suffix = LagrangianSubproblem(data=NodeDataset(data.node_id, Yo[d:]), K=K, box=box, c=zero)
             incumbent = evaluate_assignment(suffix, found[1])
-            raise NodeLimitExceeded(_finish(incumbent, lb, explored), lb, explored)
+            raise NodeLimitExceeded(_finish(incumbent, lb, total), lb, total,
+                                    where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}")
         sb[d] = max(sb[d + 1], lb)
         best = found[1]
     return np.array(sb)
@@ -389,12 +394,18 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     the new incumbent.  ``on_bound(lb)`` is called when the proven bound or
     the incumbent improves.  Returns ``(lower_bound, explored, status)``,
     status being "optimal" (gap <= rel_tol proven), "node_limit" or "time".
+
+    The proven bound is the least bound of any node not yet ruled out: the
+    popped node, the children pruned for reaching the stop threshold
+    (``dropped``; with ``rel_tol`` > 0 they may lie below the incumbent) and
+    the incumbent itself.
     """
     points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
     n, K, symmetric = len(points), tree.K, tree.symmetric
     add_point, push, pop = _add_point, heapq.heappush, heapq.heappop
     tiebreak = 0
     threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
+    dropped = math.inf
     explored = 0
 
     # Heap entries: (bound, tiebreak, depth, labels, labels used, sum of
@@ -409,12 +420,12 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
         if bound >= threshold:
             # Gap <= rel_tol proven.  The optimum is at most the incumbent,
             # so a larger bound proves no more than the incumbent's value.
-            best_lb = max(best_lb, min(bound, ub))
+            best_lb = max(best_lb, min(bound, dropped, ub))
             if on_bound is not None:
                 on_bound(best_lb)
             return best_lb, explored, "optimal"
-        if bound > best_lb:
-            best_lb = bound
+        if min(bound, dropped) > best_lb:
+            best_lb = min(bound, dropped)
             if on_bound is not None:
                 on_bound(best_lb)
         if depth == n:
@@ -432,7 +443,7 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
         if explored >= max_nodes:
             return best_lb, explored, "node_limit"
         if deadline is not None and time.perf_counter() > deadline:
-            return min(best_lb, bound), explored, "time"
+            return best_lb, explored, "time"
         y, y_sq, below = points[depth], sq[depth], sb[depth + 1]
         for k in range(min(K, used + 1) if symmetric else K):
             cluster = clusters[k]
@@ -443,7 +454,9 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
                 tiebreak += 1
                 push(heap, (child_bound, tiebreak, depth + 1, (k, labels), used if used > k else k + 1,
                             child_sum, clusters[:k] + (new,) + clusters[k + 1:]))
-    best_lb = ub  # search space exhausted
+            elif child_bound < dropped:
+                dropped = child_bound
+    best_lb = max(best_lb, min(dropped, ub))  # search space exhausted
     if on_bound is not None:
         on_bound(best_lb)
     return best_lb, explored, "optimal"

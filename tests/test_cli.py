@@ -161,24 +161,17 @@ class TestRemote:
 
     def test_remote_solver_failure_exit_code(self, instance_file, tmp_path, capsys):
         # A node that cannot solve exactly fails the run as a solver failure,
-        # exactly as the same limit does in process.
+        # exactly as the same limit does in process.  The node that reported
+        # the failure stays connected, so the TERMINATE sent when the run
+        # aborts reaches it as well and every node stops.
         args = ["--max-nodes", "5", "--t-max", "3", "--csv", str(tmp_path / "out.csv")]
         assert main(["run", "--instance", str(instance_file), *args]) == 3
-        ports, _ = self.serve_threaded(instance_file)
+        ports, threads = self.serve_threaded(instance_file)
         capsys.readouterr()
         code = main(["run-remote", "--instance", str(instance_file),
                      "--nodes", *(f"127.0.0.1:{port}" for port in ports), *args])
         assert code == 3
         assert "exact subproblem solve failed: node " in capsys.readouterr().err
-
-    def test_remote_solver_failure_stops_every_node(self, instance_file, tmp_path):
-        # The node that reported the failure stays connected, so the
-        # TERMINATE sent when the run aborts reaches it as well.
-        ports, threads = self.serve_threaded(instance_file)
-        code = main(["run-remote", "--instance", str(instance_file),
-                     "--nodes", *(f"127.0.0.1:{port}" for port in ports),
-                     "--max-nodes", "5", "--t-max", "3", "--csv", str(tmp_path / "out.csv")])
-        assert code == 3
         for thread in threads:
             thread.join(10.0)
             assert not thread.is_alive()

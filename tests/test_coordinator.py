@@ -241,6 +241,14 @@ class TestNodeSession:
             assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
         assert len(calls) == 1
 
+    def test_suffix_bounds_ignore_rel_tol(self):
+        # The suffix searches run to a zero gap whatever the run's rel_tol,
+        # so a loose tolerance cannot push an entry above its suffix optimum.
+        instance = two_node_instance(seed=6, K=3)
+        tight, loose = (InProcessBackend(instance, RunConfig(rel_tol=tol)).sessions[0]
+                        for tol in (1e-9, 0.3))
+        np.testing.assert_array_equal(tight.suffix_bounds, loose.suffix_bounds)
+
 
 class TestRunCsv:
     def test_round_trip_exact(self, tmp_path):

@@ -212,6 +212,21 @@ class TestSolveSubproblem:
         assert err.value.incumbent is not None
         assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_loose_tolerance_bound_is_proven(self, seed):
+        # At rel_tol 0.3 the search prunes children whose bound lies between
+        # the stop threshold and the incumbent.  The bound behind proof_gap
+        # must still lie below the optimum, with and without suffix bounds.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8)))
+        optimum = brute_force_subproblem(sub).lagrangian_value
+        for bounds in (None, suffix_lower_bounds(sub.data, sub.K, sub.box)):
+            sol = solve_subproblem(sub, rel_tol=0.3, lloyd_starts=1, suffix_bounds=bounds)
+            proven = sol.lagrangian_value - sol.proof_gap * max(abs(sol.lagrangian_value), 1e-9)
+            assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
+            assert sol.proof_gap <= 0.3
+
     def test_determinism(self):
         rng = np.random.default_rng(7)
         sub = random_subproblem(rng, n_pts=7, K=3)
@@ -276,7 +291,7 @@ class TestSuffixLowerBounds:
 
     def test_tight_on_separated_groups(self):
         # Three tight pairs, K = 3: the whole-data optimum is the within-pair
-        # cost, and the bound proves it to rel_tol.
+        # cost, and each suffix search runs to a zero gap.
         sub = subproblem_1d([0.0, 0.1, 5.0, 5.1, 10.0, 10.1], K=3)
         sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
         assert sb[0] == pytest.approx(3 * 0.005, rel=1e-9)
@@ -310,9 +325,32 @@ class TestSuffixLowerBounds:
     def test_node_limit_raises(self):
         rng = np.random.default_rng(0)
         sub = random_subproblem(rng, n_pts=8, K=3)
-        with pytest.raises(NodeLimitExceeded) as err:
+        with pytest.raises(NodeLimitExceeded, match="K-means cost of positions") as err:
             suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=3)
         assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
+
+    def test_searches_share_one_node_budget(self, monkeypatch):
+        import fedkmeans.subsolver as subsolver
+
+        rng = np.random.default_rng(3)
+        sub = random_subproblem(rng, n_pts=10, K=3)
+        counts = []
+        original = subsolver._best_first
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts.append(result[1])
+            return result
+
+        monkeypatch.setattr(subsolver, "_best_first", counting)
+        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        total = sum(counts)
+        assert max(counts) < total  # no single search uses the whole budget
+        monkeypatch.setattr(subsolver, "_best_first", original)
+        np.testing.assert_array_equal(suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=total + 1), sb)
+        with pytest.raises(NodeLimitExceeded) as err:
+            suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=total)
+        assert err.value.explored == total
 
     def test_length_checked(self):
         sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
