@@ -20,6 +20,7 @@ from .coordinator import (
     RunAborted,
     RunConfig,
     central_solve,
+    relative_duality_gap,
     run,
     write_run_csv,
 )
@@ -82,13 +83,17 @@ def _write_run_outputs(result, args, instance) -> None:
         "iterations": len(result.records),
         "termination": result.termination,
         "rel_dg_percent": result.records[-1].rel_duality_gap,
+        "certified_gap_percent": relative_duality_gap(result.final_dual_value,
+                                                      result.best_primal_value),
         "modeled_t_comp_s": result.modeled_t_comp,
         "best_primal": result.best_primal_value,
         "final_dual": result.final_dual_value,
+        "qnda_fallbacks": result.qnda_fallbacks,
     }
     Path(str(args.csv) + ".meta.json").write_text(json.dumps(meta, indent=2))
     print(f"{instance.name} {args.algorithm}: {meta['iterations']} iterations, "
           f"terminated by {meta['termination']}, rel DG {meta['rel_dg_percent']:.4f} %, "
+          f"certified gap {meta['certified_gap_percent']:.4f} %, "
           f"modeled T_comp {meta['modeled_t_comp_s']:.2f} s")
 
 
@@ -219,6 +224,8 @@ def cmd_report(args) -> int:
             "runs": len(members),
             "mean_iterations": float(np.mean([m["iterations"] for m in members])),
             "mean_rel_dg_percent": float(np.mean([m["rel_dg_percent"] for m in members])),
+            "mean_certified_gap_percent": float(np.mean([m["certified_gap_percent"]
+                                                         for m in members])),
             "mean_t_comp_s": float(np.mean([m["modeled_t_comp_s"] for m in members])),
             "terminations": "/".join(sorted({m["termination"] for m in members})),
         })

@@ -110,6 +110,7 @@ class RunResult:
     best_primal_centroids: np.ndarray
     final_dual_value: float
     modeled_t_comp: float
+    qnda_fallbacks: int = 0             # QNDA iterations that took a BTM step instead
 
 
 class RunAborted(RuntimeError):
@@ -279,6 +280,7 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
     termination = "max_iter"
     best_primal = np.inf
     best_centroids = None
+    qnda_fallbacks = 0
 
     try:
         for t in range(1, config.t_max + 1):
@@ -331,7 +333,10 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
                     if prev_lam is not None:
                         B = bfgs_update(B, lam - prev_lam, g - prev_g)
                     bundle = bundle_push(bundle, BundleEntry(t, lam.copy(), g.copy(), dual_value))
-                    new_lam = qnda_update(B, bundle, lam, g, dual_value, alpha_t)
+                    diagnostics = {}
+                    new_lam = qnda_update(B, bundle, lam, g, dual_value, alpha_t,
+                                          diagnostics=diagnostics)
+                    qnda_fallbacks += diagnostics["fallback"]
                 t_update = time.perf_counter() - started
 
             t_sub_max = max(r.solve_time for r in replies)
@@ -379,6 +384,7 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
         best_primal_centroids=best_centroids,
         final_dual_value=max(r.dual_value for r in records),
         modeled_t_comp=modeled_computation_time(records, config.t_comm),
+        qnda_fallbacks=qnda_fallbacks,
     )
 
 

@@ -180,10 +180,27 @@ class MasterSolution:
     model_value: float        # model value at the argmax (including const)
     kkt_residual: float
     active_cuts: tuple[int, ...]
+    path: str                 # accepting solver stage: "ipm", "polish", "mehrotra" or "sqp"
 
 
 class TrustRegionSolverError(RuntimeError):
     """Master solver failed to reach the requested KKT accuracy."""
+
+
+def _distinct_cuts(cut_normals: np.ndarray, cut_offsets: np.ndarray) -> list[int]:
+    """Indices of the cuts kept after collapsing near-duplicates, in order.
+
+    Cut i is dropped when its row (g_i, beta_i) lies within 1e-7 * max(1,
+    |row_i|) of a row already kept.  Near-duplicate cuts (bundle entries from
+    almost-identical dual points) would make the KKT system singular.
+    """
+    rows = np.hstack([cut_normals, cut_offsets[:, None]])
+    keep: list[int] = []
+    for i in range(rows.shape[0]):
+        scale = max(1.0, float(np.linalg.norm(rows[i])))
+        if not keep or float(np.min(np.linalg.norm(rows[keep] - rows[i], axis=1))) > 1e-7 * scale:
+            keep.append(i)
+    return keep
 
 
 def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
@@ -197,23 +214,23 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
       cut l:  w - g_l . delta + beta_l
       model:  w - 1/2 delta^T B delta - g . delta        (if quad is given)
 
-    The objective is max w.  A primal-dual path-following iteration with a
-    fixed centering weight runs first; if it stalls short of the tolerance
-    (which happens on degenerate bundles with many near-parallel cuts), a
-    Mehrotra predictor-corrector pass retries.  Both candidates go through an
-    active-set polish and the best KKT residual wins; the solver fails loudly
-    if it still exceeds ``kkt_tol``.
+    The objective is max w.  Stages run in order until one meets
+    ``kkt_tol``: a primal-dual path-following iteration with a fixed
+    centering weight; a Mehrotra predictor-corrector pass (degenerate bundles
+    with many near-parallel cuts can stall the first); and an SLSQP restart
+    from the best point so far, which identifies the active set at fully
+    degenerate vertices (more active constraints than variables) that can
+    defeat both.  A stage's point is accepted as it stands when its KKT
+    residual meets ``kkt_tol``; otherwise it goes through the active-set
+    polish of :func:`_polish_kkt`, and the lower residual of the two is kept
+    (SLSQP returns no multipliers, so its point is always polished).  The
+    solution's ``path`` names the accepting stage: "ipm" for the
+    fixed-centering point, "polish" for that point polished, and "mehrotra"
+    or "sqp" for the later stages, polished or not.  The solver fails loudly
+    if the best residual still exceeds ``kkt_tol``.
     """
     n = problem.center.shape[0]
-    # Near-duplicate cuts (bundle entries from almost-identical dual points)
-    # make the KKT system singular; collapse rows of (g_l, beta_l) that agree
-    # to relative precision 1e-7 before solving.
-    rows = np.hstack([problem.cut_normals, problem.cut_offsets[:, None]])
-    keep: list[int] = []
-    for i in range(rows.shape[0]):
-        scale = max(1.0, float(np.linalg.norm(rows[i])))
-        if all(float(np.linalg.norm(rows[i] - rows[j])) > 1e-7 * scale for j in keep):
-            keep.append(i)
+    keep = _distinct_cuts(problem.cut_normals, problem.cut_offsets)
     G = problem.cut_normals[keep]
     beta = problem.cut_offsets[keep]
     m_cuts = G.shape[0]
@@ -248,42 +265,36 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
     obj_grad[n] = -1.0  # minimizing -w
     n_con = 1 + m_cuts + (1 if has_model else 0)
 
-    def scored(z, lam):
+    def candidate(z, lam, stage):
+        """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails kkt_tol."""
         vals, grads = constraints(z)
         stationarity = obj_grad + grads.T @ lam
         kkt = max(float(np.linalg.norm(stationarity, ord=np.inf)),
                   float(np.max(lam * np.abs(vals))),
                   float(max(0.0, np.max(vals))))
-        return z, lam, kkt
+        if kkt <= kkt_tol:
+            return z, lam, kkt, stage
+        polished = _polish_kkt(z, constraints, obj_grad, n_con)
+        if polished is not None and polished[2] < kkt:
+            return (*polished, "polish" if stage == "ipm" else stage)
+        return z, lam, kkt, stage
 
     result = None
-    for scheme in ("fixed", "mehrotra"):
-        z, lam_pd = _pdip_core(problem, constraints, constraint_hessian_weighted,
-                               obj_grad, n_con, n, scheme, max_newton)
-        candidate = scored(z, lam_pd)
-        polished = _polish_kkt(z, lam_pd, constraints, obj_grad, n_con)
-        if polished is not None and polished[2] < candidate[2]:
-            candidate = polished
-        if result is None or candidate[2] < result[2]:
-            result = candidate
+    for stage in ("ipm", "mehrotra", "sqp"):
+        if stage == "sqp":
+            point = _sqp_fallback(result[0], constraints, obj_grad, n_con)
+            if point is None:
+                break
+        else:
+            point = _pdip_core(problem, constraints, constraint_hessian_weighted, obj_grad,
+                               n_con, n, "fixed" if stage == "ipm" else "mehrotra", max_newton)
+        trial = candidate(*point, stage)
+        if result is None or trial[2] < result[2]:
+            result = trial
         if result[2] <= kkt_tol:
             break
 
-    if result[2] > kkt_tol:
-        # Fully degenerate vertices (more active constraints than variables)
-        # can defeat both interior-point passes; an SQP restart from the best
-        # iterate identifies the active set, and the polish then recovers
-        # clean multipliers.
-        refined = _sqp_fallback(result[0], constraints, obj_grad, n_con)
-        if refined is not None:
-            candidate = scored(*refined)
-            polished = _polish_kkt(*refined, constraints, obj_grad, n_con)
-            if polished is not None and polished[2] < candidate[2]:
-                candidate = polished
-            if candidate[2] < result[2]:
-                result = candidate
-
-    z, lam, kkt = result
+    z, lam, kkt, path = result
     if kkt > kkt_tol:
         raise TrustRegionSolverError(f"KKT residual {kkt:.3e} exceeds {kkt_tol:.1e}")
     vals, _ = constraints(z)
@@ -294,6 +305,7 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
         model_value=float(z[n]) + problem.const,
         kkt_residual=kkt,
         active_cuts=active,
+        path=path,
     )
 
 
@@ -400,8 +412,8 @@ def _sqp_fallback(z0, constraints, obj_grad, n_con):
     return result.x, np.zeros(n_con)
 
 
-def _polish_kkt(z, lam_est, constraints, obj_grad, n_con):
-    """Active-set refinement of a near-optimal interior-point iterate.
+def _polish_kkt(z, constraints, obj_grad, n_con):
+    """Active-set refinement of a solver stage's point that misses the tolerance.
 
     For a range of slack thresholds: take the constraints within the threshold
     of being tight as active, project the iterate onto the active manifold by
@@ -409,7 +421,11 @@ def _polish_kkt(z, lam_est, constraints, obj_grad, n_con):
     the full KKT residual.  The active set is then refined toward the support
     of the multipliers; scanning thresholds handles degenerate solutions where
     many near-parallel cuts are almost tight and the true active set is
-    ambiguous.  Returns the best (z, lambda, kkt_residual) found, or None.
+    ambiguous.  A last candidate set adds the trust-region ball to the widest
+    one.  The projection stops once a step after the first fails to halve the
+    active residual, and a starting active set met before is skipped, since
+    it would repeat that work exactly.  Returns the best (z, lambda,
+    kkt_residual) found, or None.
     """
     from scipy.optimize import nnls
 
@@ -429,11 +445,17 @@ def _polish_kkt(z, lam_est, constraints, obj_grad, n_con):
         return x.copy(), lam_full, kkt
 
     best = None
-    for thresh in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
-        vals, _ = constraints(z)
-        idx = sorted(i for i in range(n_con) if -vals[i] < thresh)
-        if not idx:
+    z_vals, _ = constraints(z)
+    sets = [np.flatnonzero(-z_vals < thresh).tolist()
+            for thresh in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)]
+    # On a flat model the ball can bind with a multiplier so small that the
+    # interior point stays far from it.
+    sets.append(sorted(set(sets[-1]) | {0}))
+    seen = set()
+    for idx in sets:
+        if not idx or tuple(idx) in seen:
             continue
+        seen.add(tuple(idx))
         # Score the unprojected iterate first: at degenerate vertices the
         # Gauss-Newton projection below chases an inconsistent active set,
         # while the incoming point with least-squares multipliers is already
@@ -443,11 +465,16 @@ def _polish_kkt(z, lam_est, constraints, obj_grad, n_con):
             best = trial
         x = z.copy()
         for _ in range(6):
-            for _ in range(30):
+            # The first step can overshoot the ball from afar; from the
+            # second on, a step that fails to halve the residual ends it.
+            previous = np.inf
+            for steps in range(30):
                 vals, grads = constraints(x)
                 residual = vals[idx]
-                if float(np.linalg.norm(residual, ord=np.inf)) < 1e-14:
+                size = float(np.linalg.norm(residual, ord=np.inf))
+                if size < 1e-14 or (steps > 1 and size >= 0.5 * previous):
                     break
+                previous = size
                 step, *_ = np.linalg.lstsq(grads[idx], -residual, rcond=None)
                 if not np.all(np.isfinite(step)):
                     break

@@ -170,22 +170,27 @@ def _grid_oracle_value(problem):
     r = np.sqrt(problem.alpha)
     G, beta = problem.cut_normals, problem.cut_offsets
 
-    def value(points):
-        points = np.atleast_2d(points)
-        v = np.min(points @ G.T - beta, axis=1)
-        if problem.quad is not None:
-            quad_val = 0.5 * np.einsum("ij,jk,ik->i", points, problem.quad, points) \
-                + points @ problem.lin
-            v = np.minimum(v, quad_val)
-        return v
-
+    # The 1e-3 * r grid over the square, points outside the disc projected
+    # onto its circle.  A band of grid rows at a time keeps a running minimum
+    # over the model's pieces, instead of a (points x cuts) product.
     axis = np.arange(-r, r + 1e-3 * r, 1e-3 * r)
-    X, Y = np.meshgrid(axis, axis)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    norms = np.linalg.norm(pts, axis=1)
-    outside = norms > r
-    pts[outside] *= (r / norms[outside])[:, None]
-    best = float(np.max(value(pts)))
+    best = -np.inf
+    for start in range(0, axis.size, 128):
+        x, y = np.meshgrid(axis, axis[start:start + 128])
+        x, y = x.ravel(), y.ravel()
+        norms = np.sqrt(x * x + y * y)
+        outside = norms > r
+        x[outside] *= r / norms[outside]
+        y[outside] *= r / norms[outside]
+        v = x * G[0, 0] + y * G[0, 1] - beta[0]
+        for g, b in zip(G[1:], beta[1:]):
+            np.minimum(v, x * g[0] + y * g[1] - b, out=v)
+        if problem.quad is not None:
+            q = problem.quad
+            cap = 0.5 * (q[0, 0] * x * x + (q[0, 1] + q[1, 0]) * x * y + q[1, 1] * y * y) \
+                + x * problem.lin[0] + y * problem.lin[1]
+            np.minimum(v, cap, out=v)
+        best = max(best, float(np.max(v)))
 
     surfaces = [(float(g[0]), float(g[1]), float(b)) for g, b in zip(G, beta)]
     if problem.quad is not None:

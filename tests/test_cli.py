@@ -49,7 +49,7 @@ class TestGenerate:
 
 
 class TestRun:
-    def test_run_writes_csv_and_meta(self, instance_file, tmp_path):
+    def test_run_writes_csv_and_meta(self, instance_file, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = main(["run", "--instance", str(instance_file), "--algorithm", "qnda",
                      "--t-max", "50", "--csv", str(out)])
@@ -63,6 +63,14 @@ class TestRun:
         assert meta["instance"] == "2N2D2K_1"
         assert meta["algorithm"] == "qnda"
         assert meta["iterations"] == len(rows)
+        assert meta["qnda_fallbacks"] == 0
+        # The certified gap uses the best dual and the best primal of the run,
+        # so it is never wider than the last iteration's gap.
+        best_dual = max(float(r["dual"]) for r in rows)
+        best_primal = min(float(r["primal"]) for r in rows)
+        assert meta["certified_gap_percent"] == 100.0 * (1.0 - best_dual / best_primal)
+        assert meta["certified_gap_percent"] <= meta["rel_dg_percent"]
+        assert f"certified gap {meta['certified_gap_percent']:.4f} %" in capsys.readouterr().out
 
     def test_missing_instance_is_argument_error(self, tmp_path):
         code = main(["run", "--instance", str(tmp_path / "nope.json"),
@@ -198,7 +206,8 @@ class TestReport:
                     "instance": f"2N2D2K_{rep}", "algorithm": alg,
                     "n_nodes": 2, "n_y": 2, "K": 2,
                     "iterations": iters + rep, "termination": "max_iter",
-                    "rel_dg_percent": 1.0 * rep, "modeled_t_comp_s": 8.0 * rep,
+                    "rel_dg_percent": 1.0 * rep, "certified_gap_percent": 0.5 * rep,
+                    "modeled_t_comp_s": 8.0 * rep,
                     "best_primal": 1.0, "final_dual": 0.9,
                 }
                 (runs / f"{alg}_{rep}.csv.meta.json").write_text(json.dumps(meta))
@@ -209,6 +218,7 @@ class TestReport:
         assert set(rows) == {("2N2D2K", a) for a in ("sg", "btm", "qnda")}
         assert float(rows[("2N2D2K", "qnda")]["mean_iterations"]) == pytest.approx(5.5)
         assert float(rows[("2N2D2K", "sg")]["mean_t_comp_s"]) == pytest.approx(12.0)
+        assert float(rows[("2N2D2K", "btm")]["mean_certified_gap_percent"]) == pytest.approx(0.75)
 
     def test_empty_dir_is_argument_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -180,6 +180,26 @@ class TestRunLoop:
             run(two_node_instance(seed=9), RunConfig(algorithm="btm", t_max=10))
         assert isinstance(err.value.__cause__, TrustRegionSolverError)
 
+    def test_qnda_fallbacks_counted(self, monkeypatch):
+        # Every quasi-Newton master problem fails; each update falls back to
+        # a BTM step, whose own master problem (no quadratic cap) solves.
+        import fedkmeans.master as master
+
+        solve = master.solve_trust_region_qp
+
+        def failing_with_cap(problem, *args, **kwargs):
+            if problem.quad is not None:
+                raise master.TrustRegionSolverError("forced")
+            return solve(problem, *args, **kwargs)
+
+        instance = two_node_instance(seed=1)
+        assert run(instance, RunConfig(algorithm="qnda", t_max=6)).qnda_fallbacks == 0
+        monkeypatch.setattr(master, "solve_trust_region_qp", failing_with_cap)
+        result = run(instance, RunConfig(algorithm="qnda", t_max=6))
+        assert result.termination == "max_iter"
+        # The last iteration stops before any update.
+        assert result.qnda_fallbacks == len(result.records) - 1 == 5
+
     def test_lam0_dimension_checked(self):
         instance = two_node_instance()
         with pytest.raises(ValueError):

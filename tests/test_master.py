@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedkmeans.master as master
 from fedkmeans.master import (
     Bundle,
     BundleEntry,
@@ -217,6 +218,101 @@ class TestTrustRegionSolver:
         sol = solve_trust_region_qp(problem)
         step = sol.argmax - problem.center
         assert float(step @ step) <= alpha + 1e-8
+
+    @pytest.mark.parametrize("quad", [None, -np.diag([1.0, 3.0])])
+    def test_well_posed_problem_skips_polish(self, monkeypatch, quad):
+        # The fixed-centering interior point already meets kkt_tol, so it is
+        # accepted as it stands.
+        def no_polish(*args, **kwargs):
+            pytest.fail("polish ran on a point that already met kkt_tol")
+
+        monkeypatch.setattr(master, "_polish_kkt", no_polish)
+        rng = np.random.default_rng(3)
+        problem = TrustRegionProblem(
+            center=rng.normal(size=2), alpha=0.5, cut_normals=rng.normal(size=(4, 2)),
+            cut_offsets=np.abs(rng.normal(size=4)) * 0.1,
+            quad=quad, lin=None if quad is None else rng.normal(size=2),
+        )
+        sol = solve_trust_region_qp(problem)
+        assert sol.path == "ipm"
+        assert sol.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("seed", [10, 139, 185])
+    def test_degenerate_problem_recovered_by_fallback(self, seed):
+        # Rank-2 cuts in 3-D, almost all through the center, under a QNDA cap
+        # whose curvatures span 14 decades, as late in a QNDA run.  The
+        # fixed-centering interior point misses kkt_tol on these seeds.
+        rng = np.random.default_rng(seed)
+        n, rank, m = 3, 2, 10
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:rank]
+        G = (rng.normal(size=(m, rank)) + 0.5 * rng.normal(size=rank)) @ basis
+        beta = -np.abs(rng.normal(size=m)) * 10 ** rng.uniform(-10, -7, size=m)
+        beta[-1] = 0.0
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        B = -(Q * 10 ** rng.uniform(-4, 10, size=n)) @ Q.T
+        problem = TrustRegionProblem(center=rng.normal(size=n), alpha=0.04,
+                                     cut_normals=G, cut_offsets=beta,
+                                     quad=0.5 * (B + B.T), lin=G[-1])
+        sol = solve_trust_region_qp(problem)
+        assert sol.path in ("polish", "mehrotra", "sqp")
+        assert sol.kkt_residual <= 1e-8
+        step = sol.argmax - problem.center
+        assert float(step @ step) <= problem.alpha + 1e-8
+        assert sol.model_value >= -1e-8  # the model is 0 at the center
+
+    @pytest.mark.parametrize("seed", [33, 102])
+    def test_flat_model_with_binding_ball(self, seed):
+        # Two cut normals bracket the origin of their plane and miss it by
+        # eps along a third direction, so the model rises by only eps per
+        # unit step and the ball binds with a multiplier near eps.  The
+        # interior point stays far from the ball; the polish must try the
+        # ball in its active set.
+        rng = np.random.default_rng(seed)
+        n, eps, k = int(rng.integers(3, 7)), 10 ** rng.uniform(-9, -7), int(rng.integers(3, 9))
+        U = np.zeros((k, n))
+        U[0, 1], U[1, 1] = 1.0, -1.0
+        U[2:, 0] = rng.uniform(0.1, 1, size=k - 2)
+        U[2:, 1] = rng.normal(size=k - 2)
+        U[:, 0] += eps
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        alpha = float(rng.uniform(0.05, 1))
+        problem = TrustRegionProblem(center=np.zeros(n), alpha=alpha,
+                                     cut_normals=U @ Q.T, cut_offsets=np.zeros(k))
+        sol = solve_trust_region_qp(problem)
+        assert sol.kkt_residual <= 1e-8
+        assert sol.model_value == pytest.approx(eps * math.sqrt(alpha), abs=1e-12)
+
+    def test_duplicate_filter_matches_pairwise_loop(self):
+        def pairwise(G, beta):
+            """The filter written with one norm per pair of rows."""
+            rows = np.hstack([G, beta[:, None]])
+            keep = []
+            for i in range(rows.shape[0]):
+                scale = max(1.0, float(np.linalg.norm(rows[i])))
+                if all(float(np.linalg.norm(rows[i] - rows[j])) > 1e-7 * scale for j in keep):
+                    keep.append(i)
+            return keep
+
+        dropped = close_kept = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(1, 40)), int(rng.integers(1, 19))
+            G = rng.normal(size=(m, n)) * 10 ** rng.uniform(-1, 1)
+            beta = -np.abs(rng.normal(size=m)) * 10 ** rng.uniform(-8, 0)
+            # Plant near-duplicates on both sides of the 1e-7 relative threshold.
+            k = int(rng.integers(0, m + 1))
+            src, dst = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
+            noise = 10 ** rng.uniform(-10, -5, size=(k, 1))
+            G[dst] = G[src] + noise * rng.normal(size=(k, n))
+            beta[dst] = beta[src] + noise[:, 0] * rng.normal(size=k)
+            keep = master._distinct_cuts(G, beta)
+            assert keep == pairwise(G, beta)
+            dropped += m - len(keep)
+            rows = np.hstack([G, beta[:, None]])[keep]
+            gaps = np.linalg.norm(rows[:, None] - rows[None], axis=2)
+            np.fill_diagonal(gaps, np.inf)
+            close_kept += int(np.sum(np.min(gaps, axis=1) < 1e-5))
+        assert dropped > 0 and close_kept > 0
 
 
 class TestBtmDirection:
