@@ -11,8 +11,15 @@ A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
 the unassigned ones.  The suffix bounds do not depend on the dual term, so
 :func:`suffix_lower_bounds` computes them once per dataset, by repetitive
-branch-and-bound over ever longer suffixes.  The search keeps its per-cluster
-sums in Python scalars.  A full enumeration oracle is provided for testing.
+branch-and-bound over ever longer suffixes.
+
+A search expands one node at a time, keeping per-cluster sums in Python
+scalars, until its open heap holds ``_BATCH_AT`` nodes.  It then moves its open
+nodes into numpy arrays and expands up to ``_BATCH`` of them per step, with
+child bounds bit-identical to the scalar ones.  A batched step has a fixed
+numpy overhead, so batching only pays for large searches: small ones, such
+as the K=3 solves of the benchmark, never switch.  A full enumeration oracle
+is provided for testing.
 """
 
 from __future__ import annotations
@@ -180,14 +187,18 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, n_starts: int = 5, seed: i
 
     The dual term does not depend on the assignment variables, so the
     assignment step uses pure squared distances; the centroid step uses the
-    closed form including the dual coefficients.
+    clipped closed-form centroid of :func:`closed_form_centroid`, including
+    the dual coefficients.  A start that ends in the labels of an earlier
+    start is not evaluated again.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     Y = subproblem.data.observations
-    K = subproblem.K
+    K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
+    empty = [_empty_cluster_min(c[k], lo, hi)[0] for k in range(K)]
     rng = np.random.default_rng(seed)
     best: SubproblemSolution | None = None
+    evaluated = set()
     for _ in range(n_starts):
         idx = rng.choice(Y.shape[0], size=min(K, Y.shape[0]), replace=False)
         centroids = np.array([Y[idx[k % len(idx)]] for k in range(K)], dtype=float)
@@ -199,7 +210,13 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, n_starts: int = 5, seed: i
                 break
             labels = new_labels
             for k in range(K):
-                centroids[k], _ = closed_form_centroid(Y[labels == k], subproblem.c[k], subproblem.box)
+                pts = Y[labels == k]
+                n = pts.shape[0]
+                centroids[k] = empty[k] if n == 0 else np.clip((pts.sum(axis=0) - 0.5 * c[k]) / n, lo, hi)
+        key = labels.tobytes()
+        if key in evaluated:
+            continue
+        evaluated.add(key)
         candidate = evaluate_assignment(subproblem, labels)
         if best is None or candidate.lagrangian_value < best.lagrangian_value:
             best = candidate
@@ -327,16 +344,17 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
 
 def _branching_order(Y: np.ndarray) -> list[int]:
     """Observation indices by decreasing distance from the data mean, ties by index."""
-    mean = Y.mean(axis=0)
-    return sorted(range(Y.shape[0]), key=lambda j: (-float(np.sum((Y[j] - mean) ** 2)), j))
+    d2 = np.sum((Y - Y.mean(axis=0)) ** 2, axis=1)
+    return np.argsort(-d2, kind="stable").tolist()
 
 
 class _Tree:
-    """Search-tree data in plain Python floats: observations in branching
-    order, their squared norms, per-cluster coefficients and suffix bounds.
+    """Search-tree data: observations in branching order, their squared
+    norms, per-cluster coefficients and suffix bounds, in plain Python floats
+    for the scalar search and as arrays for the batched one.
 
-    A node holds one ``(count, sums, sumsq, value)`` tuple per cluster (see
-    :func:`_add_point`); ``root`` is the tuple of empty clusters.
+    A scalar node holds one ``(count, sums, sumsq, value)`` tuple per cluster
+    (see :func:`_add_point`); ``root`` is the tuple of empty clusters.
     """
 
     def __init__(self, Yo: np.ndarray, K: int, c: np.ndarray, box: BoundingBox, suffix_bounds):
@@ -349,6 +367,7 @@ class _Tree:
         self.coef = [tuple(zip([0.5 * v for v in row], row, lo, hi)) for row in c.tolist()]
         self.root = tuple((0, (0.0,) * Yo.shape[1], 0.0, _empty_cluster_min(c[k], box.lo, box.hi)[1])
                           for k in range(K))
+        self.Yo, self.c, self.half_c, self.lo, self.hi = Yo, c, 0.5 * c, box.lo, box.hi
 
     def labels_value(self, start: int, labels) -> float:
         """Objective of labelling positions start..n-1 with ``labels``."""
@@ -385,6 +404,45 @@ def _add_point(cluster, y, y_sq: float, coef):
     return count, new_sums, sumsq, sumsq + (count * mm - 2.0 * sm + cm)
 
 
+def _add_point_batch(tree: _Tree, stats: np.ndarray, y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
+    """:func:`_add_point` for every cluster of many nodes at once.
+
+    ``stats`` has shape (m, K, n_y + 3) and holds each cluster's ``count``,
+    ``sums``, ``sumsq`` and ``value`` in that order; ``y`` (m, n_y) and
+    ``y_sq`` (m,) are each node's next observation.  Returns the clusters'
+    stats after adding it, bit-identical to :func:`_add_point`'s: the same
+    operations run in the same order, coordinate by coordinate.  (The clip
+    may change the sign of a zero centroid coordinate; the products it enters
+    are added to sums that start at 0.0, so that changes no result.)
+    """
+    n_y = y.shape[1]
+    new = np.empty_like(stats)
+    count = np.add(stats[:, :, 0], 1.0, out=new[:, :, 0])
+    sums = np.add(stats[:, :, 1:n_y + 1], y[:, None, :], out=new[:, :, 1:n_y + 1])
+    sumsq = np.add(stats[:, :, n_y + 1], y_sq[:, None], out=new[:, :, n_y + 1])
+    mm, sm, cm = np.zeros_like(count), np.zeros_like(count), np.zeros_like(count)
+    for i in range(n_y):
+        s = sums[:, :, i]
+        m = np.minimum(np.maximum((s - tree.half_c[:, i]) / count, tree.lo[i]), tree.hi[i])
+        mm += m * m
+        sm += s * m
+        cm += tree.c[:, i] * m
+    new[:, :, n_y + 2] = sumsq + (count * mm - 2.0 * sm + cm)
+    return new
+
+
+# A search expands one node at a time until its open heap holds _BATCH_AT
+# nodes, then up to _BATCH nodes per numpy step; _FRONT sizes the sorted front
+# of _OpenNodes.  A step has a fixed numpy cost of a few hundred microseconds,
+# so batching a small search loses.  On the seed-0 benchmark subproblems
+# batching every search made the 900 K=3 solves 1.7 -> 2.5 s and their suffix
+# bounds about 9x slower; with the switch at 128 open nodes those searches
+# never switch, while the 18 K=4 solves took 0.4 s instead of 4.0 s.
+_BATCH_AT = 128
+_BATCH = 256
+_FRONT = 1024
+
+
 def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: int,
                 on_leaf, deadline: float | None = None, on_bound=None):
     """Best-first branch-and-bound over the labels of positions start..n-1.
@@ -395,10 +453,18 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     the incumbent improves.  Returns ``(lower_bound, explored, status)``,
     status being "optimal" (gap <= rel_tol proven), "node_limit" or "time".
 
-    The proven bound is the least bound of any node not yet ruled out: the
-    popped node, the children pruned for reaching the stop threshold
-    (``dropped``; with ``rel_tol`` > 0 they may lie below the incumbent) and
-    the incumbent itself.
+    Nodes are popped in ``(bound, tiebreak)`` order, the tiebreak numbering
+    children as they are pushed.  The proven bound is the least bound of any
+    node not yet ruled out: the popped node, the nodes pruned for reaching
+    the stop threshold (``dropped``; with ``rel_tol`` > 0 they may lie below
+    the incumbent) and the incumbent itself.
+
+    Small searches run one node at a time on Python scalars.  Once the open
+    heap holds ``_BATCH_AT`` nodes the search continues in
+    :func:`_best_first_batched`, which expands up to ``_BATCH`` nodes per
+    step with the same child bounds, bit for bit.  Its batches may expand a
+    few nodes that the one-at-a-time order would have pruned, so ``explored``
+    can be slightly larger; the proven bound and the stop rule are the same.
     """
     points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
     n, K, symmetric = len(points), tree.K, tree.symmetric
@@ -416,6 +482,9 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     if on_bound is not None:
         on_bound(best_lb)
     while heap:
+        if len(heap) >= _BATCH_AT:
+            return _best_first_batched(tree, heap, tiebreak, ub, rel_tol, dropped, best_lb, explored,
+                                       max_nodes, on_leaf, deadline, on_bound)
         bound, _, depth, labels, used, pc_sum, clusters = pop(heap)
         if bound >= threshold:
             # Gap <= rel_tol proven.  The optimum is at most the incumbent,
@@ -460,6 +529,252 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     if on_bound is not None:
         on_bound(best_lb)
     return best_lb, explored, "optimal"
+
+
+class _OpenNodes:
+    """Open nodes of a batched search in arrays, indexed by slot, and their
+    order.
+
+    A slot holds a node's bound and tiebreak, its clusters' stats (see
+    :func:`_add_point_batch`), the sum of its cluster values, and its
+    ``(depth, labels used, label, parent record)``; the search root's label
+    is -1.  A record is the ``(parent record, label)`` pair of an expanded
+    node, kept until the search ends so that a leaf's labels can be rebuilt;
+    record -1 is the search root.  Slots of removed nodes are reused.
+
+    The open slots are split at ``cut``: ``front`` holds those with bound
+    <= ``cut``, sorted by ``(bound, tiebreak)``, and ``back`` the rest,
+    unsorted.  When the front runs short, the ``_FRONT`` least bounds of the
+    back move to it; when it grows past ``4 * _FRONT``, its tail moves back.
+    """
+
+    def __init__(self, K: int, n_y: int, capacity: int):
+        self.bound = np.empty(0)
+        self.tick = np.empty(0, dtype=np.int64)
+        self.stats = np.empty((0, K, n_y + 3))
+        self.pc_sum = np.empty(0)
+        self.node = np.empty((0, 4), dtype=np.intp)
+        self.free_slots = np.empty(0, dtype=np.intp)
+        self.n_free = 0
+        self._grow(capacity)
+        self.records = np.empty((capacity, 2), dtype=np.intp)
+        self.n_records = 0
+        self.front = np.empty(0, dtype=np.intp)
+        self.back = np.empty(capacity, dtype=np.intp)
+        self.n_back = 0
+        self.cut = -math.inf
+
+    def _grow(self, capacity: int) -> None:
+        old = self.bound.shape[0]
+        for name in ("bound", "tick", "stats", "pc_sum", "node"):
+            array = getattr(self, name)
+            grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
+            grown[:old] = array
+            setattr(self, name, grown)
+        free = np.empty(capacity, dtype=np.intp)
+        free[:self.n_free] = self.free_slots[:self.n_free]
+        free[self.n_free:self.n_free + capacity - old] = np.arange(old, capacity)
+        self.free_slots = free
+        self.n_free += capacity - old
+
+    def alloc(self, m: int) -> np.ndarray:
+        """``m`` free slots."""
+        if m > self.n_free:
+            size = self.bound.shape[0]
+            self._grow(max(2 * size, size + m - self.n_free))
+        self.n_free -= m
+        return self.free_slots[self.n_free:self.n_free + m].copy()
+
+    def release(self, slots: np.ndarray) -> None:
+        m = len(slots)
+        self.free_slots[self.n_free:self.n_free + m] = slots
+        self.n_free += m
+
+    def add_records(self, pairs: np.ndarray) -> np.ndarray:
+        """Ids of new records, one per ``(parent record, label)`` row of ``pairs``."""
+        m = len(pairs)
+        if self.n_records + m > len(self.records):
+            grown = np.empty((max(2 * len(self.records), self.n_records + m), 2), dtype=np.intp)
+            grown[:self.n_records] = self.records[:self.n_records]
+            self.records = grown
+        self.records[self.n_records:self.n_records + m] = pairs
+        self.n_records += m
+        return np.arange(self.n_records - m, self.n_records)
+
+    def labels_of(self, slot: int) -> list[int]:
+        """Labels from the search root down to the node in ``slot``."""
+        _, _, label, record = self.node[slot].tolist()
+        path = [label]
+        while record >= 0:
+            record, label = self.records[record].tolist()
+            path.append(label)
+        return path[::-1]
+
+    def push(self, slots: np.ndarray) -> None:
+        """Open the nodes in ``slots``, whose tiebreaks exceed every open one's
+        and increase along ``slots``."""
+        bound = self.bound[slots]
+        near = bound <= self.cut
+        self._to_back(slots[~near])
+        if near.any():
+            # Stable sorts by bound keep the tiebreak order among equal bounds.
+            new = slots[near][np.argsort(bound[near], kind="stable")]
+            front = np.concatenate((self.front, new))
+            self.front = front[np.argsort(self.bound[front], kind="stable")]
+            if len(self.front) > 4 * _FRONT:
+                self.cut = self.bound[self.front[_FRONT - 1]]
+                keep = np.searchsorted(self.bound[self.front], self.cut, side="right")
+                self._to_back(self.front[keep:])
+                self.front = self.front[:keep]
+
+    def top(self, m: int) -> np.ndarray:
+        """Up to ``m`` open slots with the least ``(bound, tiebreak)``, in order."""
+        if len(self.front) < m and self.n_back:
+            back = self.back[:self.n_back]
+            bound = self.bound[back]
+            if self.n_back > _FRONT:
+                self.cut = np.partition(bound, _FRONT - 1)[_FRONT - 1]
+                near = bound <= self.cut
+            else:
+                self.cut, near = math.inf, np.ones(self.n_back, dtype=bool)
+            front = np.concatenate((self.front, back[near]))
+            rest = back[~near]
+            self.back[:len(rest)] = rest
+            self.n_back = len(rest)
+            self.front = front[np.lexsort((self.tick[front], self.bound[front]))]
+        return self.front[:m]
+
+    def remove_top(self, removed: np.ndarray) -> None:
+        """Take the nodes flagged in ``removed`` off the front's head and free their slots."""
+        head = self.front[:len(removed)]
+        self.release(head[removed])
+        self.front = np.concatenate((head[~removed], self.front[len(removed):]))
+
+    def _to_back(self, slots: np.ndarray) -> None:
+        m = len(slots)
+        if self.n_back + m > len(self.back):
+            self.back = np.resize(self.back, max(2 * len(self.back), self.n_back + m))
+        self.back[self.n_back:self.n_back + m] = slots
+        self.n_back += m
+
+    @classmethod
+    def from_heap(cls, heap: list, K: int, n_y: int) -> "_OpenNodes":
+        """Store holding the nodes of a scalar search's heap."""
+        store = cls(K, n_y, max(1024, 4 * len(heap)))
+        slots = store.alloc(len(heap))
+        records, pairs = {}, []
+
+        def record_of(linked):  # record of a labels linked list, created on first use
+            chain = []
+            while linked is not None and id(linked) not in records:
+                chain.append(linked)
+                linked = linked[1]
+            record = -1 if linked is None else records[id(linked)]
+            for node in reversed(chain):
+                pairs.append((record, node[0]))
+                record = records[id(node)] = len(pairs) - 1
+            return record
+
+        for slot, (bound, tick, depth, linked, used, pc_sum, clusters) in zip(slots.tolist(), heap):
+            store.bound[slot], store.tick[slot], store.pc_sum[slot] = bound, tick, pc_sum
+            store.stats[slot] = [(count, *sums, sumsq, value) for count, sums, sumsq, value in clusters]
+            label, parent = (-1, -1) if linked is None else (linked[0], record_of(linked[1]))
+            store.node[slot] = depth, used, label, parent
+        if pairs:
+            store.add_records(np.array(pairs))
+        store._to_back(slots)
+        return store
+
+
+def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_tol: float,
+                        dropped: float, best_lb: float, explored: int, max_nodes: int,
+                        on_leaf, deadline, on_bound):
+    """Continue :func:`_best_first` from a scalar search's open ``heap``,
+    expanding up to ``_BATCH`` nodes per step.
+
+    Each step takes the open nodes in ``(bound, tiebreak)`` order until it
+    has ``_BATCH`` of them or their bound reaches the stop threshold.  A leaf
+    among them goes to ``on_leaf`` in that order, and the nodes after it that
+    reach the lowered threshold stay open.  The others are expanded
+    together: their children's bounds come from :func:`_add_point_batch`,
+    and the children below the threshold are opened with tiebreaks in
+    (parent, label) order.  The bound proven when a step starts is the least
+    open bound, that of its first node.
+    """
+    K, (n, n_y) = tree.K, tree.Yo.shape
+    Yo, sq, sb = tree.Yo, np.array(tree.sq), np.array(tree.sb)
+    labels_k = np.arange(K)
+    store = _OpenNodes.from_heap(heap, K, n_y)
+    threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
+    while True:
+        top = store.top(_BATCH)
+        bound = store.bound[top]
+        if not len(top) or bound[0] >= threshold:
+            # Gap <= rel_tol proven, or the search space is exhausted.
+            best_lb = max(best_lb, min(float(bound[0]) if len(top) else math.inf, dropped, ub))
+            if on_bound is not None:
+                on_bound(best_lb)
+            return best_lb, explored, "optimal"
+        if min(bound[0], dropped) > best_lb:
+            best_lb = min(float(bound[0]), dropped)
+            if on_bound is not None:
+                on_bound(best_lb)
+        taken = int(np.searchsorted(bound, threshold))
+        node = store.node[top]
+        leaf = node[:, 0] == n
+        removed = np.zeros(len(top), dtype=bool)
+        for i in np.flatnonzero(leaf[:taken]).tolist():
+            if i >= taken:
+                break
+            removed[i] = True  # a leaf below the threshold is below ub
+            ub = on_leaf(store.labels_of(top[i]))
+            threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
+            taken = min(taken, int(np.searchsorted(bound, threshold)))
+            if on_bound is not None:
+                on_bound(best_lb)
+        expand = np.zeros(len(top), dtype=bool)
+        expand[:taken] = ~leaf[:taken]
+        slots, node = top[expand], node[expand]
+        m = len(slots)
+        if m and explored + m >= max_nodes:
+            return best_lb, max_nodes, "node_limit"
+        explored += m
+        if m and deadline is not None and time.perf_counter() > deadline:
+            return best_lb, explored, "time"
+        stats, pc_sum = store.stats[slots], store.pc_sum[slots]
+        store.remove_top(removed | expand)
+        if not m:
+            continue
+
+        depth, used = node[:, 0], node[:, 1]
+        records = store.add_records(node[:, 3:1:-1])
+        records[node[:, 2] < 0] = -1  # the search root has no label
+        added = _add_point_batch(tree, stats, Yo[depth], sq[depth])
+        child_sum = pc_sum[:, None] - stats[:, :, -1] + added[:, :, -1]
+        child_bound = child_sum + sb[depth + 1][:, None]
+        below = child_bound < threshold
+        if tree.symmetric:
+            valid = labels_k[None, :] <= used[:, None]
+            pruned, below = valid & ~below, valid & below
+        else:
+            pruned = ~below
+        if pruned.any():
+            dropped = min(dropped, float(child_bound[pruned].min()))
+        rows, ks = np.nonzero(below)
+        m = len(rows)
+        if not m:
+            continue
+        children = store.alloc(m)
+        child_stats = stats[rows]  # the parent's clusters, with cluster k replaced
+        child_stats[np.arange(m), ks] = added[rows, ks]
+        store.stats[children] = child_stats
+        store.bound[children] = child_bound[rows, ks]
+        store.pc_sum[children] = child_sum[rows, ks]
+        store.tick[children] = np.arange(tiebreak + 1, tiebreak + 1 + m)
+        tiebreak += m
+        store.node[children] = np.stack((depth[rows] + 1, np.maximum(used[rows], ks + 1), ks, records[rows]),
+                                        axis=1)
+        store.push(children)
 
 
 def _finish(incumbent: SubproblemSolution, lb: float, explored: int) -> SubproblemSolution:

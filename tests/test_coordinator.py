@@ -310,6 +310,20 @@ class TestCentralBaseline:
         assert all(a <= b + 1e-12 for a, b in zip(ubs[1:], ubs))  # ub non-increasing
         assert central.trace[-1][3] <= 1e-7  # final gap closed
 
+    def test_trace_bounds_monotone_in_batched_search(self, monkeypatch):
+        import fedkmeans.subsolver as subsolver
+
+        for name, value in (("_BATCH_AT", 1), ("_BATCH", 3), ("_FRONT", 4)):
+            monkeypatch.setattr(subsolver, name, value)
+        instance = two_node_instance(seed=12, K=3, points=4)
+        central = central_solve(instance)
+        lbs = [lb for _, _, lb, _ in central.trace]
+        ubs = [ub for _, ub, _, _ in central.trace]
+        assert len(set(lbs)) > 2
+        assert all(b <= a + 1e-12 for a, b in zip(lbs[1:], lbs))
+        assert all(a <= b + 1e-12 for a, b in zip(ubs[1:], ubs))
+        assert central.trace[-1][3] <= 1e-7
+
     def test_sandwich(self):
         instance = two_node_instance(seed=13, points=3)
         central = central_solve(instance)

@@ -1,6 +1,7 @@
 """Tests for the exact node subproblem solver and its supporting pieces."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from fedkmeans.subsolver import (
     solve_subproblem,
     suffix_lower_bounds,
 )
-from fedkmeans.subsolver import _add_point, _branching_order, _Tree
+import fedkmeans.subsolver as subsolver
+from fedkmeans.subsolver import _add_point, _add_point_batch, _branching_order, _Tree
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -178,6 +180,76 @@ class TestLloydIncumbent:
         incumbent = lloyd_incumbent(sub, n_starts=3, seed=seed)
         optimum = brute_force_subproblem(sub)
         assert incumbent.lagrangian_value >= optimum.lagrangian_value - 1e-9
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_formula(self, seed):
+        # Few points for K = 4 and a wide box leave clusters empty; duplicate
+        # rows make several starts end in the same labels.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(3, 9)), K=int(rng.integers(2, 5)),
+                                n_y=int(rng.integers(1, 4)))
+        if rng.random() < 0.5:
+            Y = sub.data.observations
+            sub = LagrangianSubproblem(data=NodeDataset(0, np.vstack([Y, Y[:2]])), K=sub.K,
+                                       box=sub.box, c=sub.c)
+        starts = int(rng.integers(1, 6))
+        got = lloyd_incumbent(sub, n_starts=starts, seed=seed)
+        want = reference_lloyd(sub, n_starts=starts, seed=seed)
+        assert got.assignment == want.assignment
+        assert got.lagrangian_value == want.lagrangian_value
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+
+
+def reference_lloyd(subproblem, n_starts, seed):
+    """Multi-start Lloyd as first written: closed_form_centroid, every start evaluated."""
+    Y = subproblem.data.observations
+    K = subproblem.K
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_starts):
+        idx = rng.choice(Y.shape[0], size=min(K, Y.shape[0]), replace=False)
+        centroids = np.array([Y[idx[k % len(idx)]] for k in range(K)], dtype=float)
+        labels = None
+        for _ in range(100):
+            d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for k in range(K):
+                centroids[k], _ = closed_form_centroid(Y[labels == k], subproblem.c[k], subproblem.box)
+        candidate = evaluate_assignment(subproblem, labels)
+        if best is None or candidate.lagrangian_value < best.lagrangian_value:
+            best = candidate
+    return best
+
+
+class TestBranchingOrder:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sort_key_with_planted_ties(self, seed):
+        # Integer rows mirrored through an integer mean, with swapped
+        # coordinates and duplicates: every distance is computed exactly, so
+        # many of them tie and only the index order separates them.
+        rng = np.random.default_rng(seed)
+        n_y = int(rng.integers(1, 4))
+        half = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), n_y)).astype(float)
+        rows = [half, -half, half[:, ::-1], half[:1]]
+        Y = np.vstack(rows + [-r for r in rows[2:]]) + rng.integers(-5, 6, size=n_y)
+        Y = Y[rng.permutation(len(Y))]
+        mean = Y.mean(axis=0)
+        expected = sorted(range(Y.shape[0]), key=lambda j: (-float(np.sum((Y[j] - mean) ** 2)), j))
+        assert _branching_order(Y) == expected
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sort_key_on_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 6))))
+        mean = Y.mean(axis=0)
+        expected = sorted(range(Y.shape[0]), key=lambda j: (-float(np.sum((Y[j] - mean) ** 2)), j))
+        assert _branching_order(Y) == expected
 
 
 class TestSolveSubproblem:
@@ -356,6 +428,116 @@ class TestSuffixLowerBounds:
         sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
         with pytest.raises(ValueError, match="4 entries"):
             solve_subproblem(sub, suffix_bounds=[0.0, 0.0, 0.0])
+
+
+SCALAR = {"_BATCH_AT": 10 ** 9}                          # never switch
+BATCHED = {"_BATCH_AT": 1}                               # switch before the root is expanded
+SMALL_BATCHES = {"_BATCH_AT": 1, "_BATCH": 3, "_FRONT": 4}  # many steps, front refills and trims
+
+
+def with_constants(constants, solve):
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(subsolver, name, value)
+        return solve()
+
+
+class TestBatchedSearch:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_child_stats_match_scalar_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        K, n_y = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        sub = random_subproblem(rng, n_pts=8, K=K, n_y=n_y)
+        tree = _Tree(sub.data.observations, K, sub.c, sub.box, [0.0] * 9)
+        nodes = []
+        for _ in range(5):
+            clusters = list(tree.root)
+            depth = int(rng.integers(0, 8))
+            for d, k in enumerate(rng.integers(0, K, size=depth).tolist()):
+                clusters[k] = _add_point(clusters[k], tree.points[d], tree.sq[d], tree.coef[k])
+            nodes.append((depth, clusters))
+        stats = np.array([[(count, *sums, sumsq, value) for count, sums, sumsq, value in clusters]
+                          for _, clusters in nodes])
+        depth = np.array([d for d, _ in nodes])
+        added = _add_point_batch(tree, stats, tree.Yo[depth], np.array(tree.sq)[depth])
+        for row, (d, clusters) in enumerate(nodes):
+            for k in range(K):
+                count, sums, sumsq, value = _add_point(clusters[k], tree.points[d], tree.sq[d], tree.coef[k])
+                assert added[row, k].tolist() == [count, *sums, sumsq, value]
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_paths_agree_with_enumeration(self, seed, K, n_y, zero_dual):
+        # Zero duals make the labels interchangeable, so the searches skip
+        # symmetric branches.  A proven bound may differ between the paths
+        # by rounding (a leaf's bound and its evaluated value differ in the
+        # last bits), so bounds are compared to 1e-12.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(6, 9 if K == 4 else 11)), K=K, n_y=n_y)
+        c = np.zeros((K, n_y)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, n_y))
+        sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
+        brute = brute_force_subproblem(sub)
+        scale = max(abs(brute.lagrangian_value), 1.0)
+
+        def solve():
+            bounds = suffix_lower_bounds(sub.data, K, sub.box)
+            return bounds, solve_subproblem(sub, suffix_bounds=bounds), solve_subproblem(sub)
+
+        ref_bounds, *ref = with_constants(SCALAR, solve)
+        for constants in (BATCHED, SMALL_BATCHES):
+            bounds, *sols = with_constants(constants, solve)
+            np.testing.assert_allclose(bounds, ref_bounds, rtol=0, atol=1e-12 * scale)
+            for sol, want in zip(sols, ref):
+                assert sol.assignment == want.assignment
+                assert sol.lagrangian_value == want.lagrangian_value
+                assert abs(sol.proof_gap - want.proof_gap) <= 1e-12
+                assert abs(sol.lagrangian_value - brute.lagrangian_value) <= 1e-9 * scale
+                assert sol.proof_gap <= 1e-9
+
+    def test_switch_mid_search_agrees(self):
+        # Large enough that the default search switches after ~128 open
+        # nodes, carrying the scalar heap's label lists into the arrays.
+        rng = np.random.default_rng(5)
+        sub = random_subproblem(rng, n_pts=22, K=4, n_y=2)
+        sub = LagrangianSubproblem(data=sub.data, K=4, box=sub.box, c=rng.normal(size=(4, 2)))
+        bounds = suffix_lower_bounds(sub.data, 4, sub.box)
+        scalar = with_constants(SCALAR, lambda: solve_subproblem(sub, suffix_bounds=bounds))
+        assert scalar.stats["explored"] > 10 * subsolver._BATCH_AT
+        switched = solve_subproblem(sub, suffix_bounds=bounds)
+        assert switched.assignment == scalar.assignment
+        assert switched.lagrangian_value == scalar.lagrangian_value
+        assert switched.proof_gap <= 1e-9
+        assert switched.stats["explored"] <= 1.1 * scalar.stats["explored"]
+
+    def test_node_limit_mid_batch(self):
+        rng = np.random.default_rng(2)
+        sub = random_subproblem(rng, n_pts=9, K=3)
+        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
+        optimum = brute_force_subproblem(sub).lagrangian_value
+        full = with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub))
+        assert full.stats["explored"] > 20
+        for limit in (1, 2, 13, full.stats["explored"] - 1):
+            with pytest.raises(NodeLimitExceeded) as err:
+                with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub, max_nodes=limit))
+            assert err.value.explored == limit
+            assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
+
+    def test_time_budget_stop_is_proven(self, monkeypatch):
+        # A clock that advances one second per reading stops the search
+        # after a few batched steps.
+        ticks = itertools.count()
+        monkeypatch.setattr(subsolver, "time", types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        rng = np.random.default_rng(4)
+        sub = random_subproblem(rng, n_pts=10, K=3)
+        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
+        optimum = brute_force_subproblem(sub).lagrangian_value
+        full = with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub))
+        stopped = with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub, time_budget=4.5))
+        assert stopped.stats["explored"] < full.stats["explored"]
+        assert stopped.proof_gap > 0
+        proven = stopped.lagrangian_value - stopped.proof_gap * max(abs(stopped.lagrangian_value), 1e-9)
+        assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
 
 class TestRelabel:
