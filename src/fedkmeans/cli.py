@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,41 +36,36 @@ EXIT_SOLVER = 3
 EXIT_NETWORK = 4
 
 
+_RUN_FLAG_HELP = {
+    "algorithm": "dual update rule",
+    "alpha0": "initial step/trust parameter, decayed as alpha0/sqrt(t)",
+    "t_max": "iteration limit",
+    "eps_primal": "primal residual norm tolerance",
+    "eps_dg": "relative duality gap tolerance in percent",
+    "tau": "bundle window in iterations",
+    "t_comm": "modeled per-iteration communication time in seconds",
+    "rel_tol": "node subproblem relative optimality tolerance",
+    "max_nodes": "branch-and-bound node limit per subproblem solve; a node's one-off "
+                 "suffix-bound precompute gets the same limit",
+    "lloyd_starts": "multi-start count for the subproblem incumbent",
+    "seed": "run seed for the incumbent heuristic",
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", choices=ALGORITHMS, default="qnda",
-                        help="dual update rule (default: qnda)")
-    parser.add_argument("--alpha0", type=float, default=0.5,
-                        help="initial step/trust parameter, decayed as alpha0/sqrt(t) (default: 0.5)")
-    parser.add_argument("--t-max", type=int, default=150,
-                        help="iteration limit (default: 150)")
-    parser.add_argument("--eps-primal", type=float, default=1e-2,
-                        help="primal residual norm tolerance (default: 1e-2)")
-    parser.add_argument("--eps-dg", type=float, default=0.25,
-                        help="relative duality gap tolerance in percent (default: 0.25)")
-    parser.add_argument("--tau", type=int, default=50,
-                        help="bundle window in iterations (default: 50)")
-    parser.add_argument("--t-comm", type=float, default=0.8,
-                        help="modeled per-iteration communication time in seconds (default: 0.8)")
-    parser.add_argument("--rel-tol", type=float, default=1e-9,
-                        help="node subproblem relative optimality tolerance (default: 1e-9)")
-    parser.add_argument("--max-nodes", type=int, default=5_000_000,
-                        help="branch-and-bound node limit per subproblem solve; a node's one-off "
-                             "suffix-bound precompute gets the same limit (default: 5000000)")
-    parser.add_argument("--lloyd-starts", type=int, default=5,
-                        help="multi-start count for the subproblem incumbent (default: 5)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="run seed for the incumbent heuristic (default: 0)")
-    # The initial duals are zero and the initial curvature approximation is
-    # the negative identity; neither has a flag.
+    """One flag per :class:`RunConfig` field, with the field's default.
+
+    The initial duals are zero and the initial curvature approximation is
+    the negative identity; neither has a flag.
+    """
+    for f in fields(RunConfig):
+        kind = {"choices": ALGORITHMS} if f.name == "algorithm" else {"type": type(f.default)}
+        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                            help=f"{_RUN_FLAG_HELP[f.name]} (default: %(default)s)", **kind)
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        algorithm=args.algorithm, alpha0=args.alpha0, t_max=args.t_max,
-        eps_primal=args.eps_primal, eps_dg=args.eps_dg, tau=args.tau,
-        t_comm=args.t_comm, rel_tol=args.rel_tol, max_nodes=args.max_nodes,
-        lloyd_starts=args.lloyd_starts, seed=args.seed,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _write_run_outputs(result, args, instance) -> None:

@@ -48,10 +48,10 @@ ALGORITHMS = ("sg", "btm", "qnda")
 class RunConfig:
     """Algorithm selection plus the standard parameter set.
 
-    Defaults: zero initial duals, alpha0 = 0.5 with alpha0/sqrt(t) decay,
-    at most 150 iterations, primal residual tolerance 1e-2, duality-gap
-    tolerance 0.25 %, bundle capacity 50, initial curvature -I, and a
-    constant 800 ms modeled communication time per iteration.
+    Every run starts from zero duals and initial curvature -I.  Defaults:
+    alpha0 = 0.5 with alpha0/sqrt(t) decay, at most 150 iterations, primal
+    residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
+    50, and a constant 800 ms modeled communication time per iteration.
     """
 
     algorithm: str = "qnda"
@@ -65,7 +65,6 @@ class RunConfig:
     max_nodes: int = 5_000_000
     lloyd_starts: int = 5
     seed: int = 0
-    lam0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -207,8 +206,9 @@ class NodeSession:
     def solve(self, t: int, c, reference) -> NodeSolveReply:
         """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.
 
-        The first solve also computes :attr:`suffix_bounds`, and its
-        ``solve_time`` includes that work.
+        Relabelling needs every row of ``c`` to be equal (ValueError
+        otherwise).  The first solve also computes :attr:`suffix_bounds`, and
+        its ``solve_time`` includes that work.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
@@ -269,10 +269,7 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
     if backend is None:
         backend = InProcessBackend(instance, config)
 
-    lam = np.zeros(topology.dual_dim) if config.lam0 is None else np.asarray(config.lam0, dtype=float).copy()
-    if lam.shape[0] != topology.dual_dim:
-        raise ValueError(f"lam0 must have length {topology.dual_dim}")
-
+    lam = np.zeros(topology.dual_dim)
     bundle = Bundle(capacity=config.tau)
     B = HessianApprox.initial(topology.dual_dim).B
     prev_lam = prev_g = None
@@ -287,7 +284,9 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
             c_list = [apply_coupling_adjoint(topology, i, lam) for i in range(instance.n_nodes)]
 
             # Iteration 1: node 0 solves first and provides the reference
-            # centroids used to break label symmetry at the other nodes.
+            # centroids used to break label symmetry at the other nodes.  The
+            # duals are zero, so every label has the same dual term and a
+            # relabelled optimum is still optimal.
             if t == 1:
                 first = backend.solve_batch(t, c_list, None, [0])[0]
                 reference = first.centroids

@@ -220,8 +220,8 @@ def primal_residual(topology: ConsensusTopology, centroid_sets) -> tuple[np.ndar
 # ------------------------------- serialization ------------------------------
 
 
-def _instance_to_dict(instance: ProblemInstance) -> dict:
-    return {
+def write_instance(instance: ProblemInstance, path) -> None:
+    raw = {
         "name": instance.name,
         "K": instance.K,
         "n_y": instance.n_y,
@@ -231,10 +231,7 @@ def _instance_to_dict(instance: ProblemInstance) -> dict:
         ],
         "box": {"lo": instance.box.lo.tolist(), "hi": instance.box.hi.tolist()},
     }
-
-
-def write_instance(instance: ProblemInstance, path) -> None:
-    Path(path).write_text(json.dumps(_instance_to_dict(instance), indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(raw, indent=1), encoding="utf-8")
 
 
 def read_instance(path) -> ProblemInstance:
@@ -259,7 +256,3 @@ def instance_from_dict(raw: dict) -> ProblemInstance:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
-
-
-def instance_to_dict(instance: ProblemInstance) -> dict:
-    return _instance_to_dict(instance)

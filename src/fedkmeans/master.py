@@ -179,7 +179,6 @@ class MasterSolution:
     argmax: np.ndarray        # the maximizing point (absolute coordinates)
     model_value: float        # model value at the argmax (including const)
     kkt_residual: float
-    active_cuts: tuple[int, ...]
     path: str                 # accepting solver stage: "ipm", "polish", "mehrotra" or "sqp"
 
 
@@ -297,14 +296,10 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
     z, lam, kkt, path = result
     if kkt > kkt_tol:
         raise TrustRegionSolverError(f"KKT residual {kkt:.3e} exceeds {kkt_tol:.1e}")
-    vals, _ = constraints(z)
-    active = tuple(keep[i] for i in range(m_cuts)
-                   if vals[1 + i] > -1e-8 * max(1.0, abs(z[n])))
     return MasterSolution(
         argmax=problem.center + z[:n],
         model_value=float(z[n]) + problem.const,
         kkt_residual=kkt,
-        active_cuts=active,
         path=path,
     )
 
@@ -520,7 +515,8 @@ def qnda_update(B: np.ndarray, bundle: Bundle, lam_t: np.ndarray, g_t: np.ndarra
 
     The bundle cuts bound the model value, giving the convex epigraph form
     handled by :func:`solve_trust_region_qp`.  On solver failure the step
-    falls back to a BTM direction, recorded in ``diagnostics``.
+    falls back to a BTM direction; ``diagnostics["fallback"]`` records
+    whether it did.
     """
     lam_t = np.asarray(lam_t, dtype=float)
     g_t = np.asarray(g_t, dtype=float)
@@ -530,14 +526,12 @@ def qnda_update(B: np.ndarray, bundle: Bundle, lam_t: np.ndarray, g_t: np.ndarra
                                  cut_normals=G, cut_offsets=beta,
                                  quad=np.asarray(B, dtype=float), lin=g_t, const=d_t)
     try:
-        sol = solve_trust_region_qp(problem)
+        argmax = solve_trust_region_qp(problem).argmax
         if diagnostics is not None:
             diagnostics["fallback"] = False
-            diagnostics["kkt_residual"] = sol.kkt_residual
-        return sol.argmax
-    except TrustRegionSolverError as exc:
+        return argmax
+    except TrustRegionSolverError:
         if diagnostics is not None:
             diagnostics["fallback"] = True
-            diagnostics["error"] = str(exc)
         s, _ = btm_direction(bundle, lam_t, d_t, alpha_t)
         return lam_t + s

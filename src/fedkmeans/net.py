@@ -4,8 +4,10 @@ Wire protocol: each frame is a 4-byte big-endian length prefix followed by a
 UTF-8 JSON payload (at most 16 MiB).  Within an iteration the message order is
 SOLVE -> SOLUTION -> AVERAGE -> OBJECTIVE; a HELLO exchange opens a run and
 TERMINATE closes it.  Raw observation coordinates never cross the wire: a node
-receives only its dual coefficients and averaged centroids, and replies with
-centroids, Lagrangian values, and objective values.
+receives only its dual coefficients and averaged centroids, plus, at iteration 1
+for every node but node 0, node 0's centroids as the SOLVE ``reference`` for
+label alignment.  It replies with centroids, Lagrangian values, and objective
+values.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class LagrangianSubproblem:
     K: int
     box: BoundingBox
     c: np.ndarray
-    reference: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -69,18 +68,12 @@ class LagrangianSubproblem:
             raise ValueError(f"c must have shape ({self.K}, {self.data.n_y})")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        if self.reference is not None:
-            ref = np.asarray(self.reference, dtype=float)
-            if ref.shape != (self.K, self.data.n_y):
-                raise ValueError("reference centroids must have shape (K, n_y)")
-            object.__setattr__(self, "reference", ref)
 
 
 @dataclass(frozen=True)
 class SubproblemSolution:
     assignment: tuple[int, ...]
     centroids: np.ndarray               # (K, n_y)
-    distances: np.ndarray               # squared distance to the assigned centroid
     lagrangian_value: float             # cluster_cost + sum_k c_k . m_k
     cluster_cost: float                 # sum of assigned squared distances
     proof_gap: float                    # relative branch-and-bound gap
@@ -152,11 +145,9 @@ def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> Subprob
         centroids[k] = m_k
         cluster_cost += float(np.sum((pts - m_k) ** 2))
         linear_cost += float(subproblem.c[k] @ m_k)
-    distances = np.sum((Y - centroids[labels]) ** 2, axis=1)
     return SubproblemSolution(
         assignment=assignment,
         centroids=centroids,
-        distances=distances,
         lagrangian_value=cluster_cost + linear_cost,
         cluster_cost=cluster_cost,
         proof_gap=0.0,
@@ -778,17 +769,8 @@ def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_t
 
 
 def _finish(incumbent: SubproblemSolution, lb: float, explored: int) -> SubproblemSolution:
-    stats = dict(incumbent.stats)
-    stats["explored"] = explored
-    return SubproblemSolution(
-        assignment=incumbent.assignment,
-        centroids=incumbent.centroids,
-        distances=incumbent.distances,
-        lagrangian_value=incumbent.lagrangian_value,
-        cluster_cost=incumbent.cluster_cost,
-        proof_gap=_relative_gap(incumbent.lagrangian_value, lb),
-        stats=stats,
-    )
+    return replace(incumbent, proof_gap=_relative_gap(incumbent.lagrangian_value, lb),
+                   stats={**incumbent.stats, "explored": explored})
 
 
 def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSolution:
@@ -828,10 +810,12 @@ def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
 
     Chooses the permutation minimizing the total squared centroid-to-reference
     distance (exhaustive over K! for the small K used here) and recomputes the
-    Lagrangian value under the new labels.  ``stats['dominance_ok']`` records
-    whether the resulting labeling makes each cluster the closest one to its
-    reference centroid.
+    Lagrangian value under the new labels.  A permuted optimum stays optimal
+    only when every cluster has the same dual term, as at zero duals, so the
+    rows of ``subproblem.c`` must be equal; ValueError otherwise.
     """
+    if np.any(subproblem.c != subproblem.c[0]):
+        raise ValueError("label alignment needs the same dual term for every cluster")
     reference = np.asarray(reference, dtype=float)
     K = solution.centroids.shape[0]
     if reference.shape != solution.centroids.shape:
@@ -848,19 +832,5 @@ def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
     inverse = [0] * K
     for k in range(K):
         inverse[best_perm[k]] = k
-    new_assignment = [inverse[a] for a in solution.assignment]
-    relabeled = evaluate_assignment(subproblem, new_assignment)
-    D = np.sum((relabeled.centroids[:, None, :] - reference[None, :, :]) ** 2, axis=2)
-    dominance_ok = bool(np.all(np.diag(D) <= D.min(axis=0) + 1e-12))
-    stats = dict(relabeled.stats)
-    stats.update(solution.stats)
-    stats["dominance_ok"] = dominance_ok
-    return SubproblemSolution(
-        assignment=relabeled.assignment,
-        centroids=relabeled.centroids,
-        distances=relabeled.distances,
-        lagrangian_value=relabeled.lagrangian_value,
-        cluster_cost=relabeled.cluster_cost,
-        proof_gap=solution.proof_gap,
-        stats=stats,
-    )
+    relabeled = evaluate_assignment(subproblem, [inverse[a] for a in solution.assignment])
+    return replace(relabeled, proof_gap=solution.proof_gap, stats=dict(solution.stats))

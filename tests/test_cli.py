@@ -235,3 +235,14 @@ class TestReport:
         text = capsys.readouterr().out
         for token in ("0.5", "150", "0.25", "50", "qnda"):
             assert token in text
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--instance", "i.json", "--csv", "r.csv"],
+        ["run-remote", "--instance", "i.json", "--nodes", "h:1", "--csv", "r.csv"],
+    ])
+    def test_flag_defaults_are_run_config_defaults(self, argv):
+        import fedkmeans.cli as climod
+        from fedkmeans.coordinator import RunConfig
+
+        args = climod.build_parser().parse_args(argv)
+        assert climod._config_from_args(args) == RunConfig()

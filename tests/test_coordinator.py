@@ -26,7 +26,7 @@ from fedkmeans.core import (
     build_consensus_topology,
     primal_residual,
 )
-from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem
+from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem, solve_subproblem
 
 
 def two_node_instance(seed=123, n_y=2, K=2, points=3):
@@ -200,10 +200,15 @@ class TestRunLoop:
         # The last iteration stops before any update.
         assert result.qnda_fallbacks == len(result.records) - 1 == 5
 
-    def test_lam0_dimension_checked(self):
-        instance = two_node_instance()
-        with pytest.raises(ValueError):
-            run(instance, RunConfig(algorithm="sg", t_max=2, lam0=np.zeros(3)))
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_first_iteration_values_are_unaligned_minima(self, K):
+        # Label alignment at iteration 1 permutes each node's optimum under
+        # zero duals, so every node still reports its exact minimum.
+        instance = generate_instance(BenchmarkSpec(n_nodes=3, n_y=2, K=K, replicate=1, seed=0))
+        record = run(instance, RunConfig(algorithm="sg", t_max=1)).records[0]
+        for node, value in zip(instance.nodes, record.node_lagrangians, strict=True):
+            sub = LagrangianSubproblem(data=node, K=K, box=instance.box, c=np.zeros((K, instance.n_y)))
+            assert value == pytest.approx(solve_subproblem(sub).lagrangian_value, rel=1e-12, abs=0)
 
 
 class TestNodeSession:
@@ -239,6 +244,13 @@ class TestNodeSession:
         Y = session.data.observations
         expected = sum(min(float(np.sum((y - m) ** 2)) for m in reply.centroids) for y in Y)
         assert session.objective(reply.centroids) == pytest.approx(expected)
+
+    def test_solve_refuses_reference_under_unequal_dual_terms(self):
+        instance = two_node_instance(seed=6)
+        session = InProcessBackend(instance, RunConfig()).sessions[1]
+        reference = session.solve(1, np.zeros(4), None).centroids
+        with pytest.raises(ValueError, match="same dual term"):
+            session.solve(1, [0.3, -0.1, 0.0, 0.2], reference)
 
     def test_suffix_bounds_computed_once(self, monkeypatch):
         import fedkmeans.coordinator as coordinator

@@ -210,6 +210,16 @@ class TestNetworkedRun:
                 assert reply["kind"] == "ERROR"
                 assert reply["body"]["class"] == "internal"
                 assert sock.recv(1) == b""  # the node dropped this connection
+        # A SOLVE whose reference would relabel under unequal dual terms.
+        with socket.create_connection(addresses[0], timeout=5.0) as sock:
+            sock.sendall(encode_frame({"kind": "HELLO", "run_id": "x", "t": 0, "body": hello}))
+            assert read_message(sock)["kind"] == "HELLO"
+            sock.sendall(encode_frame({"kind": "SOLVE", "run_id": "x", "t": 1, "body": {
+                "c": [0.3, -0.1, 0.0, 0.2], "reference": [[0.0, 0.0], [1.0, 1.0]]}}))
+            reply = read_message(sock)
+            assert reply["kind"] == "ERROR"
+            assert reply["body"]["class"] == "internal"
+            assert "same dual term" in reply["body"]["error"]
         assert threads[0].is_alive()
         assert_run_matches_in_process(instance, addresses, config)
 

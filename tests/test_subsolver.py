@@ -549,12 +549,22 @@ class TestRelabel:
         assert relabeled.assignment == sol.assignment
 
     def test_swap_restores_alignment(self):
-        sub = subproblem_1d([0, 1, 10, 11], K=2)
+        # Zero duals, and equal nonzero dual terms for every label.
+        for c in (None, [[0.5], [0.5]]):
+            sub = subproblem_1d([0, 1, 10, 11], K=2, c=c)
+            sol = solve_subproblem(sub)
+            reference = sol.centroids[::-1].copy()
+            relabeled = relabel_to_reference(sol, reference, sub)
+            np.testing.assert_allclose(relabeled.centroids, reference)
+            assert relabeled.lagrangian_value == pytest.approx(sol.lagrangian_value, abs=1e-12)
+
+    def test_unequal_dual_terms_rejected(self):
+        # Under different dual terms a permuted optimum is no longer optimal:
+        # its value would overstate the node's minimum.
+        sub = subproblem_1d([0, 1, 10, 11], K=2, c=[[0.5], [-0.5]])
         sol = solve_subproblem(sub)
-        reference = sol.centroids[::-1].copy()
-        relabeled = relabel_to_reference(sol, reference, sub)
-        np.testing.assert_allclose(relabeled.centroids, reference)
-        assert relabeled.lagrangian_value == pytest.approx(sol.lagrangian_value, abs=1e-12)
+        with pytest.raises(ValueError, match="same dual term"):
+            relabel_to_reference(sol, sol.centroids[::-1].copy(), sub)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
