@@ -298,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--nodes", nargs="+", required=True,
                    help="node addresses host:port, in node-index order")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-message timeout in seconds "
-                        "(default: FEDKMEANS_NET_TIMEOUT_S or 60)")
+    p.add_argument("--timeout", type=float, default=60.0,
+                   help="per-message timeout in seconds (default: %(default)s)")
     _add_run_flags(p)
     p.add_argument("--csv", required=True, help="per-iteration output CSV")
     p.set_defaults(func=cmd_run_remote)

@@ -71,6 +71,17 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if min(self.alpha0, self.t_max, self.eps_primal, self.eps_dg, self.tau, self.t_comm) <= 0:
             raise ValueError("all run parameters must be positive")
+        _check_solver_settings(self.rel_tol, self.max_nodes, self.lloyd_starts)
+
+
+def _check_solver_settings(rel_tol: float, max_nodes: int, lloyd_starts: int) -> None:
+    """ValueError unless every node solve can run with these settings."""
+    if not 0 <= rel_tol < 1:
+        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    if lloyd_starts < 1:
+        raise ValueError(f"lloyd_starts must be at least 1, got {lloyd_starts}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +185,9 @@ class NodeSession:
     max_nodes: int
     lloyd_starts: int
     seed: int
+
+    def __post_init__(self):
+        _check_solver_settings(self.rel_tol, self.max_nodes, self.lloyd_starts)
 
     @staticmethod
     def hello_body(instance: ProblemInstance, config: RunConfig) -> dict:

@@ -266,11 +266,7 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
 
     def candidate(z, lam, stage):
         """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails kkt_tol."""
-        vals, grads = constraints(z)
-        stationarity = obj_grad + grads.T @ lam
-        kkt = max(float(np.linalg.norm(stationarity, ord=np.inf)),
-                  float(np.max(lam * np.abs(vals))),
-                  float(max(0.0, np.max(vals))))
+        kkt = _kkt_residual(*constraints(z), obj_grad, lam)
         if kkt <= kkt_tol:
             return z, lam, kkt, stage
         polished = _polish_kkt(z, constraints, obj_grad, n_con)
@@ -302,6 +298,14 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
         kkt_residual=kkt,
         path=path,
     )
+
+
+def _kkt_residual(vals, grads, obj_grad, lam) -> float:
+    """max(||stationarity||_inf, max complementarity, max violation) at one point."""
+    stationarity = obj_grad + grads.T @ lam
+    return max(float(np.linalg.norm(stationarity, ord=np.inf)),
+               float(np.max(lam * np.abs(vals))),
+               float(max(0.0, np.max(vals))))
 
 
 def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
@@ -433,11 +437,7 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
             return None
         lam_full = np.zeros(n_con)
         lam_full[idx] = mu_active
-        stationarity = obj_grad + grads.T @ lam_full
-        kkt = max(float(np.linalg.norm(stationarity, ord=np.inf)),
-                  float(np.max(lam_full * np.abs(vals))),
-                  float(max(0.0, np.max(vals))))
-        return x.copy(), lam_full, kkt
+        return x.copy(), lam_full, _kkt_residual(vals, grads, obj_grad, lam_full)
 
     best = None
     z_vals, _ = constraints(z)

@@ -13,7 +13,6 @@ values.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import struct
 from dataclasses import dataclass
@@ -30,21 +29,15 @@ __all__ = [
     "NetworkedBackend",
     "decode_frame",
     "encode_frame",
-    "default_timeout",
     "serve_node",
 ]
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 MESSAGE_KINDS = ("HELLO", "SOLVE", "SOLUTION", "AVERAGE", "OBJECTIVE", "TERMINATE", "ERROR")
-TIMEOUT_ENV_VAR = "FEDKMEANS_NET_TIMEOUT_S"
 
 
 class NetworkError(RuntimeError):
     pass
-
-
-def default_timeout() -> float:
-    return float(os.environ.get(TIMEOUT_ENV_VAR, "60"))
 
 
 def encode_frame(message: dict) -> bytes:
@@ -193,12 +186,10 @@ class NetworkedBackend:
     instance: "object"
     config: "object"
     run_id: str = "run"
-    timeout: float | None = None
+    timeout: float = 60.0
     capture: list | None = None
 
     def __post_init__(self):
-        if self.timeout is None:
-            self.timeout = default_timeout()
         self._socks = []
         try:
             for host, port in self.addresses:

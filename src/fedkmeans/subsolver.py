@@ -15,11 +15,11 @@ branch-and-bound over ever longer suffixes.
 
 A search expands one node at a time, keeping per-cluster sums in Python
 scalars, until its open heap holds ``_BATCH_AT`` nodes.  It then moves its open
-nodes into numpy arrays and expands up to ``_BATCH`` of them per step, with
-child bounds bit-identical to the scalar ones.  A batched step has a fixed
-numpy overhead, so batching only pays for large searches: small ones, such
-as the K=3 solves of the benchmark, never switch.  A full enumeration oracle
-is provided for testing.
+nodes into numpy arrays, each with a row of its labels, and expands up to
+``_BATCH`` of them per step, with child bounds bit-identical to the scalar
+ones.  A batched step has a fixed numpy overhead, so batching only pays for
+large searches: small ones, such as the K=3 solves of the benchmark, never
+switch.  A full enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -474,8 +474,8 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
         on_bound(best_lb)
     while heap:
         if len(heap) >= _BATCH_AT:
-            return _best_first_batched(tree, heap, tiebreak, ub, rel_tol, dropped, best_lb, explored,
-                                       max_nodes, on_leaf, deadline, on_bound)
+            return _best_first_batched(tree, start, heap, tiebreak, ub, rel_tol, dropped, best_lb,
+                                       explored, max_nodes, on_leaf, deadline, on_bound)
         bound, _, depth, labels, used, pc_sum, clusters = pop(heap)
         if bound >= threshold:
             # Gap <= rel_tol proven.  The optimum is at most the incumbent,
@@ -527,11 +527,12 @@ class _OpenNodes:
     order.
 
     A slot holds a node's bound and tiebreak, its clusters' stats (see
-    :func:`_add_point_batch`), the sum of its cluster values, and its
-    ``(depth, labels used, label, parent record)``; the search root's label
-    is -1.  A record is the ``(parent record, label)`` pair of an expanded
-    node, kept until the search ends so that a leaf's labels can be rebuilt;
-    record -1 is the search root.  Slots of removed nodes are reused.
+    :func:`_add_point_batch`), the sum of its cluster values, its
+    ``(depth, labels used)`` and its labels: one row of ``n`` entries, one
+    per branching position, in the smallest integer dtype that holds K - 1.
+    A node at depth d of a search that starts at position ``start`` has
+    labelled positions start..d-1 of its row; the rest is unused.  Slots of
+    removed nodes are reused.
 
     The open slots are split at ``cut``: ``front`` holds those with bound
     <= ``cut``, sorted by ``(bound, tiebreak)``, and ``back`` the rest,
@@ -539,17 +540,16 @@ class _OpenNodes:
     back move to it; when it grows past ``4 * _FRONT``, its tail moves back.
     """
 
-    def __init__(self, K: int, n_y: int, capacity: int):
+    def __init__(self, K: int, n_y: int, n: int, capacity: int):
         self.bound = np.empty(0)
         self.tick = np.empty(0, dtype=np.int64)
         self.stats = np.empty((0, K, n_y + 3))
         self.pc_sum = np.empty(0)
-        self.node = np.empty((0, 4), dtype=np.intp)
+        self.node = np.empty((0, 2), dtype=np.intp)
+        self.labels = np.empty((0, n), dtype=np.min_scalar_type(K - 1))
         self.free_slots = np.empty(0, dtype=np.intp)
         self.n_free = 0
         self._grow(capacity)
-        self.records = np.empty((capacity, 2), dtype=np.intp)
-        self.n_records = 0
         self.front = np.empty(0, dtype=np.intp)
         self.back = np.empty(capacity, dtype=np.intp)
         self.n_back = 0
@@ -557,7 +557,7 @@ class _OpenNodes:
 
     def _grow(self, capacity: int) -> None:
         old = self.bound.shape[0]
-        for name in ("bound", "tick", "stats", "pc_sum", "node"):
+        for name in ("bound", "tick", "stats", "pc_sum", "node", "labels"):
             array = getattr(self, name)
             grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
             grown[:old] = array
@@ -580,26 +580,6 @@ class _OpenNodes:
         m = len(slots)
         self.free_slots[self.n_free:self.n_free + m] = slots
         self.n_free += m
-
-    def add_records(self, pairs: np.ndarray) -> np.ndarray:
-        """Ids of new records, one per ``(parent record, label)`` row of ``pairs``."""
-        m = len(pairs)
-        if self.n_records + m > len(self.records):
-            grown = np.empty((max(2 * len(self.records), self.n_records + m), 2), dtype=np.intp)
-            grown[:self.n_records] = self.records[:self.n_records]
-            self.records = grown
-        self.records[self.n_records:self.n_records + m] = pairs
-        self.n_records += m
-        return np.arange(self.n_records - m, self.n_records)
-
-    def labels_of(self, slot: int) -> list[int]:
-        """Labels from the search root down to the node in ``slot``."""
-        _, _, label, record = self.node[slot].tolist()
-        path = [label]
-        while record >= 0:
-            record, label = self.records[record].tolist()
-            path.append(label)
-        return path[::-1]
 
     def push(self, slots: np.ndarray) -> None:
         """Open the nodes in ``slots``, whose tiebreaks exceed every open one's
@@ -649,35 +629,24 @@ class _OpenNodes:
         self.n_back += m
 
     @classmethod
-    def from_heap(cls, heap: list, K: int, n_y: int) -> "_OpenNodes":
-        """Store holding the nodes of a scalar search's heap."""
-        store = cls(K, n_y, max(1024, 4 * len(heap)))
+    def from_heap(cls, heap: list, K: int, n_y: int, n: int) -> "_OpenNodes":
+        """Store holding the nodes of a scalar search's heap; each entry's
+        linked labels fill positions start..depth-1 of its row."""
+        store = cls(K, n_y, n, max(1024, 4 * len(heap)))
         slots = store.alloc(len(heap))
-        records, pairs = {}, []
-
-        def record_of(linked):  # record of a labels linked list, created on first use
-            chain = []
-            while linked is not None and id(linked) not in records:
-                chain.append(linked)
-                linked = linked[1]
-            record = -1 if linked is None else records[id(linked)]
-            for node in reversed(chain):
-                pairs.append((record, node[0]))
-                record = records[id(node)] = len(pairs) - 1
-            return record
-
         for slot, (bound, tick, depth, linked, used, pc_sum, clusters) in zip(slots.tolist(), heap):
             store.bound[slot], store.tick[slot], store.pc_sum[slot] = bound, tick, pc_sum
             store.stats[slot] = [(count, *sums, sumsq, value) for count, sums, sumsq, value in clusters]
-            label, parent = (-1, -1) if linked is None else (linked[0], record_of(linked[1]))
-            store.node[slot] = depth, used, label, parent
-        if pairs:
-            store.add_records(np.array(pairs))
+            store.node[slot] = depth, used
+            pos = depth
+            while linked is not None:  # (label, parent's linked labels), deepest first
+                pos -= 1
+                store.labels[slot, pos], linked = linked
         store._to_back(slots)
         return store
 
 
-def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_tol: float,
+def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: float, rel_tol: float,
                         dropped: float, best_lb: float, explored: int, max_nodes: int,
                         on_leaf, deadline, on_bound):
     """Continue :func:`_best_first` from a scalar search's open ``heap``,
@@ -695,7 +664,7 @@ def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_t
     K, (n, n_y) = tree.K, tree.Yo.shape
     Yo, sq, sb = tree.Yo, np.array(tree.sq), np.array(tree.sb)
     labels_k = np.arange(K)
-    store = _OpenNodes.from_heap(heap, K, n_y)
+    store = _OpenNodes.from_heap(heap, K, n_y, n)
     threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
     while True:
         top = store.top(_BATCH)
@@ -718,7 +687,7 @@ def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_t
             if i >= taken:
                 break
             removed[i] = True  # a leaf below the threshold is below ub
-            ub = on_leaf(store.labels_of(top[i]))
+            ub = on_leaf(store.labels[top[i], start:].tolist())
             threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
             taken = min(taken, int(np.searchsorted(bound, threshold)))
             if on_bound is not None:
@@ -732,14 +701,12 @@ def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_t
         explored += m
         if m and deadline is not None and time.perf_counter() > deadline:
             return best_lb, explored, "time"
-        stats, pc_sum = store.stats[slots], store.pc_sum[slots]
+        stats, pc_sum, labels = store.stats[slots], store.pc_sum[slots], store.labels[slots]
         store.remove_top(removed | expand)
         if not m:
             continue
 
         depth, used = node[:, 0], node[:, 1]
-        records = store.add_records(node[:, 3:1:-1])
-        records[node[:, 2] < 0] = -1  # the search root has no label
         added = _add_point_batch(tree, stats, Yo[depth], sq[depth])
         child_sum = pc_sum[:, None] - stats[:, :, -1] + added[:, :, -1]
         child_bound = child_sum + sb[depth + 1][:, None]
@@ -756,15 +723,18 @@ def _best_first_batched(tree: _Tree, heap: list, tiebreak: int, ub: float, rel_t
         if not m:
             continue
         children = store.alloc(m)
+        at = np.arange(m)
         child_stats = stats[rows]  # the parent's clusters, with cluster k replaced
-        child_stats[np.arange(m), ks] = added[rows, ks]
+        child_stats[at, ks] = added[rows, ks]
         store.stats[children] = child_stats
+        child_labels = labels[rows]  # the parent's labels, with label k at its depth
+        child_labels[at, depth[rows]] = ks
+        store.labels[children] = child_labels
         store.bound[children] = child_bound[rows, ks]
         store.pc_sum[children] = child_sum[rows, ks]
         store.tick[children] = np.arange(tiebreak + 1, tiebreak + 1 + m)
         tiebreak += m
-        store.node[children] = np.stack((depth[rows] + 1, np.maximum(used[rows], ks + 1), ks, records[rows]),
-                                        axis=1)
+        store.node[children] = np.stack((depth[rows] + 1, np.maximum(used[rows], ks + 1)), axis=1)
         store.push(children)
 
 

@@ -77,6 +77,15 @@ class TestRun:
                      "--csv", str(tmp_path / "out.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--lloyd-starts", "0"), ("--max-nodes", "0"),
+                                             ("--rel-tol", "-1")])
+    def test_bad_solver_setting_is_argument_error(self, instance_file, tmp_path, capsys, flag, value):
+        code = main(["run", "--instance", str(instance_file), flag, value,
+                     "--csv", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_solver_failure_exit_code(self, instance_file, tmp_path):
         # An absurdly small branch-and-bound budget forces an inexact solve.
         code = main(["run", "--instance", str(instance_file), "--max-nodes", "2",
@@ -189,6 +198,14 @@ class TestRemote:
                      "--nodes", "127.0.0.1:9", "127.0.0.1:9",
                      "--timeout", "0.5", "--csv", str(tmp_path / "x.csv")])
         assert code == 4
+
+    def test_bad_solver_setting_checked_before_connecting(self, instance_file, tmp_path, capsys):
+        # Nobody listens at these addresses: a connection attempt would exit 4.
+        code = main(["run-remote", "--instance", str(instance_file),
+                     "--nodes", "127.0.0.1:9", "127.0.0.1:9", "--lloyd-starts", "0",
+                     "--timeout", "0.5", "--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "lloyd_starts" in capsys.readouterr().err
 
     def test_address_count_checked(self, instance_file, tmp_path):
         code = main(["run-remote", "--instance", str(instance_file),

@@ -16,7 +16,6 @@ from fedkmeans.net import (
     NetworkError,
     NetworkedBackend,
     decode_frame,
-    default_timeout,
     encode_frame,
     read_message,
     send_message,
@@ -113,12 +112,6 @@ class TestFrames:
         with pytest.raises(NetworkError):
             decode_frame(b"\x00\x00")
 
-    def test_default_timeout_env(self, monkeypatch):
-        monkeypatch.delenv("FEDKMEANS_NET_TIMEOUT_S", raising=False)
-        assert default_timeout() == 60.0
-        monkeypatch.setenv("FEDKMEANS_NET_TIMEOUT_S", "2.5")
-        assert default_timeout() == 2.5
-
 
 class TestNetworkedRun:
     def test_matches_in_process_bit_exactly(self):
@@ -202,6 +195,7 @@ class TestNetworkedRun:
             {"kind": "BOGUS", "run_id": "x", "t": 1, "body": {}},
             {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "n_y": 3}},
             {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "K": 1}},
+            {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "lloyd_starts": 0}},
         ]
         for message in bad_messages:
             with socket.create_connection(addresses[0], timeout=5.0) as sock:

@@ -510,6 +510,25 @@ class TestBatchedSearch:
         assert switched.proof_gap <= 1e-9
         assert switched.stats["explored"] <= 1.1 * scalar.stats["explored"]
 
+    def test_suffix_searches_switch_mid_search(self, monkeypatch):
+        # The suffix search over positions d..n-1 starts at depth d, so a
+        # switch there carries non-empty label lists into rows whose first d
+        # entries are unused.
+        rng = np.random.default_rng(5)
+        sub = random_subproblem(rng, n_pts=22, K=4, n_y=2)
+        scalar = with_constants(SCALAR, lambda: suffix_lower_bounds(sub.data, 4, sub.box))
+        switches = []
+        original = subsolver._best_first_batched
+
+        def recording(tree, start, heap, *args):
+            switches.append((start, len(heap)))
+            return original(tree, start, heap, *args)
+
+        monkeypatch.setattr(subsolver, "_best_first_batched", recording)
+        switched = suffix_lower_bounds(sub.data, 4, sub.box)
+        assert any(start > 0 and size >= subsolver._BATCH_AT for start, size in switches)
+        np.testing.assert_allclose(switched, scalar, rtol=0, atol=1e-12 * max(abs(scalar[0]), 1.0))
+
     def test_node_limit_mid_batch(self):
         rng = np.random.default_rng(2)
         sub = random_subproblem(rng, n_pts=9, K=3)
