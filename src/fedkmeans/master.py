@@ -120,8 +120,10 @@ def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, skip_tol: float = 1
     """BFGS update of a negative-definite approximation.
 
     Skipped (B returned unchanged) unless y.s < -skip_tol * ||y|| ||s||; for a
-    concave function the curvature pair should satisfy y.s < 0, and skipping
-    preserves negative definiteness when it does not.
+    concave function the curvature pair should satisfy y.s < 0.  In exact
+    arithmetic such a pair keeps B negative definite, but with curvatures
+    many decades apart round-off can push the largest eigenvalue above 0, so
+    an update whose result has a computed eigenvalue >= 0 is skipped as well.
     """
     B = np.asarray(B, dtype=float)
     s = np.asarray(s, dtype=float).ravel()
@@ -132,7 +134,10 @@ def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, skip_tol: float = 1
     Bs = B @ s
     sBs = float(s @ Bs)
     out = B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs
-    return 0.5 * (out + out.T)  # symmetrize against round-off drift
+    out = 0.5 * (out + out.T)  # symmetrize against round-off drift
+    if np.linalg.eigvalsh(out)[-1] >= 0:
+        return B
+    return out
 
 
 # ------------------------- trust-region master solver ------------------------
@@ -194,10 +199,11 @@ def _distinct_cuts(cut_normals: np.ndarray, cut_offsets: np.ndarray) -> list[int
     almost-identical dual points) would make the KKT system singular.
     """
     rows = np.hstack([cut_normals, cut_offsets[:, None]])
+    gaps = np.linalg.norm(rows[:, None] - rows[None], axis=2)
     keep: list[int] = []
     for i in range(rows.shape[0]):
         scale = max(1.0, float(np.linalg.norm(rows[i])))
-        if not keep or float(np.min(np.linalg.norm(rows[keep] - rows[i], axis=1))) > 1e-7 * scale:
+        if not keep or float(gaps[i, keep].min()) > 1e-7 * scale:
             keep.append(i)
     return keep
 
@@ -219,10 +225,13 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
     with many near-parallel cuts can stall the first); and an SLSQP restart
     from the best point so far, which identifies the active set at fully
     degenerate vertices (more active constraints than variables) that can
-    defeat both.  A stage's point is accepted as it stands when its KKT
-    residual meets ``kkt_tol``; otherwise it goes through the active-set
-    polish of :func:`_polish_kkt`, and the lower residual of the two is kept
-    (SLSQP returns no multipliers, so its point is always polished).  The
+    defeat both.  Each stage ends at the same test, a KKT residual within
+    ``kkt_tol``: an interior-point pass stops a few iterations after its best
+    iterate passes it (:func:`_pdip_core`), and the polish returns its first
+    candidate that does.  A stage's point is accepted as it stands when it
+    passes; otherwise it goes through the active-set polish of
+    :func:`_polish_kkt`, and the lower residual of the two is kept (SLSQP
+    returns no multipliers, so its point is always polished).  The
     solution's ``path`` names the accepting stage: "ipm" for the
     fixed-centering point, "polish" for that point polished, and "mehrotra"
     or "sqp" for the later stages, polished or not.  The solver fails loudly
@@ -235,41 +244,46 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
     m_cuts = G.shape[0]
     has_model = problem.quad is not None
 
+    n_con = 1 + m_cuts + (1 if has_model else 0)
+    # The cut rows of the Jacobian and the Hessians of the ball and the model
+    # cap do not depend on z; only the ball and model rows of the Jacobian do.
+    jacobian = np.zeros((n_con, n + 1))
+    jacobian[1:1 + m_cuts, :n] = -G
+    jacobian[1:, n] = 1.0
+    ball_hessian = np.zeros((n + 1, n + 1))
+    ball_hessian[:n, :n] = 2.0 * np.eye(n)
+    model_hessian = -problem.quad if has_model else None
+
     def constraints(z):
         """Values and gradients of all f_i at z."""
         delta, w = z[:n], z[n]
-        vals = np.empty(1 + m_cuts + (1 if has_model else 0))
+        vals = np.empty(n_con)
         vals[0] = float(delta @ delta) - problem.alpha
         vals[1:1 + m_cuts] = w - G @ delta + beta
-        grads = np.zeros((vals.shape[0], n + 1))
+        grads = jacobian.copy()
         grads[0, :n] = 2.0 * delta
-        grads[1:1 + m_cuts, :n] = -G
-        grads[1:1 + m_cuts, n] = 1.0
         if has_model:
             Bd = problem.quad @ delta
             vals[-1] = w - 0.5 * float(delta @ Bd) - float(problem.lin @ delta)
             grads[-1, :n] = -Bd - problem.lin
-            grads[-1, n] = 1.0
         return vals, grads
 
     def constraint_hessian_weighted(weights):
         """sum_i weights_i * Hess f_i (only ball and model are curved)."""
-        H = np.zeros((n + 1, n + 1))
-        H[:n, :n] += weights[0] * 2.0 * np.eye(n)
+        H = weights[0] * ball_hessian
         if has_model:
-            H[:n, :n] += weights[-1] * (-problem.quad)
+            H[:n, :n] += weights[-1] * model_hessian
         return H
 
     obj_grad = np.zeros(n + 1)
     obj_grad[n] = -1.0  # minimizing -w
-    n_con = 1 + m_cuts + (1 if has_model else 0)
 
     def candidate(z, lam, stage):
         """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails kkt_tol."""
         kkt = _kkt_residual(*constraints(z), obj_grad, lam)
         if kkt <= kkt_tol:
             return z, lam, kkt, stage
-        polished = _polish_kkt(z, constraints, obj_grad, n_con)
+        polished = _polish_kkt(z, constraints, obj_grad, n_con, kkt_tol)
         if polished is not None and polished[2] < kkt:
             return (*polished, "polish" if stage == "ipm" else stage)
         return z, lam, kkt, stage
@@ -282,7 +296,8 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
                 break
         else:
             point = _pdip_core(problem, constraints, constraint_hessian_weighted, obj_grad,
-                               n_con, n, "fixed" if stage == "ipm" else "mehrotra", max_newton)
+                               n_con, n, "fixed" if stage == "ipm" else "mehrotra", max_newton,
+                               kkt_tol)
         trial = candidate(*point, stage)
         if result is None or trial[2] < result[2]:
             result = trial
@@ -303,18 +318,33 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
 def _kkt_residual(vals, grads, obj_grad, lam) -> float:
     """max(||stationarity||_inf, max complementarity, max violation) at one point."""
     stationarity = obj_grad + grads.T @ lam
-    return max(float(np.linalg.norm(stationarity, ord=np.inf)),
+    return max(float(np.abs(stationarity).max()),
                float(np.max(lam * np.abs(vals))),
                float(max(0.0, np.max(vals))))
 
 
+# Iterations without a merit improvement that end an interior-point pass whose
+# best iterate meets kkt_tol, and one whose best iterate does not.
+_PDIP_SETTLE = 3
+_PDIP_WAIT = 30
+
+
 def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
-               scheme, max_newton):
+               scheme, max_newton, kkt_tol):
     """One primal-dual path-following pass; returns the best iterate seen.
 
     ``scheme`` selects the centering rule: "fixed" uses sigma = 0.1 until the
     complementarity is small, "mehrotra" uses an affine predictor and adaptive
     sigma with a second-order corrector.
+
+    The best iterate is the one of least merit (the largest of the
+    stationarity and primal residuals and the mean complementarity).  The
+    pass ends when the merit falls below 1e-13, when the iteration breaks
+    down, or when the merit has not improved for ``_PDIP_SETTLE``
+    iterations and the best iterate's KKT residual meets ``kkt_tol``.  A best
+    iterate that misses ``kkt_tol`` keeps the pass going until the merit has
+    not improved for ``_PDIP_WAIT`` iterations, since late iterations can
+    still reach the tolerance on degenerate problems.
     """
     beta = problem.cut_offsets
     # Strictly feasible start: delta = 0, w below every cut and the model cap.
@@ -330,8 +360,7 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
         r_stat = obj_grad + grads.T @ lam_pd
         r_prim = vals + slack
         mu = float(lam_pd @ slack) / n_con
-        merit = max(float(np.linalg.norm(r_stat, ord=np.inf)),
-                    float(np.linalg.norm(r_prim, ord=np.inf)), mu)
+        merit = max(float(np.abs(r_stat).max()), float(np.abs(r_prim).max()), mu)
         # Late iterations can degrade once slacks underflow; keep the best
         # iterate seen and stop when the merit stops improving.
         if merit < best[0]:
@@ -339,8 +368,10 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
             stall = 0
         else:
             stall += 1
-        if merit < 1e-13 or stall >= 30:
+        if merit < 1e-13 or stall >= _PDIP_WAIT:
             break
+        if stall == _PDIP_SETTLE and _kkt_residual(*constraints(best[1]), obj_grad, best[2]) <= kkt_tol:
+            break  # the best iterate passes the solver's test and has stopped improving
         if np.min(slack) <= 0 or np.min(lam_pd) < 0 or np.max(lam_pd) > 1e12:
             break  # slack underflow or multiplier blow-up; keep the best iterate
         # Condensed Newton system in (dz, dlam); ds eliminated.
@@ -411,7 +442,7 @@ def _sqp_fallback(z0, constraints, obj_grad, n_con):
     return result.x, np.zeros(n_con)
 
 
-def _polish_kkt(z, constraints, obj_grad, n_con):
+def _polish_kkt(z, constraints, obj_grad, n_con, kkt_tol):
     """Active-set refinement of a solver stage's point that misses the tolerance.
 
     For a range of slack thresholds: take the constraints within the threshold
@@ -423,8 +454,9 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
     ambiguous.  A last candidate set adds the trust-region ball to the widest
     one.  The projection stops once a step after the first fails to halve the
     active residual, and a starting active set met before is skipped, since
-    it would repeat that work exactly.  Returns the best (z, lambda,
-    kkt_residual) found, or None.
+    it would repeat that work exactly.  Returns the first candidate (z,
+    lambda, kkt_residual) whose residual meets ``kkt_tol``; failing that, the
+    best one found, or None.
     """
     from scipy.optimize import nnls
 
@@ -440,6 +472,14 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
         return x.copy(), lam_full, _kkt_residual(vals, grads, obj_grad, lam_full)
 
     best = None
+
+    def keep(trial):
+        """Keep trial if it is the best so far; True once the best meets kkt_tol."""
+        nonlocal best
+        if best is None or trial[2] < best[2]:
+            best = trial
+        return best[2] <= kkt_tol
+
     z_vals, _ = constraints(z)
     sets = [np.flatnonzero(-z_vals < thresh).tolist()
             for thresh in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)]
@@ -456,8 +496,8 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
         # while the incoming point with least-squares multipliers is already
         # near-stationary.
         trial = score_nnls(z, idx)
-        if trial is not None and (best is None or trial[2] < best[2]):
-            best = trial
+        if trial is not None and keep(trial):
+            return best
         x = z.copy()
         for _ in range(6):
             # The first step can overshoot the ball from afar; from the
@@ -466,7 +506,7 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
             for steps in range(30):
                 vals, grads = constraints(x)
                 residual = vals[idx]
-                size = float(np.linalg.norm(residual, ord=np.inf))
+                size = float(np.abs(residual).max())
                 if size < 1e-14 or (steps > 1 and size >= 0.5 * previous):
                     break
                 previous = size
@@ -479,8 +519,8 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
             trial = score_nnls(x, idx)
             if trial is None:
                 break
-            if best is None or trial[2] < best[2]:
-                best = trial
+            if keep(trial):
+                return best
             vals, _ = constraints(x)
             support = [i for i in idx if trial[1][i] > 1e-12]
             violated = [i for i in range(n_con)

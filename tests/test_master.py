@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedkmeans.master as master
@@ -155,6 +155,7 @@ class TestBfgsUpdate:
         np.testing.assert_array_equal(out, B)
 
     @given(st.integers(0, 10 ** 6))
+    @example(seed=2693)  # round-off alone gives the fourth update an eigenvalue of +4e-13
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_negative_definiteness(self, seed):
         rng = np.random.default_rng(seed)
@@ -166,6 +167,62 @@ class TestBfgsUpdate:
             B = bfgs_update(B, s, y)
             assert np.allclose(B, B.T, atol=1e-12)
             assert np.max(np.linalg.eigvalsh(B)) < 0
+
+
+def degenerate_problem(seed):
+    """Rank-2 cuts in 3-D, almost all through the center, under a QNDA cap
+    whose curvatures span 14 decades, as late in a QNDA run."""
+    rng = np.random.default_rng(seed)
+    n, rank, m = 3, 2, 10
+    basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:rank]
+    G = (rng.normal(size=(m, rank)) + 0.5 * rng.normal(size=rank)) @ basis
+    beta = -np.abs(rng.normal(size=m)) * 10 ** rng.uniform(-10, -7, size=m)
+    beta[-1] = 0.0
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    B = -(Q * 10 ** rng.uniform(-4, 10, size=n)) @ Q.T
+    return TrustRegionProblem(center=rng.normal(size=n), alpha=0.04,
+                              cut_normals=G, cut_offsets=beta,
+                              quad=0.5 * (B + B.T), lin=G[-1])
+
+
+def flat_problem(seed):
+    """(problem, eps): two cut normals bracket the origin of their plane and
+    miss it by eps along a third direction, so the model rises by only eps
+    per unit step and the ball binds with a multiplier near eps."""
+    rng = np.random.default_rng(seed)
+    n, eps, k = int(rng.integers(3, 7)), 10 ** rng.uniform(-9, -7), int(rng.integers(3, 9))
+    U = np.zeros((k, n))
+    U[0, 1], U[1, 1] = 1.0, -1.0
+    U[2:, 0] = rng.uniform(0.1, 1, size=k - 2)
+    U[2:, 1] = rng.normal(size=k - 2)
+    U[:, 0] += eps
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    alpha = float(rng.uniform(0.05, 1))
+    return TrustRegionProblem(center=np.zeros(n), alpha=alpha,
+                              cut_normals=U @ Q.T, cut_offsets=np.zeros(k)), eps
+
+
+def record_passes(monkeypatch):
+    """List that receives (scheme, Newton steps, index of the best iterate's
+    step) for each interior-point pass; a best iterate that was never
+    stepped from (merit below 1e-13) gets the step count."""
+    passes = []
+    core = master._pdip_core
+
+    def recording(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme, *rest):
+        weights = []
+
+        def hess(w):  # one call per Newton step, with that step's multipliers
+            weights.append(w.copy())
+            return hess_weighted(w)
+
+        z, lam = core(problem, constraints, hess, obj_grad, n_con, n, scheme, *rest)
+        best = next((i for i, w in enumerate(weights) if np.array_equal(w, lam)), len(weights))
+        passes.append((scheme, len(weights), best))
+        return z, lam
+
+    monkeypatch.setattr(master, "_pdip_core", recording)
+    return passes
 
 
 class TestTrustRegionSolver:
@@ -238,22 +295,14 @@ class TestTrustRegionSolver:
         assert sol.kkt_residual <= 1e-8
 
     @pytest.mark.parametrize("seed", [10, 139, 185])
-    def test_degenerate_problem_recovered_by_fallback(self, seed):
-        # Rank-2 cuts in 3-D, almost all through the center, under a QNDA cap
-        # whose curvatures span 14 decades, as late in a QNDA run.  The
-        # fixed-centering interior point misses kkt_tol on these seeds.
-        rng = np.random.default_rng(seed)
-        n, rank, m = 3, 2, 10
-        basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:rank]
-        G = (rng.normal(size=(m, rank)) + 0.5 * rng.normal(size=rank)) @ basis
-        beta = -np.abs(rng.normal(size=m)) * 10 ** rng.uniform(-10, -7, size=m)
-        beta[-1] = 0.0
-        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        B = -(Q * 10 ** rng.uniform(-4, 10, size=n)) @ Q.T
-        problem = TrustRegionProblem(center=rng.normal(size=n), alpha=0.04,
-                                     cut_normals=G, cut_offsets=beta,
-                                     quad=0.5 * (B + B.T), lin=G[-1])
+    def test_degenerate_problem_recovered_by_fallback(self, monkeypatch, seed):
+        # The fixed-centering interior point misses kkt_tol on these seeds,
+        # so its pass is not ended by the settle rule.
+        passes = record_passes(monkeypatch)
+        problem = degenerate_problem(seed)
         sol = solve_trust_region_qp(problem)
+        scheme, newton, best = passes[0]
+        assert scheme == "fixed" and newton - best > master._PDIP_SETTLE
         assert sol.path in ("polish", "mehrotra", "sqp")
         assert sol.kkt_residual <= 1e-8
         step = sol.argmax - problem.center
@@ -262,25 +311,74 @@ class TestTrustRegionSolver:
 
     @pytest.mark.parametrize("seed", [33, 102])
     def test_flat_model_with_binding_ball(self, seed):
-        # Two cut normals bracket the origin of their plane and miss it by
-        # eps along a third direction, so the model rises by only eps per
-        # unit step and the ball binds with a multiplier near eps.  The
-        # interior point stays far from the ball; the polish must try the
+        # The interior point stays far from the ball; the polish must try the
         # ball in its active set.
-        rng = np.random.default_rng(seed)
-        n, eps, k = int(rng.integers(3, 7)), 10 ** rng.uniform(-9, -7), int(rng.integers(3, 9))
-        U = np.zeros((k, n))
-        U[0, 1], U[1, 1] = 1.0, -1.0
-        U[2:, 0] = rng.uniform(0.1, 1, size=k - 2)
-        U[2:, 1] = rng.normal(size=k - 2)
-        U[:, 0] += eps
-        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        alpha = float(rng.uniform(0.05, 1))
-        problem = TrustRegionProblem(center=np.zeros(n), alpha=alpha,
-                                     cut_normals=U @ Q.T, cut_offsets=np.zeros(k))
+        problem, eps = flat_problem(seed)
         sol = solve_trust_region_qp(problem)
         assert sol.kkt_residual <= 1e-8
-        assert sol.model_value == pytest.approx(eps * math.sqrt(alpha), abs=1e-12)
+        assert sol.model_value == pytest.approx(eps * math.sqrt(problem.alpha), abs=1e-12)
+
+    def test_pass_ends_settle_count_after_its_best_iterate(self, monkeypatch):
+        # Cuts of a steep concave quadratic: the merit stalls above its 1e-13
+        # floor with the best iterate well within kkt_tol, so the pass ends
+        # on the settle rule.
+        rng = np.random.default_rng(0)
+        n, m = 12, 30
+        A = rng.normal(size=(n, n))
+        H = 100 * (-(A @ A.T) / n - 0.1 * np.eye(n))
+        center = rng.normal(size=n)
+        points = center + 0.3 * rng.normal(size=(m, n))
+        G = points @ H
+        beta = np.array([0.5 * (center @ H @ center - x @ H @ x) - g @ (center - x)
+                         for x, g in zip(points, G)])
+        problem = TrustRegionProblem(center=center, alpha=0.05, cut_normals=G, cut_offsets=beta)
+        passes = record_passes(monkeypatch)
+        sol = solve_trust_region_qp(problem)
+        assert sol.path == "ipm" and sol.kkt_residual <= 1e-8
+        ((_, newton, best),) = passes
+        assert newton - best == master._PDIP_SETTLE
+        # The rule without the settle stop waits _PDIP_WAIT iterations instead.
+        monkeypatch.setattr(master, "_PDIP_SETTLE", master._PDIP_WAIT)
+        waited = solve_trust_region_qp(problem)
+        assert passes[1][1] > newton
+        assert waited.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param(degenerate_problem(10), id="degenerate-10"),
+        pytest.param(degenerate_problem(185), id="degenerate-185"),
+        pytest.param(flat_problem(33)[0], id="flat-33"),
+    ])
+    def test_polish_returns_first_candidate_within_tolerance(self, monkeypatch, problem):
+        # Per polish call: the residuals it scored, in order, and the one it returned.
+        scored, returned, inside = [], [], []
+        kkt_residual, polish = master._kkt_residual, master._polish_kkt
+
+        def scoring(*args):
+            residual = kkt_residual(*args)
+            if inside:
+                scored[-1].append(residual)
+            return residual
+
+        def polishing(*args):
+            inside.append(True)
+            scored.append([])
+            try:
+                out = polish(*args)
+            finally:
+                inside.pop()
+            returned.append(None if out is None else out[2])
+            return out
+
+        monkeypatch.setattr(master, "_kkt_residual", scoring)
+        monkeypatch.setattr(master, "_polish_kkt", polishing)
+        sol = solve_trust_region_qp(problem)
+        assert sol.path == "polish"
+        for residuals, out in zip(scored, returned):
+            within = [r <= 1e-8 for r in residuals]
+            if any(within):
+                assert within.index(True) == len(residuals) - 1
+                assert out == residuals[-1]
+        assert max(map(len, scored)) > 1
 
     def test_duplicate_filter_matches_pairwise_loop(self):
         def pairwise(G, beta):
