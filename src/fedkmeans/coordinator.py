@@ -169,9 +169,10 @@ def derive_node_seed(seed: int, node_id: int, t: int) -> int:
 _SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int, "lloyd_starts": int, "seed": int}
 
 
-@dataclass(frozen=True)
+@dataclass
 class NodeSession:
-    """One node's side of a run: its data and the settings of every solve.
+    """One node's side of a run: its data, the settings of every solve, and
+    the assignment of its last reply.
 
     Both backends open sessions from the same :meth:`hello_body` dict (the
     networked backend sends it as the HELLO body), so in-process and
@@ -185,6 +186,8 @@ class NodeSession:
     max_nodes: int
     lloyd_starts: int
     seed: int
+    # (t, assignment) of the last reply, the warm start of the solve at t + 1.
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_solver_settings(self.rel_tol, self.max_nodes, self.lloyd_starts)
@@ -223,17 +226,26 @@ class NodeSession:
         Relabelling needs every row of ``c`` to be equal (ValueError
         otherwise).  The first solve also computes :attr:`suffix_bounds`, and
         its ``solve_time`` includes that work.
+
+        If this session's last reply was for iteration ``t - 1``, its
+        assignment, as relabelled, is the warm start of this solve (see
+        :func:`solve_subproblem`); otherwise, as at every ``t = 1`` and in a
+        new run over the same session, the solve starts from multi-start
+        Lloyd.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
         started = time.perf_counter()
+        last_t, last_assignment = self._last or (None, None)
         solution = solve_subproblem(
             sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes, lloyd_starts=self.lloyd_starts,
             lloyd_seed=derive_node_seed(self.seed, self.data.node_id, t),
             suffix_bounds=self.suffix_bounds,
+            warm_start=last_assignment if last_t == t - 1 else None,
         )
         if reference is not None:
             solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
+        self._last = (t, solution.assignment)
         return NodeSolveReply(
             centroids=solution.centroids,
             lagrangian_value=solution.lagrangian_value,

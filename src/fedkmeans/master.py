@@ -200,12 +200,13 @@ def _distinct_cuts(cut_normals: np.ndarray, cut_offsets: np.ndarray) -> list[int
     """
     rows = np.hstack([cut_normals, cut_offsets[:, None]])
     gaps = np.linalg.norm(rows[:, None] - rows[None], axis=2)
-    keep: list[int] = []
-    for i in range(rows.shape[0]):
-        scale = max(1.0, float(np.linalg.norm(rows[i])))
-        if not keep or float(gaps[i, keep].min()) > 1e-7 * scale:
-            keep.append(i)
-    return keep
+    # |row_i| as np.linalg.norm(rows[i]) computes it: one dot product per row.
+    scale = np.maximum(1.0, np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]))
+    close = np.tril(gaps <= 1e-7 * scale[:, None], k=-1)  # close[i, j]: row j < i is near row i
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)).tolist():
+        keep[i] = not (close[i] & keep).any()
+    return np.flatnonzero(keep).tolist()
 
 
 def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,

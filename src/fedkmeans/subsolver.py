@@ -5,7 +5,8 @@ subproblem separates per cluster and per dimension, so the optimal
 box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations ordered by decreasing
-distance from the data mean), pruning against a Lloyd-style incumbent.
+distance from the data mean), pruning against an incumbent: the caller's
+warm start, or else a multi-start Lloyd solution.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
@@ -114,8 +115,12 @@ def closed_form_centroid(points: np.ndarray, c_k: np.ndarray, box: BoundingBox):
     return m, value
 
 
+def _empty_centroid(c_k, lo, hi):
+    return np.where(c_k > 0, lo, np.where(c_k < 0, hi, 0.5 * (lo + hi)))
+
+
 def _empty_cluster_min(c_k, lo, hi):
-    m = np.where(c_k > 0, lo, np.where(c_k < 0, hi, 0.5 * (lo + hi)))
+    m = _empty_centroid(c_k, lo, hi)
     return m, float(c_k @ m)
 
 
@@ -127,10 +132,15 @@ def _cluster_min(n, s, q, c_k, lo, hi):
 
 
 def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> SubproblemSolution:
-    """Exact solution value of a complete assignment via closed-form centroids."""
+    """Exact solution value of a complete assignment via closed-form centroids.
+
+    Each centroid is :func:`closed_form_centroid`'s, computed the same way
+    but without the cluster minimum that this function does not use.
+    """
     assignment = tuple(int(a) for a in assignment)
     Y = subproblem.data.observations
-    K, n_y = subproblem.K, subproblem.data.n_y
+    K, n_y, c = subproblem.K, subproblem.data.n_y, subproblem.c
+    lo, hi = subproblem.box.lo, subproblem.box.hi
     if len(assignment) != Y.shape[0]:
         raise ValueError("assignment length must match the number of observations")
     if any(not 0 <= a < K for a in assignment):
@@ -141,10 +151,14 @@ def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> Subprob
     linear_cost = 0.0
     for k in range(K):
         pts = Y[labels == k]
-        m_k, _ = closed_form_centroid(pts, subproblem.c[k], subproblem.box)
+        n = pts.shape[0]
+        if n:
+            m_k = np.clip((pts.sum(axis=0) - 0.5 * c[k]) / n, lo, hi)
+            cluster_cost += float(np.sum((pts - m_k) ** 2))
+        else:
+            m_k = _empty_centroid(c[k], lo, hi)
         centroids[k] = m_k
-        cluster_cost += float(np.sum((pts - m_k) ** 2))
-        linear_cost += float(subproblem.c[k] @ m_k)
+        linear_cost += float(c[k] @ m_k)
     return SubproblemSolution(
         assignment=assignment,
         centroids=centroids,
@@ -186,7 +200,7 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, n_starts: int = 5, seed: i
         raise ValueError("n_starts must be >= 1")
     Y = subproblem.data.observations
     K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
-    empty = [_empty_cluster_min(c[k], lo, hi)[0] for k in range(K)]
+    empty = [_empty_centroid(c[k], lo, hi) for k in range(K)]
     rng = np.random.default_rng(seed)
     best: SubproblemSolution | None = None
     evaluated = set()
@@ -230,6 +244,7 @@ def solve_subproblem(
     time_budget: float | None = None,
     on_progress=None,
     suffix_bounds=None,
+    warm_start=None,
 ) -> SubproblemSolution:
     """Proven global optimum of the node Lagrangian by best-first branch-and-bound.
 
@@ -245,6 +260,16 @@ def solve_subproblem(
     dual), cluster labels are interchangeable and symmetric branches are
     skipped.
 
+    The search starts from an incumbent.  Without ``warm_start`` it is the
+    best of ``lloyd_starts`` Lloyd runs.  With ``warm_start``, a complete
+    assignment (typically the previous optimum of a subproblem whose dual
+    term has since moved), it is that assignment evaluated under this dual
+    term, and Lloyd runs only if the search grows to ``_BATCH_AT`` open
+    nodes; the better of the two incumbents is kept.  The incumbent changes
+    what the search prunes, not what it proves: the result is optimal to
+    within ``rel_tol`` either way, but between assignments whose values lie
+    within ``rel_tol`` of each other either may be returned.
+
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
     ``time_budget`` (seconds) instead returns the incumbent with its actual
     ``proof_gap``; ``on_progress(elapsed, incumbent, bound)`` is invoked on
@@ -259,7 +284,17 @@ def solve_subproblem(
     order = _branching_order(Y)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
 
-    incumbent = lloyd_incumbent(subproblem, n_starts=lloyd_starts, seed=lloyd_seed)
+    def lloyd():
+        return lloyd_incumbent(subproblem, n_starts=lloyd_starts, seed=lloyd_seed)
+
+    def on_switch():
+        nonlocal incumbent
+        candidate = lloyd()
+        if candidate.lagrangian_value < incumbent.lagrangian_value:
+            incumbent = candidate
+        return incumbent.lagrangian_value
+
+    incumbent = lloyd() if warm_start is None else evaluate_assignment(subproblem, warm_start)
     start = time.perf_counter()
 
     def on_leaf(labels):
@@ -277,6 +312,7 @@ def solve_subproblem(
         tree, 0, incumbent.lagrangian_value, rel_tol, max_nodes, on_leaf,
         deadline=None if time_budget is None else start + time_budget,
         on_bound=None if on_progress is None else on_bound,
+        on_switch=None if warm_start is None else on_switch,
     )
     if status == "node_limit":
         raise NodeLimitExceeded(_finish(incumbent, lb, explored), lb, explored)
@@ -435,7 +471,7 @@ _FRONT = 1024
 
 
 def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: int,
-                on_leaf, deadline: float | None = None, on_bound=None):
+                on_leaf, deadline: float | None = None, on_bound=None, on_switch=None):
     """Best-first branch-and-bound over the labels of positions start..n-1.
 
     ``ub`` is the incumbent's value.  ``on_leaf(labels)`` receives every leaf
@@ -456,6 +492,10 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     step with the same child bounds, bit for bit.  Its batches may expand a
     few nodes that the one-at-a-time order would have pruned, so ``explored``
     can be slightly larger; the proven bound and the stop rule are the same.
+    ``on_switch()``, if given, is called the first time the heap holds
+    ``_BATCH_AT`` nodes and returns the incumbent's value, which may have
+    dropped; the open nodes it rules out are pruned, and the search switches
+    only if ``_BATCH_AT`` nodes are still open.
     """
     points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
     n, K, symmetric = len(points), tree.K, tree.symmetric
@@ -474,6 +514,18 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
         on_bound(best_lb)
     while heap:
         if len(heap) >= _BATCH_AT:
+            if on_switch is not None:
+                ub, on_switch = on_switch(), None
+                threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
+                ruled_out = [entry[0] for entry in heap if entry[0] >= threshold]
+                if ruled_out:
+                    dropped = min(dropped, min(ruled_out))
+                    heap = [entry for entry in heap if entry[0] < threshold]
+                    heapq.heapify(heap)
+                if on_bound is not None:
+                    on_bound(best_lb)
+                if len(heap) < _BATCH_AT:
+                    continue
             return _best_first_batched(tree, start, heap, tiebreak, ub, rel_tol, dropped, best_lb,
                                        explored, max_nodes, on_leaf, deadline, on_bound)
         bound, _, depth, labels, used, pc_sum, clusters = pop(heap)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fedkmeans.bench import BenchmarkSpec, generate_instance
+from fedkmeans.bench import BenchmarkSpec, generate_grid, generate_instance
 from fedkmeans.coordinator import (
     CentralResult,
     InProcessBackend,
@@ -25,8 +25,9 @@ from fedkmeans.core import (
     ProblemInstance,
     build_consensus_topology,
     primal_residual,
+    read_instance,
 )
-from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem, solve_subproblem
+from fedkmeans.subsolver import brute_force_subproblem, evaluate_assignment, LagrangianSubproblem, solve_subproblem
 
 
 def two_node_instance(seed=123, n_y=2, K=2, points=3):
@@ -280,6 +281,76 @@ class TestNodeSession:
         tight, loose = (InProcessBackend(instance, RunConfig(rel_tol=tol)).sessions[0]
                         for tol in (1e-9, 0.3))
         np.testing.assert_array_equal(tight.suffix_bounds, loose.suffix_bounds)
+
+
+def record_solves(monkeypatch):
+    """Log each node solve's warm start, result, and Lloyd and batched-switch calls."""
+    import fedkmeans.coordinator as coordinator
+    import fedkmeans.subsolver as subsolver
+
+    log, counts = [], {"lloyd": 0, "switch": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(subsolver, "lloyd_incumbent", counted("lloyd", subsolver.lloyd_incumbent))
+    monkeypatch.setattr(subsolver, "_best_first_batched", counted("switch", subsolver._best_first_batched))
+    original = coordinator.solve_subproblem
+
+    def solve(sub, **kwargs):
+        before = dict(counts)
+        solution = original(sub, **kwargs)
+        log.append({"warm_start": kwargs["warm_start"], "assignment": solution.assignment,
+                    **{key: counts[key] - before[key] for key in counts}})
+        return solution
+
+    monkeypatch.setattr(coordinator, "solve_subproblem", solve)
+    return log
+
+
+class TestWarmStart:
+    def test_previous_iteration_only(self, monkeypatch):
+        log = record_solves(monkeypatch)
+        instance = two_node_instance(seed=6, K=3)
+        session = InProcessBackend(instance, RunConfig()).sessions[1]
+        c = 0.3 * np.arange(6.0) - 0.7
+        reference = session.solve(1, np.zeros(6), None).centroids[::-1].copy()
+        # Iteration 1 relabels to the reference; that labelling is the warm start.
+        relabelled = session.solve(1, np.zeros(6), reference)
+        session.solve(2, c, None)
+        session.solve(2, c, None)       # stale: the last reply is for t = 2
+        session.solve(5, -c, None)      # stale: t = 2 is not t - 1
+        session.solve(6, c, None)
+        warm = [entry["warm_start"] for entry in log]
+        assert warm[:2] == [None, None]
+        sub1 = LagrangianSubproblem(data=session.data, K=3, box=instance.box, c=np.zeros((3, 2)))
+        np.testing.assert_array_equal(evaluate_assignment(sub1, warm[2]).centroids, relabelled.centroids)
+        assert warm[2] != log[1]["assignment"]  # relabelled, not as solved
+        assert warm[3:5] == [None, None]
+        assert warm[5] == log[4]["assignment"]
+
+    @pytest.mark.parametrize("cell, t_max", [(None, 5), ("2N2D4K_1", 3)])
+    def test_lloyd_runs_at_t1_and_at_switches(self, monkeypatch, tmp_path, cell, t_max):
+        # Small K=3 searches never switch to batches, so Lloyd runs only at
+        # t = 1; the K=4 grid cell's warm-started searches do switch, and
+        # each runs Lloyd there once.
+        if cell is None:
+            instance = two_node_instance(seed=6, K=3, points=2)
+        else:
+            generate_grid(0, tmp_path)
+            instance = read_instance(tmp_path / f"{cell}.json")
+        log = record_solves(monkeypatch)
+        run(instance, RunConfig(algorithm="sg", t_max=t_max))
+        assert len(log) == t_max * instance.n_nodes
+        first, later = log[:instance.n_nodes], log[instance.n_nodes:]
+        assert all(entry["warm_start"] is None and entry["lloyd"] == 1 for entry in first)
+        assert all(entry["warm_start"] is not None for entry in later)
+        assert all(entry["lloyd"] == entry["switch"] <= 1 for entry in later)
+        switched = sum(entry["switch"] for entry in later)
+        assert switched == 0 if cell is None else switched > 0
 
 
 class TestRunCsv:

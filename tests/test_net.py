@@ -160,6 +160,23 @@ class TestNetworkedRun:
             thread.join(10.0)
             assert not thread.is_alive()
 
+    def test_runs_over_one_backend_match_in_process(self, tmp_path):
+        # A node session keeps its last reply as the warm start of the next
+        # iteration's solve; a second run over the same connections starts
+        # again from t = 1 and must not pick up the first run's state.
+        generate_grid(0, tmp_path)
+        instance = read_instance(tmp_path / "2N2D3K_1.json")
+        config = RunConfig(algorithm="qnda", t_max=12)
+        local = [r.numeric_key() for r in run(instance, config).records]
+        addresses, _ = start_servers(instance)
+        backend = NetworkedBackend(addresses=addresses, instance=instance, config=config)
+        try:
+            for _ in range(2):
+                remote = run(instance, config, backend=backend)
+                assert [r.numeric_key() for r in remote.records] == local
+        finally:
+            backend.close()
+
     def test_dropped_connection_aborts(self):
         from fedkmeans.coordinator import RunAborted
 

@@ -123,6 +123,26 @@ class TestEvaluateAssignment:
         linear = sum(float(sub.c[k] @ sol.centroids[k]) for k in range(sub.K))
         assert sol.lagrangian_value == pytest.approx(sol.cluster_cost + linear, abs=1e-12)
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_closed_form_centroid_bitwise(self, seed):
+        # Few points for K = 4 leave clusters empty.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(1, 8)), K=int(rng.integers(2, 5)),
+                                n_y=int(rng.integers(1, 4)))
+        labels = rng.integers(0, sub.K, size=sub.data.n_points)
+        sol = evaluate_assignment(sub, labels)
+        Y = sub.data.observations
+        cluster_cost = linear_cost = 0.0
+        for k in range(sub.K):
+            pts = Y[labels == k]
+            m_k, _ = closed_form_centroid(pts, sub.c[k], sub.box)
+            assert sol.centroids[k].tolist() == m_k.tolist()
+            cluster_cost += float(np.sum((pts - m_k) ** 2))
+            linear_cost += float(sub.c[k] @ m_k)
+        assert sol.cluster_cost == cluster_cost
+        assert sol.lagrangian_value == cluster_cost + linear_cost
+
 
 class TestLowerBound:
     def test_empty_prefix_zero_dual(self):
@@ -566,6 +586,111 @@ class TestBatchedSearch:
         assert stopped.proof_gap > 0
         proven = stopped.lagrangian_value - stopped.proof_gap * max(abs(stopped.lagrangian_value), 1e-9)
         assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that logs each call in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestWarmStart:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.booleans(),
+           st.sampled_from(["random", "worst"]),
+           st.sampled_from([{}, {"_BATCH_AT": 8}, BATCHED, SMALL_BATCHES]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, constants):
+        # "worst" is the costliest of the one-cluster assignments and the
+        # optimum's partition under every relabelling: under nonzero duals a
+        # relabelled optimum can be far from optimal.  With a lowered
+        # _BATCH_AT the search runs Lloyd early, then drops the open nodes
+        # that Lloyd's incumbent rules out, and switches to batches or not.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
+        c = np.zeros((K, 2)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, 2))
+        sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
+        brute = brute_force_subproblem(sub)
+        if kind == "random":
+            warm = rng.integers(0, K, size=sub.data.n_points).tolist()
+        else:
+            candidates = [[k] * sub.data.n_points for k in range(K)]
+            candidates += [[perm[a] for a in brute.assignment] for perm in itertools.permutations(range(K))]
+            warm = max(candidates, key=lambda a: evaluate_assignment(sub, a).lagrangian_value)
+        bounds = suffix_lower_bounds(sub.data, K, sub.box)
+        optimum = brute.lagrangian_value
+        scale = max(abs(optimum), 1e-9)
+        for sb in (None, bounds):
+            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, warm_start=warm))
+            assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
+            assert sol.proof_gap <= 1e-9
+            assert sol.lagrangian_value == evaluate_assignment(sub, sol.assignment).lagrangian_value
+            # At a loose tolerance the proven bound must still lie below the optimum.
+            loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb,
+                                                                       warm_start=warm))
+            proven = loose.lagrangian_value - loose.proof_gap * max(abs(loose.lagrangian_value), 1e-9)
+            assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
+            assert loose.proof_gap <= 0.3
+
+    def test_optimal_warm_start_is_kept(self):
+        rng = np.random.default_rng(8)
+        sub = random_subproblem(rng, n_pts=8, K=3)
+        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
+        optimum = solve_subproblem(sub)
+        sol = solve_subproblem(sub, warm_start=optimum.assignment)
+        assert sol.assignment == optimum.assignment
+        np.testing.assert_array_equal(sol.centroids, optimum.centroids)
+
+    def test_lloyd_runs_only_without_warm_start_or_at_the_switch(self, monkeypatch):
+        lloyd_calls = count_calls(monkeypatch, subsolver, "lloyd_incumbent")
+        switches = count_calls(monkeypatch, subsolver, "_best_first_batched")
+        rng = np.random.default_rng(5)
+        small = random_subproblem(rng, n_pts=7, K=3)
+        small = LagrangianSubproblem(data=small.data, K=3, box=small.box, c=rng.normal(size=(3, 2)))
+        warm = solve_subproblem(small).assignment
+        assert (len(lloyd_calls), len(switches)) == (1, 0)
+        solve_subproblem(small, warm_start=warm)
+        assert (len(lloyd_calls), len(switches)) == (1, 0)
+
+        # The 22-point K=4 search switches to batches, once.
+        big = random_subproblem(np.random.default_rng(5), n_pts=22, K=4, n_y=2)
+        big = LagrangianSubproblem(data=big.data, K=4, box=big.box, c=rng.normal(size=(4, 2)))
+        bounds = suffix_lower_bounds(big.data, 4, big.box)
+        expected = solve_subproblem(big, suffix_bounds=bounds)
+        del lloyd_calls[:], switches[:]
+        sol = solve_subproblem(big, suffix_bounds=bounds, warm_start=[0] * big.data.n_points)
+        assert (len(lloyd_calls), len(switches)) == (1, 1)
+        assert sol.lagrangian_value == expected.lagrangian_value
+        assert sol.proof_gap <= 1e-9
+
+    def test_search_stays_scalar_when_lloyd_prunes_the_open_nodes(self, monkeypatch):
+        # A poor warm start fills the heap to _BATCH_AT open nodes; Lloyd's
+        # incumbent rules out enough of them that the search stays scalar,
+        # and it expands the same nodes as a search that started from Lloyd.
+        rng = np.random.default_rng(0)
+        sub = random_subproblem(rng, n_pts=12, K=3)
+        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
+        bounds = suffix_lower_bounds(sub.data, 3, sub.box)
+        cold = solve_subproblem(sub, suffix_bounds=bounds)
+        lloyd_calls = count_calls(monkeypatch, subsolver, "lloyd_incumbent")
+        switches = count_calls(monkeypatch, subsolver, "_best_first_batched")
+        warm = solve_subproblem(sub, suffix_bounds=bounds, warm_start=[0] * 12)
+        assert (len(lloyd_calls), len(switches)) == (1, 0)
+        assert warm.assignment == cold.assignment
+        assert warm.stats["explored"] == cold.stats["explored"]
+
+    def test_warm_start_checked(self):
+        sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
+        with pytest.raises(ValueError, match="length"):
+            solve_subproblem(sub, warm_start=[0, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            solve_subproblem(sub, warm_start=[0, 1, 2])
 
 
 class TestRelabel:
