@@ -27,6 +27,7 @@ from .coordinator import (
 )
 from .core import read_instance, write_instance
 from .net import NetworkError, NetworkedBackend, serve_node
+from .subsolver import NodeLimitExceeded
 
 __all__ = ["main"]
 
@@ -47,10 +48,6 @@ _RUN_FLAG_HELP = {
     "rel_tol": "node subproblem relative optimality tolerance",
     "max_nodes": "branch-and-bound node limit per subproblem solve; a node's one-off "
                  "suffix-bound precompute gets the same limit",
-    "lloyd_starts": "multi-start count of the Lloyd incumbent, which a node computes at "
-                    "iteration 1 and when a search warm-started from its previous reply "
-                    "grows to 128 open nodes",
-    "seed": "run seed for the incumbent heuristic",
 }
 
 
@@ -329,7 +326,7 @@ def main(argv=None) -> int:
     except NetworkError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_NETWORK
-    except RunAborted as exc:
+    except (RunAborted, NodeLimitExceeded) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BoundingBox, NodeDataset, ProblemInstance, apply_coupling, apply_coupling_adjoint, build_consensus_topology
+from .core import (BoundingBox, NodeDataset, ProblemInstance, apply_coupling_adjoint, build_consensus_topology,
+                   primal_residual)
 from .master import Bundle, BundleEntry, HessianApprox, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push, qnda_update, sg_update, step_size
 from .subsolver import (LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, relabel_to_reference,
                         solve_subproblem, suffix_lower_bounds)
@@ -52,6 +53,9 @@ class RunConfig:
     alpha0 = 0.5 with alpha0/sqrt(t) decay, at most 150 iterations, primal
     residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
     50, and a constant 800 ms modeled communication time per iteration.
+    ``rel_tol`` and ``max_nodes`` are the settings of every node solve.  The
+    Lloyd incumbent that starts a node's search has no setting: its start
+    count is fixed and its seed derives from the node id and iteration.
     """
 
     algorithm: str = "qnda"
@@ -63,25 +67,21 @@ class RunConfig:
     t_comm: float = 0.8             # seconds
     rel_tol: float = 1e-9
     max_nodes: int = 5_000_000
-    lloyd_starts: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if min(self.alpha0, self.t_max, self.eps_primal, self.eps_dg, self.tau, self.t_comm) <= 0:
             raise ValueError("all run parameters must be positive")
-        _check_solver_settings(self.rel_tol, self.max_nodes, self.lloyd_starts)
+        _check_solver_settings(self.rel_tol, self.max_nodes)
 
 
-def _check_solver_settings(rel_tol: float, max_nodes: int, lloyd_starts: int) -> None:
+def _check_solver_settings(rel_tol: float, max_nodes: int) -> None:
     """ValueError unless every node solve can run with these settings."""
     if not 0 <= rel_tol < 1:
         raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
-    if lloyd_starts < 1:
-        raise ValueError(f"lloyd_starts must be at least 1, got {lloyd_starts}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ class IterationRecord:
     lam_hash: str
     dual_value: float
     node_lagrangians: tuple[float, ...]
-    subgradient_norm: float
     mean_centroids: np.ndarray          # (K, n_y)
     node_objectives: tuple[float, ...]
     primal_value: float
@@ -98,7 +97,6 @@ class IterationRecord:
     residual_norm: float
     t_update: float
     t_sub_max: float
-    t_model_increment: float
     lam: np.ndarray = field(repr=False, default=None)
     subgradient: np.ndarray = field(repr=False, default=None)
 
@@ -106,7 +104,7 @@ class IterationRecord:
         """Bit-exact numeric fields, excluding wall-clock timings."""
         return (
             self.t, self.lam_hash, self.dual_value, self.node_lagrangians,
-            self.subgradient_norm, tuple(map(tuple, self.mean_centroids.tolist())),
+            tuple(map(tuple, self.mean_centroids.tolist())),
             self.node_objectives, self.primal_value, self.rel_duality_gap,
             self.residual_norm,
         )
@@ -160,13 +158,13 @@ class NodeSolveFailed(RuntimeError):
     """A remote node reports that its exact subproblem solve failed."""
 
 
-def derive_node_seed(seed: int, node_id: int, t: int) -> int:
-    """Deterministic per-(run, node, iteration) seed for the Lloyd incumbent."""
-    return (seed * 1_000_003 + node_id * 10_007 + t) % (2 ** 31 - 1)
+def derive_node_seed(node_id: int, t: int) -> int:
+    """Deterministic per-(node, iteration) seed for the Lloyd incumbent."""
+    return (node_id * 10_007 + t) % (2 ** 31 - 1)
 
 
 # RunConfig fields every node solves with, and how a node reads each from HELLO.
-_SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int, "lloyd_starts": int, "seed": int}
+_SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int}
 
 
 @dataclass
@@ -184,13 +182,11 @@ class NodeSession:
     box: BoundingBox
     rel_tol: float
     max_nodes: int
-    lloyd_starts: int
-    seed: int
     # (t, assignment) of the last reply, the warm start of the solve at t + 1.
     _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        _check_solver_settings(self.rel_tol, self.max_nodes, self.lloyd_starts)
+        _check_solver_settings(self.rel_tol, self.max_nodes)
 
     @staticmethod
     def hello_body(instance: ProblemInstance, config: RunConfig) -> dict:
@@ -238,8 +234,8 @@ class NodeSession:
         started = time.perf_counter()
         last_t, last_assignment = self._last or (None, None)
         solution = solve_subproblem(
-            sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes, lloyd_starts=self.lloyd_starts,
-            lloyd_seed=derive_node_seed(self.seed, self.data.node_id, t),
+            sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
+            lloyd_seed=derive_node_seed(self.data.node_id, t),
             suffix_bounds=self.suffix_bounds,
             warm_start=last_assignment if last_t == t - 1 else None,
         )
@@ -322,10 +318,7 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
                 replies = backend.solve_batch(t, c_list, None, list(range(instance.n_nodes)))
 
             dual_value = float(sum(r.lagrangian_value for r in replies))
-            g = np.zeros(topology.dual_dim)
-            for i, r in enumerate(replies):
-                g += apply_coupling(topology, i, r.centroids.ravel())
-            residual_norm = float(np.linalg.norm(g))
+            g, residual_norm = primal_residual(topology, [r.centroids for r in replies])
 
             mean_centroids = np.mean([r.centroids for r in replies], axis=0)
             z = backend.objective_batch(t, mean_centroids)
@@ -370,7 +363,6 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
                 lam_hash=_lam_hash(lam),
                 dual_value=dual_value,
                 node_lagrangians=tuple(r.lagrangian_value for r in replies),
-                subgradient_norm=residual_norm,
                 mean_centroids=mean_centroids,
                 node_objectives=tuple(z),
                 primal_value=primal_value,
@@ -378,7 +370,6 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
                 residual_norm=residual_norm,
                 t_update=t_update,
                 t_sub_max=t_sub_max,
-                t_model_increment=config.t_comm + t_update + t_sub_max,
                 lam=lam.copy(),
                 subgradient=g.copy(),
             ))
@@ -446,8 +437,12 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
 
     Emits an incumbent/bound trace comparable against the distributed duality
     gap.  If the time budget runs out the final entry carries the proven gap
-    at that point.
+    at that point.  ValueError for settings a run would refuse or a negative
+    time budget; :class:`NodeLimitExceeded` if ``max_nodes`` runs out first.
     """
+    _check_solver_settings(rel_tol, max_nodes)
+    if time_budget is not None and time_budget < 0:
+        raise ValueError(f"time_budget must be at least 0, got {time_budget}")
     merged = NodeDataset(node_id=0, observations=instance.merged_observations())
     sub = LagrangianSubproblem(
         data=merged, K=instance.K, box=instance.box,

@@ -239,7 +239,6 @@ def solve_subproblem(
     subproblem: LagrangianSubproblem,
     rel_tol: float = 1e-9,
     max_nodes: int = 5_000_000,
-    lloyd_starts: int = 5,
     lloyd_seed: int = 0,
     time_budget: float | None = None,
     on_progress=None,
@@ -261,14 +260,15 @@ def solve_subproblem(
     skipped.
 
     The search starts from an incumbent.  Without ``warm_start`` it is the
-    best of ``lloyd_starts`` Lloyd runs.  With ``warm_start``, a complete
-    assignment (typically the previous optimum of a subproblem whose dual
-    term has since moved), it is that assignment evaluated under this dual
-    term, and Lloyd runs only if the search grows to ``_BATCH_AT`` open
-    nodes; the better of the two incumbents is kept.  The incumbent changes
-    what the search prunes, not what it proves: the result is optimal to
-    within ``rel_tol`` either way, but between assignments whose values lie
-    within ``rel_tol`` of each other either may be returned.
+    best of :func:`lloyd_incumbent`'s default number of Lloyd runs, seeded
+    by ``lloyd_seed``.  With ``warm_start``, a complete assignment (typically
+    the previous optimum of a subproblem whose dual term has since moved), it
+    is that assignment evaluated under this dual term, and Lloyd runs only if
+    the search grows to ``_BATCH_AT`` open nodes; the better of the two
+    incumbents is kept.  The incumbent changes what the search prunes, not
+    what it proves: the result is optimal to within ``rel_tol`` either way,
+    but between assignments whose values lie within ``rel_tol`` of each
+    other either may be returned.
 
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
     ``time_budget`` (seconds) instead returns the incumbent with its actual
@@ -285,7 +285,7 @@ def solve_subproblem(
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
 
     def lloyd():
-        return lloyd_incumbent(subproblem, n_starts=lloyd_starts, seed=lloyd_seed)
+        return lloyd_incumbent(subproblem, seed=lloyd_seed)
 
     def on_switch():
         nonlocal incumbent

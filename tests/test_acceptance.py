@@ -336,8 +336,7 @@ def test_criterion_10_transport_transparency():
         assert a.numeric_key() == b.numeric_key()
 
     allowed = {
-        "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes",
-                  "lloyd_starts", "seed", "node_id"},
+        "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes", "node_id"},
         "SOLVE": {"c", "reference"},
         "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
         "AVERAGE": {"mean_centroids"},
@@ -356,10 +355,8 @@ def test_criterion_11_time_model():
     def record(t, t_update, t_sub_max):
         return IterationRecord(
             t=t, lam_hash="0" * 16, dual_value=0.0, node_lagrangians=(0.0,),
-            subgradient_norm=0.0, mean_centroids=np.zeros((1, 1)),
-            node_objectives=(1.0,), primal_value=1.0, rel_duality_gap=0.0,
-            residual_norm=0.0, t_update=t_update, t_sub_max=t_sub_max,
-            t_model_increment=0.8 + t_update + t_sub_max)
+            mean_centroids=np.zeros((1, 1)), node_objectives=(1.0,), primal_value=1.0,
+            rel_duality_gap=0.0, residual_norm=0.0, t_update=t_update, t_sub_max=t_sub_max)
 
     records = [record(t, 0.0, 0.0) for t in range(1, 11)]
     assert modeled_computation_time(records, t_comm=0.8) == 10 * 0.8

@@ -77,8 +77,7 @@ class TestRun:
                      "--csv", str(tmp_path / "out.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--lloyd-starts", "0"), ("--max-nodes", "0"),
-                                             ("--rel-tol", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--max-nodes", "0"), ("--rel-tol", "-1")])
     def test_bad_solver_setting_is_argument_error(self, instance_file, tmp_path, capsys, flag, value):
         code = main(["run", "--instance", str(instance_file), flag, value,
                      "--csv", str(tmp_path / "out.csv")])
@@ -114,6 +113,23 @@ class TestCentral:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["wall_s", "incumbent", "lower_bound", "rel_gap_percent"]
         assert float(rows[-1]["rel_gap_percent"]) <= 1e-6
+
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "2"), ("--rel-tol", "-1"),
+                                             ("--max-nodes", "0"), ("--time-budget", "-1")])
+    def test_bad_setting_is_argument_error(self, instance_file, tmp_path, capsys, flag, value):
+        code = main(["central", "--instance", str(instance_file), flag, value,
+                     "--csv", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_node_limit_is_solver_failure(self, instance_file, tmp_path, capsys):
+        code = main(["central", "--instance", str(instance_file), "--max-nodes", "1",
+                     "--csv", str(tmp_path / "out.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("central: node limit reached after ")
+        assert err.count("\n") == 1
 
 
 class TestRemote:
@@ -202,10 +218,10 @@ class TestRemote:
     def test_bad_solver_setting_checked_before_connecting(self, instance_file, tmp_path, capsys):
         # Nobody listens at these addresses: a connection attempt would exit 4.
         code = main(["run-remote", "--instance", str(instance_file),
-                     "--nodes", "127.0.0.1:9", "127.0.0.1:9", "--lloyd-starts", "0",
+                     "--nodes", "127.0.0.1:9", "127.0.0.1:9", "--max-nodes", "0",
                      "--timeout", "0.5", "--csv", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "lloyd_starts" in capsys.readouterr().err
+        assert "max_nodes" in capsys.readouterr().err
 
     def test_address_count_checked(self, instance_file, tmp_path):
         code = main(["run-remote", "--instance", str(instance_file),

@@ -80,10 +80,8 @@ class TestTimeModel:
 def make_record(t, t_update, t_sub_max):
     return IterationRecord(
         t=t, lam_hash="0" * 16, dual_value=0.0, node_lagrangians=(0.0,),
-        subgradient_norm=0.0, mean_centroids=np.zeros((1, 1)),
-        node_objectives=(1.0,), primal_value=1.0, rel_duality_gap=0.0,
-        residual_norm=0.0, t_update=t_update, t_sub_max=t_sub_max,
-        t_model_increment=0.8 + t_update + t_sub_max,
+        mean_centroids=np.zeros((1, 1)), node_objectives=(1.0,), primal_value=1.0,
+        rel_duality_gap=0.0, residual_norm=0.0, t_update=t_update, t_sub_max=t_sub_max,
     )
 
 
@@ -113,7 +111,7 @@ class TestRunLoop:
         result = run(instance, RunConfig(algorithm="sg", t_max=5))
         topo = build_consensus_topology(instance.n_nodes, instance.K, instance.n_y)
         for r in result.records:
-            assert r.subgradient_norm == pytest.approx(r.residual_norm)
+            assert float(np.linalg.norm(r.subgradient)) == r.residual_norm
             _, norm = primal_residual(
                 topo,
                 [r.mean_centroids.ravel()] * instance.n_nodes,
@@ -128,7 +126,7 @@ class TestRunLoop:
 
     def test_determinism(self):
         instance = two_node_instance(seed=4)
-        cfg = RunConfig(algorithm="qnda", t_max=6, seed=11)
+        cfg = RunConfig(algorithm="qnda", t_max=6)
         a = run(instance, cfg)
         b = run(instance, cfg)
         assert len(a.records) == len(b.records)
@@ -215,12 +213,12 @@ class TestRunLoop:
 class TestNodeSession:
     def test_hello_body_round_trip(self):
         instance = two_node_instance(seed=5)
-        config = RunConfig(rel_tol=1e-7, max_nodes=1234, lloyd_starts=3, seed=8)
+        config = RunConfig(rel_tol=1e-7, max_nodes=1234)
         body = NodeSession.hello_body(instance, config)
+        assert set(body) == {"K", "n_y", "box", "rel_tol", "max_nodes"}
         session = NodeSession.open(instance.nodes[1], json.loads(json.dumps(body)))
         assert session.data is instance.nodes[1]
-        assert (session.K, session.rel_tol, session.max_nodes, session.lloyd_starts, session.seed) \
-            == (instance.K, 1e-7, 1234, 3, 8)
+        assert (session.K, session.rel_tol, session.max_nodes) == (instance.K, 1e-7, 1234)
         np.testing.assert_array_equal(session.box.lo, instance.box.lo)
         np.testing.assert_array_equal(session.box.hi, instance.box.hi)
 

@@ -136,8 +136,7 @@ class TestNetworkedRun:
         # observation table.  (A singleton cluster's centroid can coincide with
         # one observation, so the check is structural, not value-based.)
         allowed_body_keys = {
-            "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes",
-                      "lloyd_starts", "seed", "node_id"},
+            "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes", "node_id"},
             "SOLVE": {"c", "reference"},
             "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
             "AVERAGE": {"mean_centroids"},
@@ -212,7 +211,7 @@ class TestNetworkedRun:
             {"kind": "BOGUS", "run_id": "x", "t": 1, "body": {}},
             {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "n_y": 3}},
             {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "K": 1}},
-            {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "lloyd_starts": 0}},
+            {"kind": "HELLO", "run_id": "x", "t": 0, "body": {**hello, "max_nodes": 0}},
         ]
         for message in bad_messages:
             with socket.create_connection(addresses[0], timeout=5.0) as sock:

@@ -311,11 +311,14 @@ class TestSolveSubproblem:
         # At rel_tol 0.3 the search prunes children whose bound lies between
         # the stop threshold and the incumbent.  The bound behind proof_gap
         # must still lie below the optimum, with and without suffix bounds.
+        # The all-zeros warm start is a poor incumbent, so the search has
+        # children to prune.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8)))
         optimum = brute_force_subproblem(sub).lagrangian_value
         for bounds in (None, suffix_lower_bounds(sub.data, sub.K, sub.box)):
-            sol = solve_subproblem(sub, rel_tol=0.3, lloyd_starts=1, suffix_bounds=bounds)
+            sol = solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds,
+                                   warm_start=[0] * sub.data.n_points)
             proven = sol.lagrangian_value - sol.proof_gap * max(abs(sol.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert sol.proof_gap <= 0.3
