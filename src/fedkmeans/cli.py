@@ -128,15 +128,24 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_central(args) -> int:
-    instance = read_instance(args.instance)
-    result = central_solve(instance, time_budget=args.time_budget,
-                           rel_tol=args.rel_tol, max_nodes=args.max_nodes)
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+def _write_central_csv(trace, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["wall_s", "incumbent", "lower_bound", "rel_gap_percent"])
-        for wall, ub, lb, gap in result.trace:
+        for wall, ub, lb, gap in trace:
             writer.writerow([repr(wall), repr(ub), repr(lb), repr(gap)])
+
+
+def cmd_central(args) -> int:
+    instance = read_instance(args.instance)
+    try:
+        result = central_solve(instance, time_budget=args.time_budget,
+                               rel_tol=args.rel_tol, max_nodes=args.max_nodes)
+    except NodeLimitExceeded as exc:
+        # The rows reached before the cap; main() reports the failure.
+        _write_central_csv(exc.trace, args.csv)
+        raise
+    _write_central_csv(result.trace, args.csv)
     sol = result.solution
     print(f"{instance.name} central: objective {sol.lagrangian_value:.9g}, "
           f"proven gap {100.0 * sol.proof_gap:.4g} %, "

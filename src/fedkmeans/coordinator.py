@@ -21,8 +21,8 @@ import numpy as np
 from .core import (BoundingBox, NodeDataset, ProblemInstance, apply_coupling_adjoint, build_consensus_topology,
                    primal_residual)
 from .master import Bundle, BundleEntry, HessianApprox, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push, qnda_update, sg_update, step_size
-from .subsolver import (LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, relabel_to_reference,
-                        solve_subproblem, suffix_lower_bounds)
+from .subsolver import (LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, branching_order,
+                        relabel_to_reference, solve_subproblem, suffix_lower_bounds)
 
 __all__ = [
     "ALGORITHMS",
@@ -212,16 +212,21 @@ class NodeSession:
                    **{name: read(body[name]) for name, read in _SOLVER_SETTINGS.items()})
 
     @cached_property
+    def order(self) -> list[int]:
+        """The node's branching order, computed on first use."""
+        return branching_order(self.data.observations)
+
+    @cached_property
     def suffix_bounds(self) -> np.ndarray:
-        """The node's dual-independent suffix bounds, computed on first use."""
-        return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes)
+        """The node's dual-independent suffix bounds in :attr:`order`, computed on first use."""
+        return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes, order=self.order)
 
     def solve(self, t: int, c, reference) -> NodeSolveReply:
         """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.
 
         Relabelling needs every row of ``c`` to be equal (ValueError
-        otherwise).  The first solve also computes :attr:`suffix_bounds`, and
-        its ``solve_time`` includes that work.
+        otherwise).  The first solve also computes :attr:`order` and
+        :attr:`suffix_bounds`, and its ``solve_time`` includes that work.
 
         If this session's last reply was for iteration ``t - 1``, its
         assignment, as relabelled, is the warm start of this solve (see
@@ -238,6 +243,7 @@ class NodeSession:
             lloyd_seed=derive_node_seed(self.data.node_id, t),
             suffix_bounds=self.suffix_bounds,
             warm_start=last_assignment if last_t == t - 1 else None,
+            order=self.order,
         )
         if reference is not None:
             solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
@@ -438,7 +444,8 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
     Emits an incumbent/bound trace comparable against the distributed duality
     gap.  If the time budget runs out the final entry carries the proven gap
     at that point.  ValueError for settings a run would refuse or a negative
-    time budget; :class:`NodeLimitExceeded` if ``max_nodes`` runs out first.
+    time budget; :class:`NodeLimitExceeded` if ``max_nodes`` runs out first,
+    with the trace rows reached so far as its ``trace``.
     """
     _check_solver_settings(rel_tol, max_nodes)
     if time_budget is not None and time_budget < 0:
@@ -455,6 +462,10 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
         gap = 100.0 * max(0.0, ub - bound) / max(abs(ub), 1e-9)
         trace.append((elapsed, ub, bound, gap))
 
-    solution = solve_subproblem(sub, rel_tol=rel_tol, max_nodes=max_nodes,
-                                time_budget=time_budget, on_progress=on_progress)
+    try:
+        solution = solve_subproblem(sub, rel_tol=rel_tol, max_nodes=max_nodes,
+                                    time_budget=time_budget, on_progress=on_progress)
+    except NodeLimitExceeded as exc:
+        exc.trace = tuple(trace)
+        raise
     return CentralResult(solution=solution, trace=tuple(trace))

@@ -4,8 +4,8 @@ For a fixed assignment of observations to clusters the continuous part of the
 subproblem separates per cluster and per dimension, so the optimal
 box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
-cluster of the next unassigned observation (observations ordered by decreasing
-distance from the data mean), pruning against an incumbent: the caller's
+cluster of the next unassigned observation (observations in the farthest-first
+order of :func:`branching_order`), pruning against an incumbent: the caller's
 warm start, or else a multi-start Lloyd solution.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
@@ -40,6 +40,7 @@ __all__ = [
     "NodeLimitExceeded",
     "SubproblemSolution",
     "assignment_lower_bound",
+    "branching_order",
     "brute_force_subproblem",
     "closed_form_centroid",
     "evaluate_assignment",
@@ -244,20 +245,21 @@ def solve_subproblem(
     on_progress=None,
     suffix_bounds=None,
     warm_start=None,
+    order=None,
 ) -> SubproblemSolution:
     """Proven global optimum of the node Lagrangian by best-first branch-and-bound.
 
     Branches on the cluster of the next unassigned observation, observations
-    ordered by decreasing distance from the data mean (ties by index).  A node
-    that has assigned the first d observations of that order is bounded by
-    the per-cluster closed-form minima of its assigned observations (as in
-    :func:`assignment_lower_bound`) plus ``suffix_bounds[d]``, a lower bound
-    on the plain K-means cost of the unassigned ones (see
-    :func:`suffix_lower_bounds`, which computes it once per dataset because it
-    does not depend on the dual term).  ``None`` means no suffix bound (all
-    zeros).  When all per-cluster dual coefficients coincide (e.g. the zero
-    dual), cluster labels are interchangeable and symmetric branches are
-    skipped.
+    taken in ``order``, by default the farthest-first :func:`branching_order`
+    of the data.  A node that has assigned the first d observations of that
+    order is bounded by the per-cluster closed-form minima of its assigned
+    observations (as in :func:`assignment_lower_bound`) plus
+    ``suffix_bounds[d]``, a lower bound on the plain K-means cost of the
+    unassigned ones (see :func:`suffix_lower_bounds`, which computes it once
+    per dataset because it does not depend on the dual term; it must be given
+    the same order).  ``None`` means no suffix bound (all zeros).  When all
+    per-cluster dual coefficients coincide (e.g. the zero dual), cluster
+    labels are interchangeable and symmetric branches are skipped.
 
     The search starts from an incumbent.  Without ``warm_start`` it is the
     best of :func:`lloyd_incumbent`'s default number of Lloyd runs, seeded
@@ -281,7 +283,7 @@ def solve_subproblem(
         suffix_bounds = [0.0] * (n_pts + 1)
     elif len(suffix_bounds) != n_pts + 1:
         raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
-    order = _branching_order(Y)
+    order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
 
     def lloyd():
@@ -320,12 +322,13 @@ def solve_subproblem(
 
 
 def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
-                        max_nodes: int = 5_000_000) -> np.ndarray:
+                        max_nodes: int = 5_000_000, order=None) -> np.ndarray:
     """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`.
 
     ``sb[d]`` is a proven lower bound on the plain K-means optimum (c = 0,
-    centroids in the box) of the observations at branching positions
-    d..n-1, and ``sb[n] = 0``.  It bounds what the unassigned observations
+    centroids in the box) of the observations at positions d..n-1 of the
+    branching ``order`` (by default :func:`branching_order`'s), and
+    ``sb[n] = 0``.  It bounds what the unassigned observations
     add to any Lagrangian subproblem on ``data``: splitting each cluster's
     minimum into its assigned and unassigned parts charges the dual term to
     the assigned part, and what is left for the unassigned parts is at least
@@ -341,7 +344,7 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     """
     Y = data.observations
     n_pts, n_y = Y.shape
-    Yo = Y[_branching_order(Y)]
+    Yo = Y[_checked_order(Y, order)]
     zero = np.zeros((K, n_y))
     sb = [0.0] * (n_pts + 1)
     tree = _Tree(Yo, K, zero, box, sb)
@@ -369,10 +372,35 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     return np.array(sb)
 
 
-def _branching_order(Y: np.ndarray) -> list[int]:
-    """Observation indices by decreasing distance from the data mean, ties by index."""
-    d2 = np.sum((Y - Y.mean(axis=0)) ** 2, axis=1)
-    return np.argsort(-d2, kind="stable").tolist()
+def branching_order(Y: np.ndarray) -> list[int]:
+    """Observation indices in farthest-first order (Gonzalez 1985).
+
+    Position 0 is the observation farthest from the data mean; each next
+    position is the unplaced observation farthest from its nearest placed
+    one, all distances squared Euclidean and ties going to the lowest index.
+    Branching first on observations that lie far apart puts them in separate
+    clusters near the root of the search, where the bounds then bite early.
+    """
+    # argmax returns the first of equal maxima; a placed observation's
+    # nearest distance is set to -1 so that it is never picked again.
+    order = [int(np.argmax(np.sum((Y - Y.mean(axis=0)) ** 2, axis=1)))]
+    nearest = np.full(Y.shape[0], math.inf)
+    while len(order) < Y.shape[0]:
+        np.minimum(nearest, np.sum((Y - Y[order[-1]]) ** 2, axis=1), out=nearest)
+        nearest[order[-1]] = -1.0
+        order.append(int(np.argmax(nearest)))
+    return order
+
+
+def _checked_order(Y: np.ndarray, order) -> list[int]:
+    """``order`` as a list, or :func:`branching_order`'s if None; ValueError
+    unless it is a permutation of the observation indices."""
+    if order is None:
+        return branching_order(Y)
+    order = [int(j) for j in order]
+    if sorted(order) != list(range(Y.shape[0])):
+        raise ValueError(f"order must be a permutation of the {Y.shape[0]} observation indices")
+    return order
 
 
 class _Tree:

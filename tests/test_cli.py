@@ -124,12 +124,18 @@ class TestCentral:
         assert not (tmp_path / "out.csv").exists()
 
     def test_node_limit_is_solver_failure(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
         code = main(["central", "--instance", str(instance_file), "--max-nodes", "1",
-                     "--csv", str(tmp_path / "out.csv")])
+                     "--csv", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("central: node limit reached after ")
         assert err.count("\n") == 1
+        # The trace keeps the rows reached before the cap.
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["wall_s", "incumbent", "lower_bound", "rel_gap_percent"]
+        assert all(float(row["lower_bound"]) <= float(row["incumbent"]) for row in rows)
 
 
 class TestRemote:

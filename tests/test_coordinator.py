@@ -252,25 +252,36 @@ class TestNodeSession:
             session.solve(1, [0.3, -0.1, 0.0, 0.2], reference)
 
     def test_suffix_bounds_computed_once(self, monkeypatch):
+        # One branching order per session: the suffix bounds and every
+        # solve use it.
         import fedkmeans.coordinator as coordinator
 
-        calls = []
-        original = coordinator.suffix_lower_bounds
+        calls = {"order": [], "bounds": [], "solve": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key].append(kwargs)
+                result = original(*args, **kwargs)
+                if key == "order":
+                    calls[key][-1] = result
+                return result
+            return wrapper
 
-        monkeypatch.setattr(coordinator, "suffix_lower_bounds", counting)
+        for key, name in (("order", "branching_order"), ("bounds", "suffix_lower_bounds"),
+                          ("solve", "solve_subproblem")):
+            monkeypatch.setattr(coordinator, name, counting(key, getattr(coordinator, name)))
         instance = two_node_instance(seed=6, K=3)
         session = InProcessBackend(instance, RunConfig()).sessions[0]
-        assert calls == []  # not computed when the session opens
+        assert calls == {"order": [], "bounds": [], "solve": []}  # not computed when the session opens
         c = np.array([[0.3, -0.1], [0.0, 0.2], [-0.2, 0.1]])
-        for t, scale in ((1, 0.0), (2, 1.0)):
+        for t, scale in ((1, 0.0), (2, 1.0), (3, -0.5), (4, 2.0)):
             reply = session.solve(t, scale * c.ravel(), None)
             sub = LagrangianSubproblem(data=session.data, K=3, box=instance.box, c=scale * c)
             assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
-        assert len(calls) == 1
+        assert len(calls["order"]) == 1 and len(calls["bounds"]) == 1 and len(calls["solve"]) == 4
+        order = calls["order"][0]
+        assert calls["bounds"][0]["order"] is order
+        assert all(kwargs["order"] is order for kwargs in calls["solve"])
 
     def test_suffix_bounds_ignore_rel_tol(self):
         # The suffix searches run to a zero gap whatever the run's rel_tol,
@@ -282,7 +293,7 @@ class TestNodeSession:
 
 
 def record_solves(monkeypatch):
-    """Log each node solve's warm start, result, and Lloyd and batched-switch calls."""
+    """Log each node solve's warm start, result, nodes explored, and Lloyd and batched-switch calls."""
     import fedkmeans.coordinator as coordinator
     import fedkmeans.subsolver as subsolver
 
@@ -302,6 +313,7 @@ def record_solves(monkeypatch):
         before = dict(counts)
         solution = original(sub, **kwargs)
         log.append({"warm_start": kwargs["warm_start"], "assignment": solution.assignment,
+                    "explored": solution.stats["explored"],
                     **{key: counts[key] - before[key] for key in counts}})
         return solution
 
@@ -330,7 +342,7 @@ class TestWarmStart:
         assert warm[3:5] == [None, None]
         assert warm[5] == log[4]["assignment"]
 
-    @pytest.mark.parametrize("cell, t_max", [(None, 5), ("2N2D4K_1", 3)])
+    @pytest.mark.parametrize("cell, t_max", [(None, 5), ("3N2D4K_1", 3)])
     def test_lloyd_runs_at_t1_and_at_switches(self, monkeypatch, tmp_path, cell, t_max):
         # Small K=3 searches never switch to batches, so Lloyd runs only at
         # t = 1; the K=4 grid cell's warm-started searches do switch, and
@@ -349,6 +361,21 @@ class TestWarmStart:
         assert all(entry["lloyd"] == entry["switch"] <= 1 for entry in later)
         switched = sum(entry["switch"] for entry in later)
         assert switched == 0 if cell is None else switched > 0
+
+
+class TestSearchSize:
+    def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
+        # The K=4 cells of the seed-0 grid, SG for two iterations, explore
+        # 23,985 nodes in all with the farthest-first branching order
+        # (267,303 in decreasing distance from the data mean).  The counts
+        # are deterministic, so this bound, about twice the count, catches a
+        # regression in the order or in the bounds.
+        log = record_solves(monkeypatch)
+        generate_grid(0, tmp_path)
+        for cell in ("2N2D4K_1", "3N2D4K_1", "4N2D4K_1"):
+            run(read_instance(tmp_path / f"{cell}.json"), RunConfig(algorithm="sg", t_max=2))
+        assert len(log) == 18
+        assert sum(entry["explored"] for entry in log) <= 48_000
 
 
 class TestRunCsv:

@@ -14,6 +14,7 @@ from fedkmeans.subsolver import (
     LagrangianSubproblem,
     NodeLimitExceeded,
     assignment_lower_bound,
+    branching_order,
     brute_force_subproblem,
     closed_form_centroid,
     evaluate_assignment,
@@ -23,7 +24,7 @@ from fedkmeans.subsolver import (
     suffix_lower_bounds,
 )
 import fedkmeans.subsolver as subsolver
-from fedkmeans.subsolver import _add_point, _add_point_batch, _branching_order, _Tree
+from fedkmeans.subsolver import _add_point, _add_point_batch, _Tree
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -246,10 +247,38 @@ def reference_lloyd(subproblem, n_starts, seed):
     return best
 
 
+def farthest_first(rows):
+    """Reference farthest-first order of ``rows`` (lists of floats) in plain Python."""
+    n = len(rows)
+    mean = [sum(column) / n for column in zip(*rows)]
+
+    def d2(a, b):
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    # max() keeps the first of equal keys, so ties go to the lowest index.
+    order = [max(range(n), key=lambda j: d2(rows[j], mean))]
+    while len(order) < n:
+        rest = [j for j in range(n) if j not in order]
+        order.append(max(rest, key=lambda j: min(d2(rows[j], rows[p]) for p in order)))
+    return order
+
+
 class TestBranchingOrder:
+    @pytest.mark.parametrize("rows, expected", [
+        # Mean at the origin; four points tie at distance 1 from it, and
+        # after the first two, two tie again at distance 2.
+        ([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], [1, 2, 3, 4, 0]),
+        # Duplicates: once both values are placed every rest is at distance 0.
+        ([[0], [0], [2], [2]], [0, 2, 1, 3]),
+        ([[5, 5]], [0]),
+    ])
+    def test_hand_computed(self, rows, expected):
+        assert farthest_first(rows) == expected
+        assert branching_order(np.array(rows, dtype=float)) == expected
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
-    def test_matches_sort_key_with_planted_ties(self, seed):
+    def test_matches_reference_with_planted_ties(self, seed):
         # Integer rows mirrored through an integer mean, with swapped
         # coordinates and duplicates: every distance is computed exactly, so
         # many of them tie and only the index order separates them.
@@ -259,18 +288,33 @@ class TestBranchingOrder:
         rows = [half, -half, half[:, ::-1], half[:1]]
         Y = np.vstack(rows + [-r for r in rows[2:]]) + rng.integers(-5, 6, size=n_y)
         Y = Y[rng.permutation(len(Y))]
-        mean = Y.mean(axis=0)
-        expected = sorted(range(Y.shape[0]), key=lambda j: (-float(np.sum((Y[j] - mean) ** 2)), j))
-        assert _branching_order(Y) == expected
+        assert branching_order(Y) == farthest_first(Y.tolist())
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
-    def test_matches_sort_key_on_random_rows(self, seed):
+    def test_permuting_rows_permutes_order(self, seed):
         rng = np.random.default_rng(seed)
-        Y = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 6))))
-        mean = Y.mean(axis=0)
-        expected = sorted(range(Y.shape[0]), key=lambda j: (-float(np.sum((Y[j] - mean) ** 2)), j))
-        assert _branching_order(Y) == expected
+        Y = rng.normal(size=(int(rng.integers(1, 30)), int(rng.integers(1, 6))))
+        order = branching_order(Y)
+        assert order == farthest_first(Y.tolist())
+        perm = rng.permutation(Y.shape[0])
+        assert [int(perm[j]) for j in branching_order(Y[perm])] == order
+
+    def test_given_order_is_used_and_checked(self):
+        rng = np.random.default_rng(3)
+        sub = random_subproblem(rng, n_pts=7, K=3)
+        order = branching_order(sub.data.observations)[::-1]
+        sb = suffix_lower_bounds(sub.data, sub.K, sub.box, order=order)
+        for d in range(len(order)):
+            optimum = suffix_optimum(sub, d, order)
+            assert sb[d] <= optimum + 1e-12 * max(optimum, 1.0)
+        sol = solve_subproblem(sub, suffix_bounds=sb, order=order)
+        assert sol.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
+        for bad in ([0, 1, 2], order[:-1] + [order[0]]):
+            with pytest.raises(ValueError, match="permutation"):
+                solve_subproblem(sub, order=bad)
+            with pytest.raises(ValueError, match="permutation"):
+                suffix_lower_bounds(sub.data, sub.K, sub.box, order=bad)
 
 
 class TestSolveSubproblem:
@@ -355,10 +399,11 @@ class TestScalarChildBound:
             assert abs(bound - expected) <= 1e-12 * max(abs(expected), 1.0)
 
 
-def suffix_optimum(sub, d):
-    """Plain K-means optimum (c = 0) of the observations at branching positions d.."""
+def suffix_optimum(sub, d, order=None):
+    """Plain K-means optimum (c = 0) of the observations at branching positions d..
+    of ``order``, by default :func:`branching_order`'s."""
     Y = sub.data.observations
-    suffix = Y[_branching_order(Y)][d:]
+    suffix = Y[branching_order(Y) if order is None else order][d:]
     return brute_force_subproblem(LagrangianSubproblem(
         data=NodeDataset(node_id=0, observations=suffix), K=sub.K, box=sub.box,
         c=np.zeros((sub.K, sub.data.n_y)))).lagrangian_value
