@@ -105,7 +105,7 @@ def _grid_seed(base_seed: int, n_nodes: int, n_y: int, K: int, replicate: int) -
     return int(state[0])
 
 
-def generate_grid(base_seed: int, out_dir, **spec_overrides) -> list[BenchmarkSpec]:
+def generate_grid(base_seed: int, out_dir) -> list[BenchmarkSpec]:
     """Write the full 90-instance grid plus a manifest CSV; returns the specs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,7 +115,7 @@ def generate_grid(base_seed: int, out_dir, **spec_overrides) -> list[BenchmarkSp
     ):
         spec = BenchmarkSpec(
             n_nodes=n_nodes, n_y=n_y, K=K, replicate=r,
-            seed=_grid_seed(base_seed, n_nodes, n_y, K, r), **spec_overrides,
+            seed=_grid_seed(base_seed, n_nodes, n_y, K, r),
         )
         write_instance(generate_instance(spec), out / f"{spec.name}.json")
         specs.append(spec)

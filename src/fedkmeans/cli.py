@@ -114,20 +114,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    instance = read_instance(args.instance)
-    config = _config_from_args(args)
-    try:
-        result = run(instance, config)
-    except RunAborted as exc:
-        if exc.records:
-            write_run_csv(exc.records, args.csv, t_comm=args.t_comm)
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    _write_run_outputs(result, args, instance)
-    return EXIT_OK
-
-
 def _write_central_csv(trace, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -168,24 +154,28 @@ def cmd_node(args) -> int:
     return EXIT_OK
 
 
-def cmd_run_remote(args) -> int:
+def cmd_run(args) -> int:
+    """``run`` in process, or ``run-remote`` against the node services at ``--nodes``."""
     instance = read_instance(args.instance)
-    addresses = [_parse_address(a) for a in args.nodes]
-    if len(addresses) != instance.n_nodes:
-        print(f"run-remote: instance has {instance.n_nodes} nodes but "
-              f"{len(addresses)} addresses were given", file=sys.stderr)
-        return EXIT_ARGS
+    remote = args.command == "run-remote"
+    if remote:
+        addresses = [_parse_address(a) for a in args.nodes]
+        if len(addresses) != instance.n_nodes:
+            print(f"run-remote: instance has {instance.n_nodes} nodes but "
+                  f"{len(addresses)} addresses were given", file=sys.stderr)
+            return EXIT_ARGS
     config = _config_from_args(args)
     backend = None
     try:
-        backend = NetworkedBackend(addresses=addresses, instance=instance,
-                                   config=config, timeout=args.timeout)
+        if remote:
+            backend = NetworkedBackend(addresses=addresses, instance=instance,
+                                       config=config, timeout=args.timeout)
         result = run(instance, config, backend=backend)
     except (NetworkError, RunAborted) as exc:
         records = getattr(exc, "records", ())
         if records:
             write_run_csv(records, args.csv, t_comm=args.t_comm)
-        print(f"run-remote aborted: {exc}", file=sys.stderr)
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
         cause_is_network = isinstance(exc, NetworkError) or isinstance(exc.__cause__, NetworkError)
         return EXIT_NETWORK if cause_is_network else EXIT_SOLVER
     finally:
@@ -289,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock budget in seconds (default: none)")
-    p.add_argument("--rel-tol", type=float, default=1e-9,
-                   help="relative optimality tolerance (default: 1e-9)")
-    p.add_argument("--max-nodes", type=int, default=5_000_000,
-                   help="branch-and-bound node limit (default: 5000000)")
+    p.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol,
+                   help="relative optimality tolerance (default: %(default)s)")
+    p.add_argument("--max-nodes", type=int, default=RunConfig.max_nodes,
+                   help="branch-and-bound node limit (default: %(default)s)")
     p.add_argument("--csv", required=True, help="incumbent/bound trace CSV")
     p.set_defaults(func=cmd_central)
 
@@ -310,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-message timeout in seconds (default: %(default)s)")
     _add_run_flags(p)
     p.add_argument("--csv", required=True, help="per-iteration output CSV")
-    p.set_defaults(func=cmd_run_remote)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="aggregate run metadata into a summary table")
     p.add_argument("--runs", required=True, help="directory of run CSVs with .meta.json sidecars")

@@ -54,8 +54,8 @@ class RunConfig:
     residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
     50, and a constant 800 ms modeled communication time per iteration.
     ``rel_tol`` and ``max_nodes`` are the settings of every node solve.  The
-    Lloyd incumbent that starts a node's search has no setting: its start
-    count is fixed and its seed derives from the node id and iteration.
+    Lloyd incumbent that starts a node's search has no setting: it is one
+    descent from the first K observations of the node's branching order.
     """
 
     algorithm: str = "qnda"
@@ -158,11 +158,6 @@ class NodeSolveFailed(RuntimeError):
     """A remote node reports that its exact subproblem solve failed."""
 
 
-def derive_node_seed(node_id: int, t: int) -> int:
-    """Deterministic per-(node, iteration) seed for the Lloyd incumbent."""
-    return (node_id * 10_007 + t) % (2 ** 31 - 1)
-
-
 # RunConfig fields every node solves with, and how a node reads each from HELLO.
 _SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int}
 
@@ -231,8 +226,10 @@ class NodeSession:
         If this session's last reply was for iteration ``t - 1``, its
         assignment, as relabelled, is the warm start of this solve (see
         :func:`solve_subproblem`); otherwise, as at every ``t = 1`` and in a
-        new run over the same session, the solve starts from multi-start
-        Lloyd.
+        new run over the same session, the solve starts from a Lloyd descent
+        from the first K observations of :attr:`order`.  A reply therefore
+        depends only on the node's data, ``c``, ``reference`` and the
+        previous reply.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
@@ -240,7 +237,6 @@ class NodeSession:
         last_t, last_assignment = self._last or (None, None)
         solution = solve_subproblem(
             sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
-            lloyd_seed=derive_node_seed(self.data.node_id, t),
             suffix_bounds=self.suffix_bounds,
             warm_start=last_assignment if last_t == t - 1 else None,
             order=self.order,

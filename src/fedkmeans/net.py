@@ -50,12 +50,29 @@ def encode_frame(message: dict) -> bytes:
 def decode_frame(data: bytes) -> dict:
     if len(data) < 4:
         raise NetworkError("truncated frame header")
-    (length,) = struct.unpack(">I", data[:4])
+    if len(data) != 4 + _payload_length(data[:4]):
+        raise NetworkError("frame length prefix does not match payload size")
+    return _decode_payload(data[4:])
+
+
+def _payload_length(header: bytes) -> int:
+    (length,) = struct.unpack(">I", header)
     if length > MAX_FRAME_BYTES:
         raise NetworkError(f"declared frame length {length} exceeds the 16 MiB limit")
-    if len(data) != 4 + length:
-        raise NetworkError("frame length prefix does not match payload size")
-    return json.loads(data[4:].decode("utf-8"))
+    return length
+
+
+def _decode_payload(payload: bytes) -> dict:
+    """The message in a frame's payload; NetworkError unless it is a JSON
+    object of a known kind."""
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:
+        raise NetworkError(f"malformed frame payload: {exc}") from exc
+    kind = message.get("kind") if isinstance(message, dict) else None
+    if kind not in MESSAGE_KINDS:
+        raise NetworkError(f"unknown message kind {kind!r}")
+    return message
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -70,19 +87,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def read_message(sock: socket.socket) -> dict:
-    header = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME_BYTES:
-        raise NetworkError(f"declared frame length {length} exceeds the 16 MiB limit")
-    payload = _recv_exact(sock, length)
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:
-        raise NetworkError(f"malformed frame payload: {exc}") from exc
-    kind = message.get("kind") if isinstance(message, dict) else None
-    if kind not in MESSAGE_KINDS:
-        raise NetworkError(f"unknown message kind {kind!r}")
-    return message
+    return _decode_payload(_recv_exact(sock, _payload_length(_recv_exact(sock, 4))))
 
 
 def send_message(sock: socket.socket, message: dict) -> None:

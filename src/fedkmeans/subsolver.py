@@ -6,7 +6,8 @@ box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations in the farthest-first
 order of :func:`branching_order`), pruning against an incumbent: the caller's
-warm start, or else a multi-start Lloyd solution.
+warm start, or else a Lloyd solution started from the first K observations of
+that order.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
@@ -188,45 +189,35 @@ def assignment_lower_bound(subproblem: LagrangianSubproblem, partial_assignment)
     return bound
 
 
-def lloyd_incumbent(subproblem: LagrangianSubproblem, n_starts: int = 5, seed: int = 0) -> SubproblemSolution:
-    """Multi-start Lloyd iteration; a feasible upper bound for branch-and-bound.
+def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSolution:
+    """One Lloyd descent; a feasible upper bound for branch-and-bound.
 
-    The dual term does not depend on the assignment variables, so the
-    assignment step uses pure squared distances; the centroid step uses the
-    clipped closed-form centroid of :func:`closed_form_centroid`, including
-    the dual coefficients.  A start that ends in the labels of an earlier
-    start is not evaluated again.
+    It starts from the observations at the first K positions of the
+    branching ``order`` (``order[k % n]`` for cluster k when there are only
+    n < K observations), so the starting centroids are spread out in the
+    farthest-first sense of :func:`branching_order` and the result depends
+    on nothing but the subproblem and the order.  The dual term does not
+    depend on the assignment variables, so the assignment step uses pure
+    squared distances; the centroid step uses the clipped closed-form
+    centroid of :func:`closed_form_centroid`, including the dual
+    coefficients.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
     Y = subproblem.data.observations
     K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
     empty = [_empty_centroid(c[k], lo, hi) for k in range(K)]
-    rng = np.random.default_rng(seed)
-    best: SubproblemSolution | None = None
-    evaluated = set()
-    for _ in range(n_starts):
-        idx = rng.choice(Y.shape[0], size=min(K, Y.shape[0]), replace=False)
-        centroids = np.array([Y[idx[k % len(idx)]] for k in range(K)], dtype=float)
-        labels = None
-        for _ in range(100):
-            d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-            new_labels = np.argmin(d2, axis=1)
-            if labels is not None and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            for k in range(K):
-                pts = Y[labels == k]
-                n = pts.shape[0]
-                centroids[k] = empty[k] if n == 0 else np.clip((pts.sum(axis=0) - 0.5 * c[k]) / n, lo, hi)
-        key = labels.tobytes()
-        if key in evaluated:
-            continue
-        evaluated.add(key)
-        candidate = evaluate_assignment(subproblem, labels)
-        if best is None or candidate.lagrangian_value < best.lagrangian_value:
-            best = candidate
-    return best
+    centroids = Y[[order[k % len(order)] for k in range(K)]]
+    labels = None
+    for _ in range(100):
+        d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(K):
+            pts = Y[labels == k]
+            n = pts.shape[0]
+            centroids[k] = empty[k] if n == 0 else np.clip((pts.sum(axis=0) - 0.5 * c[k]) / n, lo, hi)
+    return evaluate_assignment(subproblem, labels)
 
 
 _GAP_FLOOR = 1e-9  # denominator floor so a zero-cost optimum still yields gap 0
@@ -240,7 +231,6 @@ def solve_subproblem(
     subproblem: LagrangianSubproblem,
     rel_tol: float = 1e-9,
     max_nodes: int = 5_000_000,
-    lloyd_seed: int = 0,
     time_budget: float | None = None,
     on_progress=None,
     suffix_bounds=None,
@@ -261,9 +251,9 @@ def solve_subproblem(
     per-cluster dual coefficients coincide (e.g. the zero dual), cluster
     labels are interchangeable and symmetric branches are skipped.
 
-    The search starts from an incumbent.  Without ``warm_start`` it is the
-    best of :func:`lloyd_incumbent`'s default number of Lloyd runs, seeded
-    by ``lloyd_seed``.  With ``warm_start``, a complete assignment (typically
+    The search starts from an incumbent.  Without ``warm_start`` it is
+    :func:`lloyd_incumbent`'s, started from the first K observations of the
+    branching order.  With ``warm_start``, a complete assignment (typically
     the previous optimum of a subproblem whose dual term has since moved), it
     is that assignment evaluated under this dual term, and Lloyd runs only if
     the search grows to ``_BATCH_AT`` open nodes; the better of the two
@@ -286,17 +276,17 @@ def solve_subproblem(
     order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
 
-    def lloyd():
-        return lloyd_incumbent(subproblem, seed=lloyd_seed)
-
     def on_switch():
         nonlocal incumbent
-        candidate = lloyd()
+        candidate = lloyd_incumbent(subproblem, order)
         if candidate.lagrangian_value < incumbent.lagrangian_value:
             incumbent = candidate
         return incumbent.lagrangian_value
 
-    incumbent = lloyd() if warm_start is None else evaluate_assignment(subproblem, warm_start)
+    if warm_start is None:
+        incumbent = lloyd_incumbent(subproblem, order)
+    else:
+        incumbent = evaluate_assignment(subproblem, warm_start)
     start = time.perf_counter()
 
     def on_leaf(labels):

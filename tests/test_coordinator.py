@@ -23,6 +23,7 @@ from fedkmeans.core import (
     BoundingBox,
     NodeDataset,
     ProblemInstance,
+    apply_coupling_adjoint,
     build_consensus_topology,
     primal_residual,
     read_instance,
@@ -283,6 +284,27 @@ class TestNodeSession:
         assert calls["bounds"][0]["order"] is order
         assert all(kwargs["order"] is order for kwargs in calls["solve"])
 
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_reply_does_not_depend_on_the_node_id(self, tmp_path, node):
+        # A reply depends on the node's data, the duals and its previous
+        # reply, so the same data served under node ids 0 and 1 gives the
+        # same bits, at t = 1 (Lloyd start) and at t = 2 (warm start).  The
+        # t = 2 duals are those of an SG run on the same cell.
+        generate_grid(0, tmp_path)
+        instance = read_instance(tmp_path / "3N2D4K_1.json")
+        lam = run(instance, RunConfig(algorithm="sg", t_max=2)).records[1].lam
+        topology = build_consensus_topology(instance.n_nodes, instance.K, instance.n_y)
+        body = NodeSession.hello_body(instance, RunConfig())
+        data = instance.nodes[node].observations
+        replies = []
+        for node_id in (0, 1):
+            session = NodeSession.open(NodeDataset(node_id, data), body)
+            replies.append([session.solve(1, np.zeros(instance.K * instance.n_y), None),
+                            session.solve(2, apply_coupling_adjoint(topology, node, lam), None)])
+        for a, b in zip(*replies):
+            assert a.lagrangian_value == b.lagrangian_value
+            np.testing.assert_array_equal(a.centroids, b.centroids)
+
     def test_suffix_bounds_ignore_rel_tol(self):
         # The suffix searches run to a zero gap whatever the run's rel_tol,
         # so a loose tolerance cannot push an entry above its suffix optimum.
@@ -366,10 +388,10 @@ class TestWarmStart:
 class TestSearchSize:
     def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
         # The K=4 cells of the seed-0 grid, SG for two iterations, explore
-        # 23,985 nodes in all with the farthest-first branching order
-        # (267,303 in decreasing distance from the data mean).  The counts
-        # are deterministic, so this bound, about twice the count, catches a
-        # regression in the order or in the bounds.
+        # 24,090 nodes in all with the farthest-first branching order and
+        # the Lloyd start taken from it (267,303 in decreasing distance from
+        # the data mean).  The counts are deterministic, so this bound, about
+        # twice the count, catches a regression in the order or in the bounds.
         log = record_solves(monkeypatch)
         generate_grid(0, tmp_path)
         for cell in ("2N2D4K_1", "3N2D4K_1", "4N2D4K_1"):

@@ -112,6 +112,12 @@ class TestFrames:
         with pytest.raises(NetworkError):
             decode_frame(b"\x00\x00")
 
+    def test_bad_payload_rejected(self):
+        # decode_frame checks a payload as read_message does.
+        for payload in (b"{not json", b"\xff\xfe", b"[1, 2]", b'{"kind": "HELO", "body": {}}', b'{"body": {}}'):
+            with pytest.raises(NetworkError, match="malformed|unknown message kind"):
+                decode_frame(len(payload).to_bytes(4, "big") + payload)
+
 
 class TestNetworkedRun:
     def test_matches_in_process_bit_exactly(self):

@@ -183,15 +183,15 @@ class TestLowerBound:
 class TestLloydIncumbent:
     def test_well_separated_reaches_optimum(self):
         sub = subproblem_1d([0, 1, 10, 11], K=2)
-        sol = lloyd_incumbent(sub, n_starts=5, seed=0)
+        sol = lloyd_incumbent(sub, branching_order(sub.data.observations))
         assert sol.cluster_cost == pytest.approx(1.0)
 
     def test_single_cluster_closed_form(self):
         data = NodeDataset(0, np.array([[0.0], [4.0]]))
         box = BoundingBox(np.array([-5.0]), np.array([5.0]))
         sub = LagrangianSubproblem(data=data, K=1, box=box, c=np.zeros((1, 1)))
-        for seed in range(3):
-            sol = lloyd_incumbent(sub, n_starts=1, seed=seed)
+        for order in ([0, 1], [1, 0]):
+            sol = lloyd_incumbent(sub, order)
             np.testing.assert_allclose(sol.centroids, [[2.0]])
 
     @given(st.integers(0, 10 ** 6))
@@ -199,15 +199,17 @@ class TestLloydIncumbent:
     def test_incumbent_is_upper_bound(self, seed):
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=6, K=2)
-        incumbent = lloyd_incumbent(sub, n_starts=3, seed=seed)
+        incumbent = lloyd_incumbent(sub, branching_order(sub.data.observations))
         optimum = brute_force_subproblem(sub)
         assert incumbent.lagrangian_value >= optimum.lagrangian_value - 1e-9
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_formula(self, seed):
-        # Few points for K = 4 and a wide box leave clusters empty; duplicate
-        # rows make several starts end in the same labels.
+        # Few points for K = 4 and a wide box leave clusters empty, and three
+        # points for K = 4 reuse a start; duplicate rows can put equal
+        # observations among the starts.  The order is the branching order
+        # or any permutation.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(3, 9)), K=int(rng.integers(2, 5)),
                                 n_y=int(rng.integers(1, 4)))
@@ -215,36 +217,33 @@ class TestLloydIncumbent:
             Y = sub.data.observations
             sub = LagrangianSubproblem(data=NodeDataset(0, np.vstack([Y, Y[:2]])), K=sub.K,
                                        box=sub.box, c=sub.c)
-        starts = int(rng.integers(1, 6))
-        got = lloyd_incumbent(sub, n_starts=starts, seed=seed)
-        want = reference_lloyd(sub, n_starts=starts, seed=seed)
+        Y = sub.data.observations
+        order = branching_order(Y) if rng.random() < 0.5 else rng.permutation(Y.shape[0]).tolist()
+        got = lloyd_incumbent(sub, order)
+        want = reference_lloyd(sub, order)
         assert got.assignment == want.assignment
         assert got.lagrangian_value == want.lagrangian_value
         np.testing.assert_array_equal(got.centroids, want.centroids)
 
 
-def reference_lloyd(subproblem, n_starts, seed):
-    """Multi-start Lloyd as first written: closed_form_centroid, every start evaluated."""
+def reference_lloyd(subproblem, order):
+    """One Lloyd descent from the observations at positions 0, 1, ... of
+    ``order``, wrapping around when there are fewer than K, with the centroid
+    step of :func:`closed_form_centroid`."""
     Y = subproblem.data.observations
     K = subproblem.K
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(n_starts):
-        idx = rng.choice(Y.shape[0], size=min(K, Y.shape[0]), replace=False)
-        centroids = np.array([Y[idx[k % len(idx)]] for k in range(K)], dtype=float)
-        labels = None
-        for _ in range(100):
-            d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-            new_labels = np.argmin(d2, axis=1)
-            if labels is not None and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            for k in range(K):
-                centroids[k], _ = closed_form_centroid(Y[labels == k], subproblem.c[k], subproblem.box)
-        candidate = evaluate_assignment(subproblem, labels)
-        if best is None or candidate.lagrangian_value < best.lagrangian_value:
-            best = candidate
-    return best
+    starts = itertools.islice(itertools.cycle(order), K)
+    centroids = np.array([Y[j] for j in starts], dtype=float)
+    labels = None
+    for _ in range(100):
+        d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(K):
+            centroids[k], _ = closed_form_centroid(Y[labels == k], subproblem.c[k], subproblem.box)
+    return evaluate_assignment(subproblem, labels)
 
 
 def farthest_first(rows):
@@ -721,17 +720,31 @@ class TestWarmStart:
         assert sol.proof_gap <= 1e-9
 
     def test_search_stays_scalar_when_lloyd_prunes_the_open_nodes(self, monkeypatch):
-        # A poor warm start fills the heap to _BATCH_AT open nodes; Lloyd's
-        # incumbent rules out enough of them that the search stays scalar,
-        # and it expands the same nodes as a search that started from Lloyd.
+        # Three groups of 40 points, each within 0.5 of its centre, the
+        # centres 10 apart.  Two points a group apart are more than 9 apart,
+        # so a cluster holding both costs more than 81 / 2 = 40.5, while the
+        # partition into groups costs at most 120 * 0.5 ** 2 = 30.  The
+        # farthest-first order starts with one point of each group, so
+        # Lloyd's one descent ends in that partition, the optimum; under it
+        # every child that mixes two groups is pruned.  The all-zeros warm
+        # start costs thousands, so the search pushes those children until
+        # _BATCH_AT nodes are open, 65 nodes down the optimal path.  Lloyd
+        # then rules out all but one of them: the search stays scalar and
+        # expands the same nodes as a search that started from Lloyd.  The
+        # searches get no suffix bounds: at zero duals those would prove the
+        # optimum at the root.
         rng = np.random.default_rng(0)
-        sub = random_subproblem(rng, n_pts=12, K=3)
-        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
-        bounds = suffix_lower_bounds(sub.data, 3, sub.box)
-        cold = solve_subproblem(sub, suffix_bounds=bounds)
+        centres = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        angle, radius = rng.uniform(0.0, 2 * np.pi, size=120), 0.5 * np.sqrt(rng.uniform(size=120))
+        Y = np.repeat(centres, 40, axis=0) + radius[:, None] * np.stack((np.cos(angle), np.sin(angle)), axis=1)
+        sub = LagrangianSubproblem(data=NodeDataset(0, Y), K=3, box=BoundingBox.of_data([Y]),
+                                   c=np.zeros((3, 2)))
+        cold = solve_subproblem(sub)
+        groups = np.repeat([0, 1, 2], 40).tolist()
+        assert len(set(zip(groups, cold.assignment))) == len(set(cold.assignment)) == 3
         lloyd_calls = count_calls(monkeypatch, subsolver, "lloyd_incumbent")
         switches = count_calls(monkeypatch, subsolver, "_best_first_batched")
-        warm = solve_subproblem(sub, suffix_bounds=bounds, warm_start=[0] * 12)
+        warm = solve_subproblem(sub, warm_start=[0] * 120)
         assert (len(lloyd_calls), len(switches)) == (1, 0)
         assert warm.assignment == cold.assignment
         assert warm.stats["explored"] == cold.stats["explored"]
