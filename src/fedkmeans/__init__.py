@@ -15,7 +15,6 @@ from .core import (
     ProblemInstance,
     apply_coupling,
     apply_coupling_adjoint,
-    build_consensus_topology,
     primal_residual,
     read_instance,
     write_instance,
@@ -63,7 +62,6 @@ __all__ = [
     "ProblemInstance",
     "apply_coupling",
     "apply_coupling_adjoint",
-    "build_consensus_topology",
     "primal_residual",
     "read_instance",
     "write_instance",

@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--nodes", nargs="+", required=True,
                    help="node addresses host:port, in node-index order")
-    p.add_argument("--timeout", type=float, default=60.0,
+    p.add_argument("--timeout", type=float, default=NetworkedBackend.timeout,
                    help="per-message timeout in seconds (default: %(default)s)")
     _add_run_flags(p)
     p.add_argument("--csv", required=True, help="per-iteration output CSV")

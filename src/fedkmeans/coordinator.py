@@ -18,11 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (BoundingBox, NodeDataset, ProblemInstance, apply_coupling_adjoint, build_consensus_topology,
+from .core import (BoundingBox, ConsensusTopology, NodeDataset, ProblemInstance, apply_coupling_adjoint,
                    primal_residual)
-from .master import Bundle, BundleEntry, HessianApprox, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push, qnda_update, sg_update, step_size
-from .subsolver import (LagrangianSubproblem, NodeLimitExceeded, SubproblemSolution, branching_order,
-                        relabel_to_reference, solve_subproblem, suffix_lower_bounds)
+from .master import (Bundle, BundleEntry, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push,
+                     qnda_update, sg_update, step_size)
+from .subsolver import (DEFAULT_MAX_NODES, DEFAULT_REL_TOL, LagrangianSubproblem, NodeLimitExceeded,
+                        SubproblemSolution, branching_order, relabel_to_reference, solve_subproblem,
+                        suffix_lower_bounds)
 
 __all__ = [
     "ALGORITHMS",
@@ -53,9 +55,10 @@ class RunConfig:
     alpha0 = 0.5 with alpha0/sqrt(t) decay, at most 150 iterations, primal
     residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
     50, and a constant 800 ms modeled communication time per iteration.
-    ``rel_tol`` and ``max_nodes`` are the settings of every node solve.  The
-    Lloyd incumbent that starts a node's search has no setting: it is one
-    descent from the first K observations of the node's branching order.
+    ``rel_tol`` and ``max_nodes`` are the settings of every node solve, with
+    :func:`solve_subproblem`'s defaults.  The Lloyd incumbent that starts a
+    node's search has no setting: it is one descent from the first K
+    observations of the node's branching order.
     """
 
     algorithm: str = "qnda"
@@ -65,8 +68,8 @@ class RunConfig:
     eps_dg: float = 0.25            # percent
     tau: int = 50
     t_comm: float = 0.8             # seconds
-    rel_tol: float = 1e-9
-    max_nodes: int = 5_000_000
+    rel_tol: float = DEFAULT_REL_TOL
+    max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -130,13 +133,19 @@ class RunAborted(RuntimeError):
 
 
 def relative_duality_gap(dual_value: float, primal_value: float) -> float:
-    """Percent gap 100 * (1 - dual/primal)."""
+    """Percent gap 100 * (1 - dual/primal).
+
+    A zero primal with a dual of at most 0 has gap 0: no clustering costs
+    less than 0, so that primal is proven optimal.
+    """
+    if primal_value == 0 and dual_value <= 0:
+        return 0.0
     if primal_value <= 0:
         raise ValueError("primal value must be positive")
     return 100.0 * (1.0 - dual_value / primal_value)
 
 
-def modeled_computation_time(records, t_comm: float = 0.8) -> float:
+def modeled_computation_time(records, t_comm: float) -> float:
     """N_iter * T_comm + sum over iterations of (T_update + max node solve time)."""
     records = list(records)
     if not records:
@@ -288,14 +297,14 @@ def _lam_hash(lam: np.ndarray) -> str:
 
 def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult:
     """Full dual-decomposition run; returns per-iteration records and the best primal."""
-    topology = build_consensus_topology(instance.n_nodes, instance.K, instance.n_y)
+    topology = ConsensusTopology(n_nodes=instance.n_nodes, K=instance.K, n_y=instance.n_y)
     own_backend = backend is None
     if backend is None:
         backend = InProcessBackend(instance, config)
 
     lam = np.zeros(topology.dual_dim)
     bundle = Bundle(capacity=config.tau)
-    B = HessianApprox.initial(topology.dual_dim).B
+    B = -np.eye(topology.dual_dim)
     prev_lam = prev_g = None
     records: list[IterationRecord] = []
     termination = "max_iter"
@@ -353,10 +362,8 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
                     if prev_lam is not None:
                         B = bfgs_update(B, lam - prev_lam, g - prev_g)
                     bundle = bundle_push(bundle, BundleEntry(t, lam.copy(), g.copy(), dual_value))
-                    diagnostics = {}
-                    new_lam = qnda_update(B, bundle, lam, g, dual_value, alpha_t,
-                                          diagnostics=diagnostics)
-                    qnda_fallbacks += diagnostics["fallback"]
+                    new_lam, fell_back = qnda_update(B, bundle, lam, g, dual_value, alpha_t)
+                    qnda_fallbacks += fell_back
                 t_update = time.perf_counter() - started
 
             t_sub_max = max(r.solve_time for r in replies)
@@ -410,7 +417,7 @@ CSV_COLUMNS = ("t", "dual", "primal", "rel_dg_percent", "residual_norm",
                "t_update_s", "t_sub_max_s", "t_model_cum_s")
 
 
-def write_run_csv(records, path, t_comm: float = 0.8) -> None:
+def write_run_csv(records, path, t_comm: float) -> None:
     """Per-iteration CSV with the fixed column order."""
     cum = 0.0
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -434,7 +441,7 @@ class CentralResult:
 
 
 def central_solve(instance: ProblemInstance, time_budget: float | None = None,
-                  rel_tol: float = 1e-9, max_nodes: int = 5_000_000) -> CentralResult:
+                  rel_tol: float = DEFAULT_REL_TOL, max_nodes: int = DEFAULT_MAX_NODES) -> CentralResult:
     """Branch-and-bound on the merged data (zero duals): the central baseline.
 
     Emits an incumbent/bound trace comparable against the distributed duality

@@ -22,7 +22,6 @@ __all__ = [
     "ProblemInstance",
     "apply_coupling",
     "apply_coupling_adjoint",
-    "build_consensus_topology",
     "primal_residual",
     "read_instance",
     "write_instance",
@@ -79,9 +78,10 @@ class BoundingBox:
     def n_y(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, point: np.ndarray, atol: float = 1e-12) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether ``point`` lies in the box, to within 1e-12 per coordinate."""
         p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo - atol) and np.all(p <= self.hi + atol))
+        return bool(np.all(p >= self.lo - 1e-12) and np.all(p <= self.hi + 1e-12))
 
     @staticmethod
     def of_data(arrays) -> "BoundingBox":
@@ -168,10 +168,6 @@ class ConsensusTopology:
             A[blk * b:(blk + 1) * b, blk * b:(blk + 1) * b] = eye
             A[blk * b:(blk + 1) * b, (blk + 1) * b:(blk + 2) * b] = -eye
         return A
-
-
-def build_consensus_topology(n_nodes: int, K: int, n_y: int) -> ConsensusTopology:
-    return ConsensusTopology(n_nodes=n_nodes, K=K, n_y=n_y)
 
 
 def apply_coupling(topology: ConsensusTopology, i: int, m_hat: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Bundle",
     "BundleEntry",
-    "HessianApprox",
     "MasterSolution",
     "TrustRegionProblem",
     "TrustRegionSolverError",
@@ -105,21 +104,14 @@ def linearization_errors(bundle: Bundle, lam_t: np.ndarray, d_t: float) -> np.nd
 # ------------------------------ BFGS update ---------------------------------
 
 
-@dataclass(frozen=True)
-class HessianApprox:
-    """Symmetric negative-definite curvature approximation of the dual."""
-
-    B: np.ndarray
-
-    @staticmethod
-    def initial(dim: int) -> "HessianApprox":
-        return HessianApprox(B=-np.eye(dim))
+# Relative curvature y.s below which a BFGS update is skipped.
+_BFGS_SKIP_TOL = 1e-12
 
 
-def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, skip_tol: float = 1e-12) -> np.ndarray:
+def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """BFGS update of a negative-definite approximation.
 
-    Skipped (B returned unchanged) unless y.s < -skip_tol * ||y|| ||s||; for a
+    Skipped (B returned unchanged) unless y.s < -_BFGS_SKIP_TOL ||y|| ||s||; for a
     concave function the curvature pair should satisfy y.s < 0.  In exact
     arithmetic such a pair keeps B negative definite, but with curvatures
     many decades apart round-off can push the largest eigenvalue above 0, so
@@ -129,7 +121,7 @@ def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, skip_tol: float = 1
     s = np.asarray(s, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     ys = float(y @ s)
-    if ys >= -skip_tol * np.linalg.norm(y) * np.linalg.norm(s):
+    if ys >= -_BFGS_SKIP_TOL * np.linalg.norm(y) * np.linalg.norm(s):
         return B
     Bs = B @ s
     sBs = float(s @ Bs)
@@ -209,8 +201,13 @@ def _distinct_cuts(cut_normals: np.ndarray, cut_offsets: np.ndarray) -> list[int
     return np.flatnonzero(keep).tolist()
 
 
-def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
-                          max_newton: int = 200) -> MasterSolution:
+# KKT residual that every stage of the master solver must reach, and the
+# Newton iterations allowed to one interior-point pass.
+_KKT_TOL = 1e-8
+_MAX_NEWTON = 200
+
+
+def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
     """Interior-point solve of the epigraph master problem.
 
     Works in shifted coordinates z = (delta, w) with delta = x - center.
@@ -221,13 +218,13 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
       model:  w - 1/2 delta^T B delta - g . delta        (if quad is given)
 
     The objective is max w.  Stages run in order until one meets
-    ``kkt_tol``: a primal-dual path-following iteration with a fixed
+    ``_KKT_TOL``: a primal-dual path-following iteration with a fixed
     centering weight; a Mehrotra predictor-corrector pass (degenerate bundles
     with many near-parallel cuts can stall the first); and an SLSQP restart
     from the best point so far, which identifies the active set at fully
     degenerate vertices (more active constraints than variables) that can
     defeat both.  Each stage ends at the same test, a KKT residual within
-    ``kkt_tol``: an interior-point pass stops a few iterations after its best
+    ``_KKT_TOL``: an interior-point pass stops a few iterations after its best
     iterate passes it (:func:`_pdip_core`), and the polish returns its first
     candidate that does.  A stage's point is accepted as it stands when it
     passes; otherwise it goes through the active-set polish of
@@ -236,7 +233,7 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
     solution's ``path`` names the accepting stage: "ipm" for the
     fixed-centering point, "polish" for that point polished, and "mehrotra"
     or "sqp" for the later stages, polished or not.  The solver fails loudly
-    if the best residual still exceeds ``kkt_tol``.
+    if the best residual still exceeds ``_KKT_TOL``.
     """
     n = problem.center.shape[0]
     keep = _distinct_cuts(problem.cut_normals, problem.cut_offsets)
@@ -280,11 +277,11 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
     obj_grad[n] = -1.0  # minimizing -w
 
     def candidate(z, lam, stage):
-        """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails kkt_tol."""
+        """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails _KKT_TOL."""
         kkt = _kkt_residual(*constraints(z), obj_grad, lam)
-        if kkt <= kkt_tol:
+        if kkt <= _KKT_TOL:
             return z, lam, kkt, stage
-        polished = _polish_kkt(z, constraints, obj_grad, n_con, kkt_tol)
+        polished = _polish_kkt(z, constraints, obj_grad, n_con)
         if polished is not None and polished[2] < kkt:
             return (*polished, "polish" if stage == "ipm" else stage)
         return z, lam, kkt, stage
@@ -297,17 +294,16 @@ def solve_trust_region_qp(problem: TrustRegionProblem, kkt_tol: float = 1e-8,
                 break
         else:
             point = _pdip_core(problem, constraints, constraint_hessian_weighted, obj_grad,
-                               n_con, n, "fixed" if stage == "ipm" else "mehrotra", max_newton,
-                               kkt_tol)
+                               n_con, n, "fixed" if stage == "ipm" else "mehrotra")
         trial = candidate(*point, stage)
         if result is None or trial[2] < result[2]:
             result = trial
-        if result[2] <= kkt_tol:
+        if result[2] <= _KKT_TOL:
             break
 
     z, lam, kkt, path = result
-    if kkt > kkt_tol:
-        raise TrustRegionSolverError(f"KKT residual {kkt:.3e} exceeds {kkt_tol:.1e}")
+    if kkt > _KKT_TOL:
+        raise TrustRegionSolverError(f"KKT residual {kkt:.3e} exceeds {_KKT_TOL:.1e}")
     return MasterSolution(
         argmax=problem.center + z[:n],
         model_value=float(z[n]) + problem.const,
@@ -325,13 +321,18 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 
 
 # Iterations without a merit improvement that end an interior-point pass whose
-# best iterate meets kkt_tol, and one whose best iterate does not.
+# best iterate meets _KKT_TOL, and one whose best iterate does not.  The long
+# wait is needed because the merit can stall and then recover: on the 2,684
+# master problems of the K=3 replicate-1 cells of the seed-0 grid under BTM
+# and QNDA (t_max 150, rows as `perfbench/run.py --seed 0` orders them),
+# ending every pass after _PDIP_SETTLE such iterations left 47 problems above
+# _KKT_TOL after all stages instead of 2, and the fixed-centering pass solved
+# 1,034 of them instead of 2,209.
 _PDIP_SETTLE = 3
 _PDIP_WAIT = 30
 
 
-def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
-               scheme, max_newton, kkt_tol):
+def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme):
     """One primal-dual path-following pass; returns the best iterate seen.
 
     ``scheme`` selects the centering rule: "fixed" uses sigma = 0.1 until the
@@ -342,10 +343,11 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
     stationarity and primal residuals and the mean complementarity).  The
     pass ends when the merit falls below 1e-13, when the iteration breaks
     down, or when the merit has not improved for ``_PDIP_SETTLE``
-    iterations and the best iterate's KKT residual meets ``kkt_tol``.  A best
-    iterate that misses ``kkt_tol`` keeps the pass going until the merit has
+    iterations and the best iterate's KKT residual meets ``_KKT_TOL``.  A best
+    iterate that misses ``_KKT_TOL`` keeps the pass going until the merit has
     not improved for ``_PDIP_WAIT`` iterations, since late iterations can
-    still reach the tolerance on degenerate problems.
+    still reach the tolerance on degenerate problems.  A pass ends after
+    ``_MAX_NEWTON`` Newton iterations in any case.
     """
     beta = problem.cut_offsets
     # Strictly feasible start: delta = 0, w below every cut and the model cap.
@@ -356,7 +358,7 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
     lam_pd = np.ones(n_con)
     best = (np.inf, z, lam_pd)
     stall = 0
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         vals, grads = constraints(z)
         r_stat = obj_grad + grads.T @ lam_pd
         r_prim = vals + slack
@@ -371,7 +373,7 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n,
             stall += 1
         if merit < 1e-13 or stall >= _PDIP_WAIT:
             break
-        if stall == _PDIP_SETTLE and _kkt_residual(*constraints(best[1]), obj_grad, best[2]) <= kkt_tol:
+        if stall == _PDIP_SETTLE and _kkt_residual(*constraints(best[1]), obj_grad, best[2]) <= _KKT_TOL:
             break  # the best iterate passes the solver's test and has stopped improving
         if np.min(slack) <= 0 or np.min(lam_pd) < 0 or np.max(lam_pd) > 1e12:
             break  # slack underflow or multiplier blow-up; keep the best iterate
@@ -443,7 +445,7 @@ def _sqp_fallback(z0, constraints, obj_grad, n_con):
     return result.x, np.zeros(n_con)
 
 
-def _polish_kkt(z, constraints, obj_grad, n_con, kkt_tol):
+def _polish_kkt(z, constraints, obj_grad, n_con):
     """Active-set refinement of a solver stage's point that misses the tolerance.
 
     For a range of slack thresholds: take the constraints within the threshold
@@ -456,7 +458,7 @@ def _polish_kkt(z, constraints, obj_grad, n_con, kkt_tol):
     one.  The projection stops once a step after the first fails to halve the
     active residual, and a starting active set met before is skipped, since
     it would repeat that work exactly.  Returns the first candidate (z,
-    lambda, kkt_residual) whose residual meets ``kkt_tol``; failing that, the
+    lambda, kkt_residual) whose residual meets ``_KKT_TOL``; failing that, the
     best one found, or None.
     """
     from scipy.optimize import nnls
@@ -475,11 +477,11 @@ def _polish_kkt(z, constraints, obj_grad, n_con, kkt_tol):
     best = None
 
     def keep(trial):
-        """Keep trial if it is the best so far; True once the best meets kkt_tol."""
+        """Keep trial if it is the best so far; True once the best meets _KKT_TOL."""
         nonlocal best
         if best is None or trial[2] < best[2]:
             best = trial
-        return best[2] <= kkt_tol
+        return best[2] <= _KKT_TOL
 
     z_vals, _ = constraints(z)
     sets = [np.flatnonzero(-z_vals < thresh).tolist()
@@ -551,13 +553,13 @@ def btm_direction(bundle: Bundle, lam_t: np.ndarray, d_t: float, alpha_t: float)
 
 
 def qnda_update(B: np.ndarray, bundle: Bundle, lam_t: np.ndarray, g_t: np.ndarray,
-                d_t: float, alpha_t: float, diagnostics: dict | None = None) -> np.ndarray:
+                d_t: float, alpha_t: float) -> tuple[np.ndarray, bool]:
     """Quasi-Newton dual ascent step: maximize the quadratic model under bundle cuts.
 
     The bundle cuts bound the model value, giving the convex epigraph form
     handled by :func:`solve_trust_region_qp`.  On solver failure the step
-    falls back to a BTM direction; ``diagnostics["fallback"]`` records
-    whether it did.
+    falls back to a BTM direction.  Returns ``(point, fell_back)``: the new
+    dual point and whether it came from that fallback.
     """
     lam_t = np.asarray(lam_t, dtype=float)
     g_t = np.asarray(g_t, dtype=float)
@@ -567,12 +569,7 @@ def qnda_update(B: np.ndarray, bundle: Bundle, lam_t: np.ndarray, g_t: np.ndarra
                                  cut_normals=G, cut_offsets=beta,
                                  quad=np.asarray(B, dtype=float), lin=g_t, const=d_t)
     try:
-        argmax = solve_trust_region_qp(problem).argmax
-        if diagnostics is not None:
-            diagnostics["fallback"] = False
-        return argmax
+        return solve_trust_region_qp(problem).argmax, False
     except TrustRegionSolverError:
-        if diagnostics is not None:
-            diagnostics["fallback"] = True
         s, _ = btm_direction(bundle, lam_t, d_t, alpha_t)
-        return lam_t + s
+        return lam_t + s, True

@@ -183,8 +183,10 @@ class NetworkedBackend:
     """Coordinator-side backend speaking the framed protocol to remote nodes.
 
     Drop-in replacement for the in-process backend in
-    :func:`fedkmeans.coordinator.run`.  ``capture``, when given a list,
-    records every (direction, payload) pair for traffic inspection.
+    :func:`fedkmeans.coordinator.run`.  ``timeout`` is the per-message
+    timeout in seconds and must be positive (ValueError otherwise, before
+    any node is contacted).  ``capture``, when given a list, records every
+    (direction, payload) pair for traffic inspection.
     """
 
     addresses: list[tuple[str, int]]
@@ -196,6 +198,8 @@ class NetworkedBackend:
 
     def __post_init__(self):
         self._socks = []
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
         try:
             for host, port in self.addresses:
                 sock = socket.create_connection((host, port), timeout=self.timeout)

@@ -37,6 +37,8 @@ import numpy as np
 from .core import BoundingBox, NodeDataset
 
 __all__ = [
+    "DEFAULT_MAX_NODES",
+    "DEFAULT_REL_TOL",
     "LagrangianSubproblem",
     "NodeLimitExceeded",
     "SubproblemSolution",
@@ -83,6 +85,12 @@ class SubproblemSolution:
     stats: dict = field(default_factory=dict)
 
 
+# Default relative optimality tolerance and node cap of an exact solve;
+# RunConfig and central_solve take their defaults from here.
+DEFAULT_REL_TOL = 1e-9
+DEFAULT_MAX_NODES = 5_000_000
+
+
 class NodeLimitExceeded(RuntimeError):
     """Raised when branch-and-bound hits its node cap before proving optimality."""
 
@@ -107,37 +115,29 @@ def closed_form_centroid(points: np.ndarray, c_k: np.ndarray, box: BoundingBox):
     """
     c_k = np.asarray(c_k, dtype=float)
     points = np.asarray(points, dtype=float).reshape(-1, c_k.shape[0])
+    m = _centroid(points, c_k, box.lo, box.hi)
     n = points.shape[0]
     if n == 0:
-        m, value = _empty_cluster_min(c_k, box.lo, box.hi)
-        return m, value
+        return m, float(c_k @ m)
+    # n*|m|^2 - 2 s.m + q + c.m at m, with s and q the sum and squared norm of the points.
     s = points.sum(axis=0)
     q = float(np.sum(points * points))
-    m, value = _cluster_min(n, s, q, c_k, box.lo, box.hi)
-    return m, value
+    return m, q + float(n * (m @ m) - 2.0 * (s @ m) + c_k @ m)
 
 
-def _empty_centroid(c_k, lo, hi):
-    return np.where(c_k > 0, lo, np.where(c_k < 0, hi, 0.5 * (lo + hi)))
-
-
-def _empty_cluster_min(c_k, lo, hi):
-    m = _empty_centroid(c_k, lo, hi)
-    return m, float(c_k @ m)
-
-
-def _cluster_min(n, s, q, c_k, lo, hi):
-    """Minimum of n*|m|^2 - 2 s.m + q + c.m over the box, with its argmin."""
-    m = np.clip((s - 0.5 * c_k) / n, lo, hi)
-    value = q + float(n * (m @ m) - 2.0 * (s @ m) + c_k @ m)
-    return m, value
+def _centroid(points: np.ndarray, c_k: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`closed_form_centroid`'s centroid of ``points`` (an (n, n_y) array)."""
+    n = points.shape[0]
+    if n == 0:
+        return np.where(c_k > 0, lo, np.where(c_k < 0, hi, 0.5 * (lo + hi)))
+    return np.clip((points.sum(axis=0) - 0.5 * c_k) / n, lo, hi)
 
 
 def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> SubproblemSolution:
     """Exact solution value of a complete assignment via closed-form centroids.
 
-    Each centroid is :func:`closed_form_centroid`'s, computed the same way
-    but without the cluster minimum that this function does not use.
+    Each centroid is :func:`closed_form_centroid`'s, computed without the
+    cluster minimum that this function does not use.
     """
     assignment = tuple(int(a) for a in assignment)
     Y = subproblem.data.observations
@@ -153,12 +153,8 @@ def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> Subprob
     linear_cost = 0.0
     for k in range(K):
         pts = Y[labels == k]
-        n = pts.shape[0]
-        if n:
-            m_k = np.clip((pts.sum(axis=0) - 0.5 * c[k]) / n, lo, hi)
-            cluster_cost += float(np.sum((pts - m_k) ** 2))
-        else:
-            m_k = _empty_centroid(c[k], lo, hi)
+        m_k = _centroid(pts, c[k], lo, hi)
+        cluster_cost += float(np.sum((pts - m_k) ** 2))  # 0.0 for an empty cluster
         centroids[k] = m_k
         linear_cost += float(c[k] @ m_k)
     return SubproblemSolution(
@@ -204,7 +200,6 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
     """
     Y = subproblem.data.observations
     K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
-    empty = [_empty_centroid(c[k], lo, hi) for k in range(K)]
     centroids = Y[[order[k % len(order)] for k in range(K)]]
     labels = None
     for _ in range(100):
@@ -214,9 +209,7 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
             break
         labels = new_labels
         for k in range(K):
-            pts = Y[labels == k]
-            n = pts.shape[0]
-            centroids[k] = empty[k] if n == 0 else np.clip((pts.sum(axis=0) - 0.5 * c[k]) / n, lo, hi)
+            centroids[k] = _centroid(Y[labels == k], c[k], lo, hi)
     return evaluate_assignment(subproblem, labels)
 
 
@@ -229,8 +222,8 @@ def _relative_gap(upper: float, lower: float) -> float:
 
 def solve_subproblem(
     subproblem: LagrangianSubproblem,
-    rel_tol: float = 1e-9,
-    max_nodes: int = 5_000_000,
+    rel_tol: float = DEFAULT_REL_TOL,
+    max_nodes: int = DEFAULT_MAX_NODES,
     time_budget: float | None = None,
     on_progress=None,
     suffix_bounds=None,
@@ -312,7 +305,7 @@ def solve_subproblem(
 
 
 def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
-                        max_nodes: int = 5_000_000, order=None) -> np.ndarray:
+                        max_nodes: int = DEFAULT_MAX_NODES, order=None) -> np.ndarray:
     """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`.
 
     ``sb[d]`` is a proven lower bound on the plain K-means optimum (c = 0,
@@ -410,7 +403,7 @@ class _Tree:
         self.symmetric = bool(np.all(c == c[0]))
         lo, hi = box.lo.tolist(), box.hi.tolist()
         self.coef = [tuple(zip([0.5 * v for v in row], row, lo, hi)) for row in c.tolist()]
-        self.root = tuple((0, (0.0,) * Yo.shape[1], 0.0, _empty_cluster_min(c[k], box.lo, box.hi)[1])
+        self.root = tuple((0, (0.0,) * Yo.shape[1], 0.0, closed_form_centroid(Yo[:0], c[k], box)[1])
                           for k in range(K))
         self.Yo, self.c, self.half_c, self.lo, self.hi = Yo, c, 0.5 * c, box.lo, box.hi
 
@@ -427,7 +420,7 @@ def _add_point(cluster, y, y_sq: float, coef):
 
     ``count``, ``sums`` and ``sumsq`` are the number, coordinate sums and
     summed squared norms of the cluster's observations; ``value`` is its
-    closed-form minimum, computed as :func:`_cluster_min` does but in
+    closed-form minimum, computed as :func:`closed_form_centroid` does but in
     scalars.  ``coef`` holds ``(c_i / 2, c_i, lo_i, hi_i)`` per coordinate.
     """
     count, sums, sumsq, _ = cluster
@@ -838,7 +831,7 @@ def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSoluti
         cost = q + counts * np.sum(m * m, axis=1) - 2.0 * np.sum(S * m, axis=1) + m @ c_k
         empty = counts == 0
         if empty.any():
-            cost[empty] = _empty_cluster_min(c_k, lo, hi)[1]
+            cost[empty] = closed_form_centroid(Y[:0], c_k, subproblem.box)[1]
         total += cost
     best = int(np.argmin(total))
     return evaluate_assignment(subproblem, grids[best])

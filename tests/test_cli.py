@@ -72,6 +72,20 @@ class TestRun:
         assert meta["certified_gap_percent"] <= meta["rel_dg_percent"]
         assert f"certified gap {meta['certified_gap_percent']:.4f} %" in capsys.readouterr().out
 
+    def test_zero_cost_data_certified_at_once(self, tmp_path):
+        # Each node holds the points 0 and 1, so with K = 2 the optimum costs
+        # 0: the first iteration proves it, and the gap of a zero primal with
+        # a zero dual is 0.
+        instance = tmp_path / "zero.json"
+        nodes = [{"node_id": i, "observations": [[0.0], [1.0]]} for i in range(2)]
+        instance.write_text(json.dumps({"name": "zero", "K": 2, "n_y": 1, "nodes": nodes,
+                                        "box": {"lo": [0.0], "hi": [1.0]}}))
+        out = tmp_path / "run.csv"
+        assert main(["run", "--instance", str(instance), "--csv", str(out)]) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["iterations"] == 1
+        assert meta["certified_gap_percent"] == 0.0
+
     def test_missing_instance_is_argument_error(self, tmp_path):
         code = main(["run", "--instance", str(tmp_path / "nope.json"),
                      "--csv", str(tmp_path / "out.csv")])
@@ -228,6 +242,15 @@ class TestRemote:
                      "--timeout", "0.5", "--csv", str(tmp_path / "x.csv")])
         assert code == 2
         assert "max_nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_bad_timeout_checked_before_connecting(self, instance_file, tmp_path, capsys, timeout):
+        # Nobody listens at these addresses: a connection attempt would exit 4.
+        code = main(["run-remote", "--instance", str(instance_file),
+                     "--nodes", "127.0.0.1:9", "127.0.0.1:9",
+                     "--timeout", timeout, "--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "timeout must be positive" in capsys.readouterr().err
 
     def test_address_count_checked(self, instance_file, tmp_path):
         code = main(["run-remote", "--instance", str(instance_file),

@@ -21,10 +21,10 @@ from fedkmeans.coordinator import (
 )
 from fedkmeans.core import (
     BoundingBox,
+    ConsensusTopology,
     NodeDataset,
     ProblemInstance,
     apply_coupling_adjoint,
-    build_consensus_topology,
     primal_residual,
     read_instance,
 )
@@ -55,6 +55,11 @@ class TestRelativeDualityGap:
     def test_requires_positive_primal(self):
         with pytest.raises(ValueError):
             relative_duality_gap(1.0, 0.0)
+
+    def test_zero_primal_is_proven_optimal(self):
+        # No clustering costs less than 0, so a dual of at most 0 closes the gap.
+        assert relative_duality_gap(0.0, 0.0) == 0.0
+        assert relative_duality_gap(-1.0, 0.0) == 0.0
 
 
 class TestTimeModel:
@@ -110,7 +115,7 @@ class TestRunLoop:
     def test_subgradient_equals_primal_residual(self):
         instance = two_node_instance(seed=2)
         result = run(instance, RunConfig(algorithm="sg", t_max=5))
-        topo = build_consensus_topology(instance.n_nodes, instance.K, instance.n_y)
+        topo = ConsensusTopology(instance.n_nodes, instance.K, instance.n_y)
         for r in result.records:
             assert float(np.linalg.norm(r.subgradient)) == r.residual_norm
             _, norm = primal_residual(
@@ -293,7 +298,7 @@ class TestNodeSession:
         generate_grid(0, tmp_path)
         instance = read_instance(tmp_path / "3N2D4K_1.json")
         lam = run(instance, RunConfig(algorithm="sg", t_max=2)).records[1].lam
-        topology = build_consensus_topology(instance.n_nodes, instance.K, instance.n_y)
+        topology = ConsensusTopology(instance.n_nodes, instance.K, instance.n_y)
         body = NodeSession.hello_body(instance, RunConfig())
         data = instance.nodes[node].observations
         replies = []
@@ -405,9 +410,10 @@ class TestRunCsv:
         import csv as csvmod
 
         instance = two_node_instance(seed=10)
-        result = run(instance, RunConfig(algorithm="btm", t_max=4))
+        config = RunConfig(algorithm="btm", t_max=4)
+        result = run(instance, config)
         path = tmp_path / "run.csv"
-        write_run_csv(result.records, path)
+        write_run_csv(result.records, path, config.t_comm)
         with open(path, newline="") as fh:
             rows = list(csvmod.DictReader(fh))
         assert list(rows[0]) == ["t", "dual", "primal", "rel_dg_percent", "residual_norm",

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from fedkmeans.core import (
     BoundingBox,
+    ConsensusTopology,
     NodeDataset,
     ProblemInstance,
     apply_coupling,
     apply_coupling_adjoint,
-    build_consensus_topology,
     primal_residual,
     read_instance,
     write_instance,
@@ -31,7 +31,7 @@ def make_instance(n_nodes=2, n_y=2, K=2, seed=0, points=6):
 class TestTopology:
     def test_three_node_scalar_blocks(self):
         # N_s=3, K=1, n_y=1: stacked A = [[1,-1,0],[0,1,-1]].
-        topo = build_consensus_topology(3, 1, 1)
+        topo = ConsensusTopology(3, 1, 1)
         A = topo.dense_matrix()
         assert np.array_equal(A, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         assert np.array_equal(apply_coupling(topo, 0, [1.0]), [1.0, 0.0])
@@ -39,30 +39,30 @@ class TestTopology:
         assert np.array_equal(apply_coupling(topo, 2, [1.0]), [0.0, -1.0])
 
     def test_dual_dimensions(self):
-        assert build_consensus_topology(2, 2, 2).dual_dim == 4
-        assert build_consensus_topology(4, 4, 4).dual_dim == 48
+        assert ConsensusTopology(2, 2, 2).dual_dim == 4
+        assert ConsensusTopology(4, 4, 4).dual_dim == 48
 
     def test_middle_node_block(self):
-        topo = build_consensus_topology(3, 1, 1)
+        topo = ConsensusTopology(3, 1, 1)
         assert np.array_equal(apply_coupling(topo, 1, [2.0]), [-2.0, 2.0])
 
     def test_identity_block_two_nodes(self):
-        topo = build_consensus_topology(2, 1, 1)
+        topo = ConsensusTopology(2, 1, 1)
         assert np.array_equal(apply_coupling(topo, 0, [3.0]), [3.0])
 
     def test_consensus_cancels(self):
-        topo = build_consensus_topology(2, 2, 2)
+        topo = ConsensusTopology(2, 2, 2)
         m = np.arange(4.0)
         assert np.array_equal(apply_coupling(topo, 0, m) + apply_coupling(topo, 1, m),
                               np.zeros(4))
 
     def test_adjoint_scalar(self):
-        topo = build_consensus_topology(2, 1, 1)
+        topo = ConsensusTopology(2, 1, 1)
         assert np.array_equal(apply_coupling_adjoint(topo, 0, [5.0]), [5.0])
         assert np.array_equal(apply_coupling_adjoint(topo, 1, [5.0]), [-5.0])
 
     def test_zero_duals(self):
-        topo = build_consensus_topology(4, 2, 3)
+        topo = ConsensusTopology(4, 2, 3)
         for i in range(4):
             assert np.array_equal(apply_coupling_adjoint(topo, i, np.zeros(topo.dual_dim)),
                                   np.zeros(topo.block_size))
@@ -71,7 +71,7 @@ class TestTopology:
     @settings(max_examples=60, deadline=None)
     def test_adjoint_identity(self, n_nodes, K, n_y, seed):
         # lam . (A_i m) == (A_i^T lam) . m for every node.
-        topo = build_consensus_topology(n_nodes, K, n_y)
+        topo = ConsensusTopology(n_nodes, K, n_y)
         rng = np.random.default_rng(seed)
         lam = rng.normal(size=topo.dual_dim)
         for i in range(n_nodes):
@@ -83,7 +83,7 @@ class TestTopology:
     @given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_coupling_matches_dense_matrix(self, n_nodes, K, n_y, seed):
-        topo = build_consensus_topology(n_nodes, K, n_y)
+        topo = ConsensusTopology(n_nodes, K, n_y)
         A = topo.dense_matrix()
         rng = np.random.default_rng(seed)
         b = topo.block_size
@@ -95,8 +95,8 @@ class TestTopology:
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
-            build_consensus_topology(1, 2, 2)
-        topo = build_consensus_topology(2, 1, 1)
+            ConsensusTopology(1, 2, 2)
+        topo = ConsensusTopology(2, 1, 1)
         with pytest.raises(ValueError):
             apply_coupling(topo, 0, [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -105,13 +105,13 @@ class TestTopology:
 
 class TestPrimalResidual:
     def test_identical_centroids_telescope(self):
-        topo = build_consensus_topology(4, 2, 2)
+        topo = ConsensusTopology(4, 2, 2)
         m = np.arange(4.0)
         _, norm = primal_residual(topo, [m] * 4)
         assert norm == 0.0
 
     def test_simple_difference(self):
-        topo = build_consensus_topology(2, 1, 1)
+        topo = ConsensusTopology(2, 1, 1)
         w, norm = primal_residual(topo, [[1.0], [0.0]])
         assert np.array_equal(w, [1.0])
         assert norm == 1.0
@@ -119,7 +119,7 @@ class TestPrimalResidual:
     @given(st.integers(2, 5), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense(self, n_nodes, seed):
-        topo = build_consensus_topology(n_nodes, 2, 2)
+        topo = ConsensusTopology(n_nodes, 2, 2)
         rng = np.random.default_rng(seed)
         sets = [rng.normal(size=topo.block_size) for _ in range(n_nodes)]
         w, norm = primal_residual(topo, sets)
@@ -130,7 +130,7 @@ class TestPrimalResidual:
     @given(st.integers(2, 5), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_zero_residual_implies_equal_neighbors(self, n_nodes, seed):
-        topo = build_consensus_topology(n_nodes, 1, 2)
+        topo = ConsensusTopology(n_nodes, 1, 2)
         rng = np.random.default_rng(seed)
         m = rng.normal(size=topo.block_size)
         sets = [m.copy() for _ in range(n_nodes)]

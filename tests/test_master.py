@@ -11,7 +11,6 @@ import fedkmeans.master as master
 from fedkmeans.master import (
     Bundle,
     BundleEntry,
-    HessianApprox,
     MasterSolution,
     TrustRegionProblem,
     bfgs_update,
@@ -461,7 +460,7 @@ class TestQndaUpdate:
         lam = np.array([0.2, -0.1])
         g = np.array([0.3, 0.4])
         bundle = bundle_push(Bundle(capacity=5), entry(1, lam, g, 1.0))
-        out = qnda_update(-np.eye(2), bundle, lam, g, 1.0, alpha_t=1.0)
+        out, _ = qnda_update(-np.eye(2), bundle, lam, g, 1.0, alpha_t=1.0)
         np.testing.assert_allclose(out, lam + g, atol=1e-6)
 
     def test_ball_clipped_step(self):
@@ -470,7 +469,7 @@ class TestQndaUpdate:
         g = np.array([3.0, 4.0])
         bundle = bundle_push(Bundle(capacity=5), entry(1, lam, g, 0.0))
         alpha = 0.25
-        out = qnda_update(-np.eye(2), bundle, lam, g, 0.0, alpha_t=alpha)
+        out, _ = qnda_update(-np.eye(2), bundle, lam, g, 0.0, alpha_t=alpha)
         expected = lam + math.sqrt(alpha) * g / np.linalg.norm(g)
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
@@ -484,8 +483,6 @@ class TestQndaUpdate:
         g_t = bundle.entries[-1].subgradient
         d_t = bundle.entries[-1].dual_value
         alpha = 0.4
-        diagnostics = {}
-        out = qnda_update(-np.eye(3), bundle, lam_t, g_t, d_t, alpha,
-                          diagnostics=diagnostics)
+        out, fell_back = qnda_update(-np.eye(3), bundle, lam_t, g_t, d_t, alpha)
         assert float((out - lam_t) @ (out - lam_t)) <= alpha + 1e-8
-        assert diagnostics["fallback"] is False
+        assert fell_back is False

@@ -286,3 +286,15 @@ class TestNetworkedRun:
             NetworkedBackend(addresses=[("127.0.0.1", 9), ("127.0.0.1", 9)],
                              instance=instance,
                              config=RunConfig(algorithm="sg"), timeout=0.5)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_bad_timeout_rejected_before_connecting(self, timeout):
+        instance = make_instance(seed=5)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = listener.getsockname()
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                NetworkedBackend(addresses=[address, address], instance=instance,
+                                 config=RunConfig(algorithm="sg"), timeout=timeout)
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()  # no connection was attempted
