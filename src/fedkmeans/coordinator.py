@@ -173,12 +173,13 @@ _SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int}
 
 @dataclass
 class NodeSession:
-    """One node's side of a run: its data, the settings of every solve, and
-    the assignment of its last reply.
+    """One node's side of a run: its data and the settings of every solve.
 
-    Both backends open sessions from the same :meth:`hello_body` dict (the
-    networked backend sends it as the HELLO body), so in-process and
-    networked nodes solve with identical settings by construction.
+    Between solves a session keeps only what does not depend on the duals:
+    its branching order and suffix bounds.  Both backends open sessions from
+    the same :meth:`hello_body` dict (the networked backend sends it as the
+    HELLO body), so in-process and networked nodes solve with identical
+    settings by construction.
     """
 
     data: NodeDataset
@@ -186,8 +187,6 @@ class NodeSession:
     box: BoundingBox
     rel_tol: float
     max_nodes: int
-    # (t, assignment) of the last reply, the warm start of the solve at t + 1.
-    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_solver_settings(self.rel_tol, self.max_nodes)
@@ -210,7 +209,7 @@ class NodeSession:
         if K < 2:
             raise ValueError(f"node {data.node_id}: K must be at least 2, got {K}")
         box = BoundingBox(np.array(body["box"]["lo"], dtype=float), np.array(body["box"]["hi"], dtype=float))
-        if box.n_y != n_y or not all(box.contains(y) for y in data.observations):
+        if box.n_y != n_y or not box.contains(data.observations):
             raise ValueError(f"node {data.node_id}: the run's box does not contain the node data")
         return cls(data=data, K=K, box=box,
                    **{name: read(body[name]) for name, read in _SOLVER_SETTINGS.items()})
@@ -225,34 +224,24 @@ class NodeSession:
         """The node's dual-independent suffix bounds in :attr:`order`, computed on first use."""
         return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes, order=self.order)
 
-    def solve(self, t: int, c, reference) -> NodeSolveReply:
+    def solve(self, c, reference) -> NodeSolveReply:
         """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.
 
         Relabelling needs every row of ``c`` to be equal (ValueError
         otherwise).  The first solve also computes :attr:`order` and
         :attr:`suffix_bounds`, and its ``solve_time`` includes that work.
-
-        If this session's last reply was for iteration ``t - 1``, its
-        assignment, as relabelled, is the warm start of this solve (see
-        :func:`solve_subproblem`); otherwise, as at every ``t = 1`` and in a
-        new run over the same session, the solve starts from a Lloyd descent
-        from the first K observations of :attr:`order`.  A reply therefore
-        depends only on the node's data, ``c``, ``reference`` and the
-        previous reply.
+        Every solve starts from a Lloyd descent from the first K observations
+        of :attr:`order` (see :func:`solve_subproblem`), so a reply depends
+        only on the node's data, ``c`` and ``reference``: not on earlier
+        solves, nor on the backend or the run that asks for it.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
         started = time.perf_counter()
-        last_t, last_assignment = self._last or (None, None)
-        solution = solve_subproblem(
-            sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
-            suffix_bounds=self.suffix_bounds,
-            warm_start=last_assignment if last_t == t - 1 else None,
-            order=self.order,
-        )
+        solution = solve_subproblem(sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
+                                    suffix_bounds=self.suffix_bounds, order=self.order)
         if reference is not None:
             solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
-        self._last = (t, solution.assignment)
         return NodeSolveReply(
             centroids=solution.centroids,
             lagrangian_value=solution.lagrangian_value,
@@ -279,7 +268,7 @@ class InProcessBackend:
         self.sessions = [NodeSession.open(node, body) for node in instance.nodes]
 
     def solve_batch(self, t, c_list, reference, node_indices) -> list[NodeSolveReply]:
-        return [self.sessions[i].solve(t, c_list[i], reference) for i in node_indices]
+        return [self.sessions[i].solve(c_list[i], reference) for i in node_indices]
 
     def objective_batch(self, t, mean_centroids) -> list[float]:
         return [session.objective(mean_centroids) for session in self.sessions]

@@ -79,7 +79,8 @@ class BoundingBox:
         return self.lo.shape[0]
 
     def contains(self, point: np.ndarray) -> bool:
-        """Whether ``point`` lies in the box, to within 1e-12 per coordinate."""
+        """Whether ``point``, or every row of an (n, n_y) array, lies in the
+        box, to within 1e-12 per coordinate."""
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lo - 1e-12) and np.all(p <= self.hi + 1e-12))
 
@@ -114,9 +115,8 @@ class ProblemInstance:
         for node in self.nodes:
             if node.n_y != self.n_y:
                 raise ValueError(f"node {node.node_id} dimension {node.n_y} != n_y={self.n_y}")
-            for y in node.observations:
-                if not self.box.contains(y):
-                    raise ValueError(f"node {node.node_id}: observation outside the box")
+            if not self.box.contains(node.observations):
+                raise ValueError(f"node {node.node_id}: observation outside the box")
 
     @property
     def n_nodes(self) -> int:

@@ -13,6 +13,7 @@ values.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from dataclasses import dataclass
@@ -143,7 +144,7 @@ def _serve_connection(conn: socket.socket, dataset) -> bool:
             elif session is None:
                 raise NetworkError(f"{kind} before HELLO")
             elif kind == "SOLVE":
-                solved = session.solve(int(message["t"]), body["c"], body.get("reference"))
+                solved = session.solve(body["c"], body.get("reference"))
                 reply = {"kind": "SOLUTION", "body": {
                     "centroids": solved.centroids.tolist(),
                     "lagrangian_value": solved.lagrangian_value,
@@ -184,9 +185,10 @@ class NetworkedBackend:
 
     Drop-in replacement for the in-process backend in
     :func:`fedkmeans.coordinator.run`.  ``timeout`` is the per-message
-    timeout in seconds and must be positive (ValueError otherwise, before
-    any node is contacted).  ``capture``, when given a list, records every
-    (direction, payload) pair for traffic inspection.
+    timeout in seconds.  It must be positive, finite and small enough for
+    ``socket.settimeout`` (about 9.2e9 s on a 64-bit platform); ValueError
+    otherwise, before any node is contacted.  ``capture``, when given a
+    list, records every (direction, payload) pair for traffic inspection.
     """
 
     addresses: list[tuple[str, int]]
@@ -198,8 +200,13 @@ class NetworkedBackend:
 
     def __post_init__(self):
         self._socks = []
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
+        try:
+            with socket.socket() as unconnected:
+                unconnected.settimeout(self.timeout)
+        except OverflowError:
+            raise ValueError(f"timeout must be positive and small enough for a socket, got {self.timeout}") from None
         try:
             for host, port in self.addresses:
                 sock = socket.create_connection((host, port), timeout=self.timeout)

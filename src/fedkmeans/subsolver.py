@@ -5,9 +5,9 @@ subproblem separates per cluster and per dimension, so the optimal
 box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations in the farthest-first
-order of :func:`branching_order`), pruning against an incumbent: the caller's
-warm start, or else a Lloyd solution started from the first K observations of
-that order.
+order of :func:`branching_order`), pruning against the incumbent of one Lloyd
+descent started from the first K observations of that order.  A solve keeps
+no state between calls.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
@@ -42,7 +42,6 @@ __all__ = [
     "LagrangianSubproblem",
     "NodeLimitExceeded",
     "SubproblemSolution",
-    "assignment_lower_bound",
     "branching_order",
     "brute_force_subproblem",
     "closed_form_centroid",
@@ -167,24 +166,6 @@ def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> Subprob
     )
 
 
-def assignment_lower_bound(subproblem: LagrangianSubproblem, partial_assignment) -> float:
-    """Valid lower bound on every completion of a prefix assignment.
-
-    Unassigned observations contribute nothing; assigned ones contribute the
-    box-constrained closed-form minimum per cluster.  Assigning more points can
-    only increase each cluster's minimum, so bounds grow monotonically down the
-    search tree.
-    """
-    Y = subproblem.data.observations
-    labels = np.asarray([int(a) for a in partial_assignment])
-    bound = 0.0
-    for k in range(subproblem.K):
-        pts = Y[:len(labels)][labels == k] if len(labels) else Y[:0]
-        _, value = closed_form_centroid(pts, subproblem.c[k], subproblem.box)
-        bound += value
-    return bound
-
-
 def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSolution:
     """One Lloyd descent; a feasible upper bound for branch-and-bound.
 
@@ -227,7 +208,6 @@ def solve_subproblem(
     time_budget: float | None = None,
     on_progress=None,
     suffix_bounds=None,
-    warm_start=None,
     order=None,
 ) -> SubproblemSolution:
     """Proven global optimum of the node Lagrangian by best-first branch-and-bound.
@@ -236,24 +216,20 @@ def solve_subproblem(
     taken in ``order``, by default the farthest-first :func:`branching_order`
     of the data.  A node that has assigned the first d observations of that
     order is bounded by the per-cluster closed-form minima of its assigned
-    observations (as in :func:`assignment_lower_bound`) plus
-    ``suffix_bounds[d]``, a lower bound on the plain K-means cost of the
-    unassigned ones (see :func:`suffix_lower_bounds`, which computes it once
-    per dataset because it does not depend on the dual term; it must be given
-    the same order).  ``None`` means no suffix bound (all zeros).  When all
-    per-cluster dual coefficients coincide (e.g. the zero dual), cluster
-    labels are interchangeable and symmetric branches are skipped.
+    observations plus ``suffix_bounds[d]``, a lower bound on the plain
+    K-means cost of the unassigned ones (see :func:`suffix_lower_bounds`,
+    which computes it once per dataset because it does not depend on the
+    dual term; it must be given the same order).  ``None`` means no suffix
+    bound (all zeros).  When all per-cluster dual coefficients coincide (e.g.
+    the zero dual), cluster labels are interchangeable and symmetric branches
+    are skipped.
 
-    The search starts from an incumbent.  Without ``warm_start`` it is
-    :func:`lloyd_incumbent`'s, started from the first K observations of the
-    branching order.  With ``warm_start``, a complete assignment (typically
-    the previous optimum of a subproblem whose dual term has since moved), it
-    is that assignment evaluated under this dual term, and Lloyd runs only if
-    the search grows to ``_BATCH_AT`` open nodes; the better of the two
-    incumbents is kept.  The incumbent changes what the search prunes, not
-    what it proves: the result is optimal to within ``rel_tol`` either way,
-    but between assignments whose values lie within ``rel_tol`` of each
-    other either may be returned.
+    The search starts from :func:`lloyd_incumbent`'s one descent from the
+    first K observations of the branching order.  The incumbent changes what
+    the search prunes, not what it proves: the result is optimal to within
+    ``rel_tol``, and among assignments whose values lie within ``rel_tol`` of
+    each other the incumbent decides which one is returned.  A solve keeps no
+    state between calls.
 
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
     ``time_budget`` (seconds) instead returns the incumbent with its actual
@@ -268,18 +244,7 @@ def solve_subproblem(
         raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
     order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
-
-    def on_switch():
-        nonlocal incumbent
-        candidate = lloyd_incumbent(subproblem, order)
-        if candidate.lagrangian_value < incumbent.lagrangian_value:
-            incumbent = candidate
-        return incumbent.lagrangian_value
-
-    if warm_start is None:
-        incumbent = lloyd_incumbent(subproblem, order)
-    else:
-        incumbent = evaluate_assignment(subproblem, warm_start)
+    incumbent = lloyd_incumbent(subproblem, order)
     start = time.perf_counter()
 
     def on_leaf(labels):
@@ -297,7 +262,6 @@ def solve_subproblem(
         tree, 0, incumbent.lagrangian_value, rel_tol, max_nodes, on_leaf,
         deadline=None if time_budget is None else start + time_budget,
         on_bound=None if on_progress is None else on_bound,
-        on_switch=None if warm_start is None else on_switch,
     )
     if status == "node_limit":
         raise NodeLimitExceeded(_finish(incumbent, lb, explored), lb, explored)
@@ -482,7 +446,7 @@ _FRONT = 1024
 
 
 def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: int,
-                on_leaf, deadline: float | None = None, on_bound=None, on_switch=None):
+                on_leaf, deadline: float | None = None, on_bound=None):
     """Best-first branch-and-bound over the labels of positions start..n-1.
 
     ``ub`` is the incumbent's value.  ``on_leaf(labels)`` receives every leaf
@@ -503,10 +467,6 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     step with the same child bounds, bit for bit.  Its batches may expand a
     few nodes that the one-at-a-time order would have pruned, so ``explored``
     can be slightly larger; the proven bound and the stop rule are the same.
-    ``on_switch()``, if given, is called the first time the heap holds
-    ``_BATCH_AT`` nodes and returns the incumbent's value, which may have
-    dropped; the open nodes it rules out are pruned, and the search switches
-    only if ``_BATCH_AT`` nodes are still open.
     """
     points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
     n, K, symmetric = len(points), tree.K, tree.symmetric
@@ -525,18 +485,6 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
         on_bound(best_lb)
     while heap:
         if len(heap) >= _BATCH_AT:
-            if on_switch is not None:
-                ub, on_switch = on_switch(), None
-                threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
-                ruled_out = [entry[0] for entry in heap if entry[0] >= threshold]
-                if ruled_out:
-                    dropped = min(dropped, min(ruled_out))
-                    heap = [entry for entry in heap if entry[0] < threshold]
-                    heapq.heapify(heap)
-                if on_bound is not None:
-                    on_bound(best_lb)
-                if len(heap) < _BATCH_AT:
-                    continue
             return _best_first_batched(tree, start, heap, tiebreak, ub, rel_tol, dropped, best_lb,
                                        explored, max_nodes, on_leaf, deadline, on_bound)
         bound, _, depth, labels, used, pc_sum, clusters = pop(heap)

@@ -243,7 +243,7 @@ class TestRemote:
         assert code == 2
         assert "max_nodes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "nan", "1e300"])
     def test_bad_timeout_checked_before_connecting(self, instance_file, tmp_path, capsys, timeout):
         # Nobody listens at these addresses: a connection attempt would exit 4.
         code = main(["run-remote", "--instance", str(instance_file),

@@ -28,7 +28,7 @@ from fedkmeans.core import (
     primal_residual,
     read_instance,
 )
-from fedkmeans.subsolver import brute_force_subproblem, evaluate_assignment, LagrangianSubproblem, solve_subproblem
+from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem, solve_subproblem
 
 
 def two_node_instance(seed=123, n_y=2, K=2, points=3):
@@ -243,7 +243,7 @@ class TestNodeSession:
         instance = two_node_instance(seed=6)
         session = InProcessBackend(instance, RunConfig()).sessions[0]
         c = np.array([[0.3, -0.1], [0.0, 0.2]])
-        reply = session.solve(1, c.ravel(), None)
+        reply = session.solve(c.ravel(), None)
         sub = LagrangianSubproblem(data=session.data, K=2, box=instance.box, c=c)
         assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
         Y = session.data.observations
@@ -253,9 +253,9 @@ class TestNodeSession:
     def test_solve_refuses_reference_under_unequal_dual_terms(self):
         instance = two_node_instance(seed=6)
         session = InProcessBackend(instance, RunConfig()).sessions[1]
-        reference = session.solve(1, np.zeros(4), None).centroids
+        reference = session.solve(np.zeros(4), None).centroids
         with pytest.raises(ValueError, match="same dual term"):
-            session.solve(1, [0.3, -0.1, 0.0, 0.2], reference)
+            session.solve([0.3, -0.1, 0.0, 0.2], reference)
 
     def test_suffix_bounds_computed_once(self, monkeypatch):
         # One branching order per session: the suffix bounds and every
@@ -280,8 +280,8 @@ class TestNodeSession:
         session = InProcessBackend(instance, RunConfig()).sessions[0]
         assert calls == {"order": [], "bounds": [], "solve": []}  # not computed when the session opens
         c = np.array([[0.3, -0.1], [0.0, 0.2], [-0.2, 0.1]])
-        for t, scale in ((1, 0.0), (2, 1.0), (3, -0.5), (4, 2.0)):
-            reply = session.solve(t, scale * c.ravel(), None)
+        for scale in (0.0, 1.0, -0.5, 2.0):
+            reply = session.solve(scale * c.ravel(), None)
             sub = LagrangianSubproblem(data=session.data, K=3, box=instance.box, c=scale * c)
             assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
         assert len(calls["order"]) == 1 and len(calls["bounds"]) == 1 and len(calls["solve"]) == 4
@@ -291,10 +291,9 @@ class TestNodeSession:
 
     @pytest.mark.parametrize("node", [0, 1])
     def test_reply_does_not_depend_on_the_node_id(self, tmp_path, node):
-        # A reply depends on the node's data, the duals and its previous
-        # reply, so the same data served under node ids 0 and 1 gives the
-        # same bits, at t = 1 (Lloyd start) and at t = 2 (warm start).  The
-        # t = 2 duals are those of an SG run on the same cell.
+        # A reply depends on the node's data and the duals, so the same data
+        # served under node ids 0 and 1 gives the same bits, at zero duals
+        # and at the t = 2 duals of an SG run on the same cell.
         generate_grid(0, tmp_path)
         instance = read_instance(tmp_path / "3N2D4K_1.json")
         lam = run(instance, RunConfig(algorithm="sg", t_max=2)).records[1].lam
@@ -304,8 +303,8 @@ class TestNodeSession:
         replies = []
         for node_id in (0, 1):
             session = NodeSession.open(NodeDataset(node_id, data), body)
-            replies.append([session.solve(1, np.zeros(instance.K * instance.n_y), None),
-                            session.solve(2, apply_coupling_adjoint(topology, node, lam), None)])
+            replies.append([session.solve(np.zeros(instance.K * instance.n_y), None),
+                            session.solve(apply_coupling_adjoint(topology, node, lam), None)])
         for a, b in zip(*replies):
             assert a.lagrangian_value == b.lagrangian_value
             np.testing.assert_array_equal(a.centroids, b.centroids)
@@ -318,9 +317,26 @@ class TestNodeSession:
                         for tol in (1e-9, 0.3))
         np.testing.assert_array_equal(tight.suffix_bounds, loose.suffix_bounds)
 
+    def test_reply_does_not_depend_on_earlier_solves(self, tmp_path):
+        # Solving c1, then c2, then c1 again gives the first reply's bits,
+        # and so does a fresh session's first solve of c1.  The duals are
+        # those of an SG run's iterations 2 and 3 on a K=4 grid cell.
+        generate_grid(0, tmp_path)
+        instance = read_instance(tmp_path / "3N2D4K_1.json")
+        lams = [r.lam for r in run(instance, RunConfig(algorithm="sg", t_max=3)).records[1:]]
+        topology = ConsensusTopology(instance.n_nodes, instance.K, instance.n_y)
+        c1, c2 = (apply_coupling_adjoint(topology, 1, lam) for lam in lams)
+        body = NodeSession.hello_body(instance, RunConfig())
+        session = NodeSession.open(instance.nodes[1], body)
+        first, _, again = (session.solve(c, None) for c in (c1, c2, c1))
+        fresh = NodeSession.open(instance.nodes[1], body).solve(c1, None)
+        for reply in (again, fresh):
+            assert reply.lagrangian_value == first.lagrangian_value
+            np.testing.assert_array_equal(reply.centroids, first.centroids)
+
 
 def record_solves(monkeypatch):
-    """Log each node solve's warm start, result, nodes explored, and Lloyd and batched-switch calls."""
+    """Log each node solve's nodes explored and its Lloyd and batched-switch calls."""
     import fedkmeans.coordinator as coordinator
     import fedkmeans.subsolver as subsolver
 
@@ -339,41 +355,19 @@ def record_solves(monkeypatch):
     def solve(sub, **kwargs):
         before = dict(counts)
         solution = original(sub, **kwargs)
-        log.append({"warm_start": kwargs["warm_start"], "assignment": solution.assignment,
-                    "explored": solution.stats["explored"],
-                    **{key: counts[key] - before[key] for key in counts}})
+        log.append({"explored": solution.stats["explored"], **{key: counts[key] - before[key] for key in counts}})
         return solution
 
     monkeypatch.setattr(coordinator, "solve_subproblem", solve)
     return log
 
 
-class TestWarmStart:
-    def test_previous_iteration_only(self, monkeypatch):
-        log = record_solves(monkeypatch)
-        instance = two_node_instance(seed=6, K=3)
-        session = InProcessBackend(instance, RunConfig()).sessions[1]
-        c = 0.3 * np.arange(6.0) - 0.7
-        reference = session.solve(1, np.zeros(6), None).centroids[::-1].copy()
-        # Iteration 1 relabels to the reference; that labelling is the warm start.
-        relabelled = session.solve(1, np.zeros(6), reference)
-        session.solve(2, c, None)
-        session.solve(2, c, None)       # stale: the last reply is for t = 2
-        session.solve(5, -c, None)      # stale: t = 2 is not t - 1
-        session.solve(6, c, None)
-        warm = [entry["warm_start"] for entry in log]
-        assert warm[:2] == [None, None]
-        sub1 = LagrangianSubproblem(data=session.data, K=3, box=instance.box, c=np.zeros((3, 2)))
-        np.testing.assert_array_equal(evaluate_assignment(sub1, warm[2]).centroids, relabelled.centroids)
-        assert warm[2] != log[1]["assignment"]  # relabelled, not as solved
-        assert warm[3:5] == [None, None]
-        assert warm[5] == log[4]["assignment"]
-
+class TestLloydStart:
     @pytest.mark.parametrize("cell, t_max", [(None, 5), ("3N2D4K_1", 3)])
-    def test_lloyd_runs_at_t1_and_at_switches(self, monkeypatch, tmp_path, cell, t_max):
-        # Small K=3 searches never switch to batches, so Lloyd runs only at
-        # t = 1; the K=4 grid cell's warm-started searches do switch, and
-        # each runs Lloyd there once.
+    def test_lloyd_runs_once_per_solve(self, monkeypatch, tmp_path, cell, t_max):
+        # Every solve starts from one Lloyd descent, whether its search stays
+        # scalar, as the small K=3 searches do, or switches to batches, as
+        # some of the K=4 grid cell's do.
         if cell is None:
             instance = two_node_instance(seed=6, K=3, points=2)
         else:
@@ -382,18 +376,15 @@ class TestWarmStart:
         log = record_solves(monkeypatch)
         run(instance, RunConfig(algorithm="sg", t_max=t_max))
         assert len(log) == t_max * instance.n_nodes
-        first, later = log[:instance.n_nodes], log[instance.n_nodes:]
-        assert all(entry["warm_start"] is None and entry["lloyd"] == 1 for entry in first)
-        assert all(entry["warm_start"] is not None for entry in later)
-        assert all(entry["lloyd"] == entry["switch"] <= 1 for entry in later)
-        switched = sum(entry["switch"] for entry in later)
+        assert all(entry["lloyd"] == 1 for entry in log)
+        switched = sum(entry["switch"] for entry in log)
         assert switched == 0 if cell is None else switched > 0
 
 
 class TestSearchSize:
     def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
         # The K=4 cells of the seed-0 grid, SG for two iterations, explore
-        # 24,090 nodes in all with the farthest-first branching order and
+        # 24,217 nodes in all with the farthest-first branching order and
         # the Lloyd start taken from it (267,303 in decreasing distance from
         # the data mean).  The counts are deterministic, so this bound, about
         # twice the count, catches a regression in the order or in the bounds.

@@ -253,7 +253,7 @@ class TestNetworkedRun:
             if message["kind"] == "HELLO":
                 reply.update(kind="HELLO", body={"node_id": 1})
             elif message["kind"] == "SOLVE":
-                solved = session.solve(message["t"], message["body"]["c"], message["body"]["reference"])
+                solved = session.solve(message["body"]["c"], message["body"]["reference"])
                 reply.update(kind="SOLUTION", body={"centroids": solved.centroids.tolist(),
                                                     "lagrangian_value": solved.lagrangian_value,
                                                     "solve_time": solved.solve_time})
@@ -287,8 +287,9 @@ class TestNetworkedRun:
                              instance=instance,
                              config=RunConfig(algorithm="sg"), timeout=0.5)
 
-    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), 1e300])
     def test_bad_timeout_rejected_before_connecting(self, timeout):
+        # socket.settimeout refuses 1e300 with OverflowError.
         instance = make_instance(seed=5)
         with socket.create_server(("127.0.0.1", 0)) as listener:
             address = listener.getsockname()

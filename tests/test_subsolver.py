@@ -13,7 +13,6 @@ from fedkmeans.core import BoundingBox, NodeDataset
 from fedkmeans.subsolver import (
     LagrangianSubproblem,
     NodeLimitExceeded,
-    assignment_lower_bound,
     branching_order,
     brute_force_subproblem,
     closed_form_centroid,
@@ -108,6 +107,13 @@ class TestEvaluateAssignment:
         sol = evaluate_assignment(sub, [0, 1, 0, 1])
         assert sol.cluster_cost == pytest.approx(100.0)
 
+    def test_assignment_checked(self):
+        sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
+        with pytest.raises(ValueError, match="length"):
+            evaluate_assignment(sub, [0, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_assignment(sub, [0, 1, 2])
+
     def test_label_permutation_invariance(self):
         sub = subproblem_1d([0, 1, 2, 8, 9], K=3)
         base = evaluate_assignment(sub, [0, 0, 1, 2, 2])
@@ -145,15 +151,31 @@ class TestEvaluateAssignment:
         assert sol.lagrangian_value == cluster_cost + linear_cost
 
 
+def assignment_lower_bound(sub, prefix) -> float:
+    """Reference prefix bound: the sum over clusters of
+    :func:`closed_form_centroid`'s minimum over the observations at positions
+    0..len(prefix)-1 labelled into that cluster."""
+    Y = sub.data.observations
+    labels = np.asarray(prefix, dtype=int)
+    return sum(closed_form_centroid(Y[:len(labels)][labels == k], sub.c[k], sub.box)[1] for k in range(sub.K))
+
+
+def search_prefix_bound(sub, prefix) -> float:
+    """The bound that a search without suffix bounds gives the node labelling
+    positions 0..len(prefix)-1 of the data's own row order with ``prefix``."""
+    tree = _Tree(sub.data.observations, sub.K, sub.c, sub.box, [0.0] * (sub.data.n_points + 1))
+    return tree.labels_value(0, [int(k) for k in prefix])
+
+
 class TestLowerBound:
     def test_empty_prefix_zero_dual(self):
         sub = subproblem_1d([0, 1, 2], K=2)
-        assert assignment_lower_bound(sub, []) == 0.0
+        assert search_prefix_bound(sub, []) == 0.0
 
     def test_tight_at_leaves(self):
         sub = subproblem_1d([0, 1, 10, 11], K=2)
         for labels in itertools.product(range(2), repeat=4):
-            bound = assignment_lower_bound(sub, labels)
+            bound = search_prefix_bound(sub, labels)
             value = evaluate_assignment(sub, labels).lagrangian_value
             assert bound == pytest.approx(value, abs=1e-9)
 
@@ -164,7 +186,7 @@ class TestLowerBound:
         sub = random_subproblem(rng, n_pts=5, K=2)
         prefix_len = int(rng.integers(0, 6))
         prefix = list(rng.integers(0, 2, size=prefix_len))
-        bound = assignment_lower_bound(sub, prefix)
+        bound = search_prefix_bound(sub, prefix)
         for tail in itertools.product(range(2), repeat=5 - prefix_len):
             value = evaluate_assignment(sub, prefix + list(tail)).lagrangian_value
             assert bound <= value + 1e-9
@@ -175,7 +197,7 @@ class TestLowerBound:
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=6, K=2)
         labels = list(rng.integers(0, 2, size=6))
-        bounds = [assignment_lower_bound(sub, labels[:d]) for d in range(7)]
+        bounds = [search_prefix_bound(sub, labels[:d]) for d in range(7)]
         for parent, child in zip(bounds, bounds[1:]):
             assert child >= parent - 1e-12
 
@@ -357,14 +379,14 @@ class TestSolveSubproblem:
         # At rel_tol 0.3 the search prunes children whose bound lies between
         # the stop threshold and the incumbent.  The bound behind proof_gap
         # must still lie below the optimum, with and without suffix bounds.
-        # The all-zeros warm start is a poor incumbent, so the search has
-        # children to prune.
+        # The search starts from the all-zeros assignment in place of Lloyd's,
+        # a poor incumbent, so it has children to prune.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8)))
         optimum = brute_force_subproblem(sub).lagrangian_value
+        poor_start = {"lloyd_incumbent": starting_from([0] * sub.data.n_points)}
         for bounds in (None, suffix_lower_bounds(sub.data, sub.K, sub.box)):
-            sol = solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds,
-                                   warm_start=[0] * sub.data.n_points)
+            sol = with_constants(poor_start, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds))
             proven = sol.lagrangian_value - sol.proof_gap * max(abs(sol.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert sol.proof_gap <= 0.3
@@ -384,7 +406,7 @@ class TestScalarChildBound:
     def test_matches_assignment_lower_bound(self, seed):
         # The search adds one observation at a time in scalar arithmetic and
         # keeps a running sum of the cluster values.  The summation order
-        # differs from assignment_lower_bound, so equality holds to float64
+        # differs from the numpy reference formula, so equality holds to float64
         # rounding: 1e-12 relative on unit-scale data.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=8, K=int(rng.integers(2, 5)), n_y=int(rng.integers(1, 5)))
@@ -515,6 +537,7 @@ SMALL_BATCHES = {"_BATCH_AT": 1, "_BATCH": 3, "_FRONT": 4}  # many steps, front 
 
 
 def with_constants(constants, solve):
+    """``solve()`` with the module attributes in ``constants`` replaced."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in constants.items():
             patch.setattr(subsolver, name, value)
@@ -638,20 +661,15 @@ class TestBatchedSearch:
         assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` with a wrapper that logs each call in the returned list."""
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
+def starting_from(assignment):
+    """A stand-in for :func:`lloyd_incumbent` that starts a search from
+    ``assignment``; :func:`solve_subproblem` looks it up at each call."""
+    return lambda subproblem, order: evaluate_assignment(subproblem, assignment)
 
 
 class TestWarmStart:
+    """Searches that start from a given incumbent in place of Lloyd's."""
+
     @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.booleans(),
            st.sampled_from(["random", "worst"]),
            st.sampled_from([{}, {"_BATCH_AT": 8}, BATCHED, SMALL_BATCHES]))
@@ -659,9 +677,8 @@ class TestWarmStart:
     def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, constants):
         # "worst" is the costliest of the one-cluster assignments and the
         # optimum's partition under every relabelling: under nonzero duals a
-        # relabelled optimum can be far from optimal.  With a lowered
-        # _BATCH_AT the search runs Lloyd early, then drops the open nodes
-        # that Lloyd's incumbent rules out, and switches to batches or not.
+        # relabelled optimum can be far from optimal.  A lowered _BATCH_AT
+        # switches the search to batches early.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
         c = np.zeros((K, 2)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, 2))
@@ -676,85 +693,17 @@ class TestWarmStart:
         bounds = suffix_lower_bounds(sub.data, K, sub.box)
         optimum = brute.lagrangian_value
         scale = max(abs(optimum), 1e-9)
+        constants = {**constants, "lloyd_incumbent": starting_from(warm)}
         for sb in (None, bounds):
-            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, warm_start=warm))
+            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb))
             assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
             assert sol.proof_gap <= 1e-9
             assert sol.lagrangian_value == evaluate_assignment(sub, sol.assignment).lagrangian_value
             # At a loose tolerance the proven bound must still lie below the optimum.
-            loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb,
-                                                                       warm_start=warm))
+            loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb))
             proven = loose.lagrangian_value - loose.proof_gap * max(abs(loose.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert loose.proof_gap <= 0.3
-
-    def test_optimal_warm_start_is_kept(self):
-        rng = np.random.default_rng(8)
-        sub = random_subproblem(rng, n_pts=8, K=3)
-        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
-        optimum = solve_subproblem(sub)
-        sol = solve_subproblem(sub, warm_start=optimum.assignment)
-        assert sol.assignment == optimum.assignment
-        np.testing.assert_array_equal(sol.centroids, optimum.centroids)
-
-    def test_lloyd_runs_only_without_warm_start_or_at_the_switch(self, monkeypatch):
-        lloyd_calls = count_calls(monkeypatch, subsolver, "lloyd_incumbent")
-        switches = count_calls(monkeypatch, subsolver, "_best_first_batched")
-        rng = np.random.default_rng(5)
-        small = random_subproblem(rng, n_pts=7, K=3)
-        small = LagrangianSubproblem(data=small.data, K=3, box=small.box, c=rng.normal(size=(3, 2)))
-        warm = solve_subproblem(small).assignment
-        assert (len(lloyd_calls), len(switches)) == (1, 0)
-        solve_subproblem(small, warm_start=warm)
-        assert (len(lloyd_calls), len(switches)) == (1, 0)
-
-        # The 22-point K=4 search switches to batches, once.
-        big = random_subproblem(np.random.default_rng(5), n_pts=22, K=4, n_y=2)
-        big = LagrangianSubproblem(data=big.data, K=4, box=big.box, c=rng.normal(size=(4, 2)))
-        bounds = suffix_lower_bounds(big.data, 4, big.box)
-        expected = solve_subproblem(big, suffix_bounds=bounds)
-        del lloyd_calls[:], switches[:]
-        sol = solve_subproblem(big, suffix_bounds=bounds, warm_start=[0] * big.data.n_points)
-        assert (len(lloyd_calls), len(switches)) == (1, 1)
-        assert sol.lagrangian_value == expected.lagrangian_value
-        assert sol.proof_gap <= 1e-9
-
-    def test_search_stays_scalar_when_lloyd_prunes_the_open_nodes(self, monkeypatch):
-        # Three groups of 40 points, each within 0.5 of its centre, the
-        # centres 10 apart.  Two points a group apart are more than 9 apart,
-        # so a cluster holding both costs more than 81 / 2 = 40.5, while the
-        # partition into groups costs at most 120 * 0.5 ** 2 = 30.  The
-        # farthest-first order starts with one point of each group, so
-        # Lloyd's one descent ends in that partition, the optimum; under it
-        # every child that mixes two groups is pruned.  The all-zeros warm
-        # start costs thousands, so the search pushes those children until
-        # _BATCH_AT nodes are open, 65 nodes down the optimal path.  Lloyd
-        # then rules out all but one of them: the search stays scalar and
-        # expands the same nodes as a search that started from Lloyd.  The
-        # searches get no suffix bounds: at zero duals those would prove the
-        # optimum at the root.
-        rng = np.random.default_rng(0)
-        centres = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        angle, radius = rng.uniform(0.0, 2 * np.pi, size=120), 0.5 * np.sqrt(rng.uniform(size=120))
-        Y = np.repeat(centres, 40, axis=0) + radius[:, None] * np.stack((np.cos(angle), np.sin(angle)), axis=1)
-        sub = LagrangianSubproblem(data=NodeDataset(0, Y), K=3, box=BoundingBox.of_data([Y]),
-                                   c=np.zeros((3, 2)))
-        cold = solve_subproblem(sub)
-        groups = np.repeat([0, 1, 2], 40).tolist()
-        assert len(set(zip(groups, cold.assignment))) == len(set(cold.assignment)) == 3
-        lloyd_calls = count_calls(monkeypatch, subsolver, "lloyd_incumbent")
-        switches = count_calls(monkeypatch, subsolver, "_best_first_batched")
-        warm = solve_subproblem(sub, warm_start=[0] * 120)
-        assert (len(lloyd_calls), len(switches)) == (1, 0)
-        assert warm.assignment == cold.assignment
-        assert warm.stats["explored"] == cold.stats["explored"]
-
-    def test_warm_start_checked(self):
-        sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
-        with pytest.raises(ValueError, match="length"):
-            solve_subproblem(sub, warm_start=[0, 1])
-        with pytest.raises(ValueError, match="out of range"):
-            solve_subproblem(sub, warm_start=[0, 1, 2])
 
 
 class TestRelabel:
