@@ -122,8 +122,17 @@ def _write_central_csv(trace, path) -> None:
             writer.writerow([repr(wall), repr(ub), repr(lb), repr(gap)])
 
 
+def _check_csv_dir(path) -> None:
+    """ValueError unless the directory that ``--csv`` names exists, so that
+    a command fails before it solves anything rather than after."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise ValueError(f"--csv directory {str(directory)!r} does not exist")
+
+
 def cmd_central(args) -> int:
     instance = read_instance(args.instance)
+    _check_csv_dir(args.csv)
     try:
         result = central_solve(instance, time_budget=args.time_budget,
                                rel_tol=args.rel_tol, max_nodes=args.max_nodes)
@@ -157,6 +166,7 @@ def cmd_node(args) -> int:
 def cmd_run(args) -> int:
     """``run`` in process, or ``run-remote`` against the node services at ``--nodes``."""
     instance = read_instance(args.instance)
+    _check_csv_dir(args.csv)
     remote = args.command == "run-remote"
     if remote:
         addresses = [_parse_address(a) for a in args.nodes]
@@ -197,13 +207,33 @@ def _group_of(instance_name: str) -> str:
     return instance_name.rsplit("_", 1)[0]
 
 
+# The .meta.json fields that report reads.
+_META_FIELDS = ("instance", "algorithm", "iterations", "termination", "rel_dg_percent",
+                "certified_gap_percent", "modeled_t_comp_s")
+
+
+def _read_meta(path: Path) -> dict:
+    """A run's metadata; ValueError naming ``path`` unless it is a JSON
+    object with every field that report reads."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    missing = [name for name in _META_FIELDS if name not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
+    return meta
+
+
 def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     metas = sorted(runs_dir.glob("*.meta.json"))
     if not metas:
         print(f"report: no run metadata found in {runs_dir}", file=sys.stderr)
         return EXIT_ARGS
-    rows = [json.loads(p.read_text()) for p in metas]
+    rows = [_read_meta(p) for p in metas]
 
     groups: dict[tuple[str, str], list[dict]] = defaultdict(list)
     for row in rows:

@@ -56,9 +56,10 @@ class RunConfig:
     residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
     50, and a constant 800 ms modeled communication time per iteration.
     ``rel_tol`` and ``max_nodes`` are the settings of every node solve, with
-    :func:`solve_subproblem`'s defaults.  The Lloyd incumbent that starts a
-    node's search has no setting: it is one descent from the first K
-    observations of the node's branching order.
+    :func:`solve_subproblem`'s defaults.  The incumbents that start a node's
+    search have no setting: one Lloyd descent from the first K observations
+    of the node's branching order, and the node's plain K-means optimum,
+    proven once per session by its suffix-bound precompute.
     """
 
     algorithm: str = "qnda"
@@ -176,7 +177,8 @@ class NodeSession:
     """One node's side of a run: its data and the settings of every solve.
 
     Between solves a session keeps only what does not depend on the duals:
-    its branching order and suffix bounds.  Both backends open sessions from
+    its branching order, its suffix bounds and the plain K-means optimum
+    that their precompute proves.  Both backends open sessions from
     the same :meth:`hello_body` dict (the networked backend sends it as the
     HELLO body), so in-process and networked nodes solve with identical
     settings by construction.
@@ -220,8 +222,10 @@ class NodeSession:
         return branching_order(self.data.observations)
 
     @cached_property
-    def suffix_bounds(self) -> np.ndarray:
-        """The node's dual-independent suffix bounds in :attr:`order`, computed on first use."""
+    def suffix(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The node's dual-independent suffix bounds in :attr:`order` and its
+        plain K-means optimum, from :func:`suffix_lower_bounds`, computed on
+        first use."""
         return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes, order=self.order)
 
     def solve(self, c, reference) -> NodeSolveReply:
@@ -229,17 +233,20 @@ class NodeSession:
 
         Relabelling needs every row of ``c`` to be equal (ValueError
         otherwise).  The first solve also computes :attr:`order` and
-        :attr:`suffix_bounds`, and its ``solve_time`` includes that work.
-        Every solve starts from a Lloyd descent from the first K observations
-        of :attr:`order` (see :func:`solve_subproblem`), so a reply depends
-        only on the node's data, ``c`` and ``reference``: not on earlier
-        solves, nor on the backend or the run that asks for it.
+        :attr:`suffix`, and its ``solve_time`` includes that work.  Every
+        solve starts from a Lloyd descent from the first K observations of
+        :attr:`order`, or from the session's K-means optimum when that is
+        lower under ``c`` (see :func:`solve_subproblem`).  Neither depends on
+        the duals, so a reply depends only on the node's data, ``c`` and
+        ``reference``: not on earlier solves, nor on the backend or the run
+        that asks for it.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
         started = time.perf_counter()
+        bounds, optimum = self.suffix
         solution = solve_subproblem(sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
-                                    suffix_bounds=self.suffix_bounds, order=self.order)
+                                    suffix_bounds=bounds, order=self.order, start=optimum)
         if reference is not None:
             solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
         return NodeSolveReply(

@@ -5,15 +5,18 @@ subproblem separates per cluster and per dimension, so the optimal
 box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations in the farthest-first
-order of :func:`branching_order`), pruning against the incumbent of one Lloyd
-descent started from the first K observations of that order.  A solve keeps
-no state between calls.
+order of :func:`branching_order`), pruning against an incumbent: one Lloyd
+descent started from the first K observations of that order, or a given start
+assignment relabelled to its least value under the dual term, whichever is
+lower.  A solve keeps no state between calls.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
 the unassigned ones.  The suffix bounds do not depend on the dual term, so
 :func:`suffix_lower_bounds` computes them once per dataset, by repetitive
-branch-and-bound over ever longer suffixes.
+branch-and-bound over ever longer suffixes.  Its last search proves the plain
+K-means optimum of the whole dataset, which it returns as the start for the
+dataset's solves.
 
 A search expands one node at a time, keeping per-cluster sums in Python
 scalars, until its open heap holds ``_BATCH_AT`` nodes.  It then moves its open
@@ -138,24 +141,35 @@ def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> Subprob
     Each centroid is :func:`closed_form_centroid`'s, computed without the
     cluster minimum that this function does not use.
     """
-    assignment = tuple(int(a) for a in assignment)
-    Y = subproblem.data.observations
-    K, n_y, c = subproblem.K, subproblem.data.n_y, subproblem.c
-    lo, hi = subproblem.box.lo, subproblem.box.hi
-    if len(assignment) != Y.shape[0]:
-        raise ValueError("assignment length must match the number of observations")
-    if any(not 0 <= a < K for a in assignment):
-        raise ValueError("assignment labels out of range")
-    centroids = np.zeros((K, n_y))
+    assignment = _checked_assignment(subproblem, assignment)
+    Y, c, lo, hi = subproblem.data.observations, subproblem.c, subproblem.box.lo, subproblem.box.hi
     labels = np.asarray(assignment)
+    parts = [Y[labels == k] for k in range(subproblem.K)]
+    centroids = np.array([_centroid(part, c_k, lo, hi) for part, c_k in zip(parts, c)])
+    return _solution(subproblem, assignment, parts, centroids)
+
+
+def _checked_assignment(subproblem: LagrangianSubproblem, assignment) -> tuple[int, ...]:
+    """``assignment`` as a tuple of ints; ValueError unless it labels every
+    observation with one of the K clusters."""
+    assignment = tuple(map(int, assignment))
+    if len(assignment) != subproblem.data.n_points:
+        raise ValueError("assignment length must match the number of observations")
+    if assignment and (min(assignment) < 0 or max(assignment) >= subproblem.K):
+        raise ValueError("assignment labels out of range")
+    return assignment
+
+
+def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], parts, centroids: np.ndarray
+              ) -> SubproblemSolution:
+    """Solution of ``assignment``, whose clusters hold the observations in
+    ``parts`` and have the closed-form centroids ``centroids``, in cluster
+    order."""
     cluster_cost = 0.0
     linear_cost = 0.0
-    for k in range(K):
-        pts = Y[labels == k]
-        m_k = _centroid(pts, c[k], lo, hi)
-        cluster_cost += float(np.sum((pts - m_k) ** 2))  # 0.0 for an empty cluster
-        centroids[k] = m_k
-        linear_cost += float(c[k] @ m_k)
+    for part, m_k, c_k in zip(parts, centroids, subproblem.c):
+        cluster_cost += float(np.sum((part - m_k) ** 2))  # 0.0 for an empty cluster
+        linear_cost += float(c_k @ m_k)
     return SubproblemSolution(
         assignment=assignment,
         centroids=centroids,
@@ -177,7 +191,9 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
     depend on the assignment variables, so the assignment step uses pure
     squared distances; the centroid step uses the clipped closed-form
     centroid of :func:`closed_form_centroid`, including the dual
-    coefficients.
+    coefficients.  The last centroid step's centroids are those of the final
+    labels, so the result is valued from them, bit for bit as
+    :func:`evaluate_assignment` values those labels.
     """
     Y = subproblem.data.observations
     K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
@@ -189,9 +205,10 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
+        parts = [Y[labels == k] for k in range(K)]
         for k in range(K):
-            centroids[k] = _centroid(Y[labels == k], c[k], lo, hi)
-    return evaluate_assignment(subproblem, labels)
+            centroids[k] = _centroid(parts[k], c[k], lo, hi)
+    return _solution(subproblem, tuple(labels.tolist()), parts, centroids)
 
 
 _GAP_FLOOR = 1e-9  # denominator floor so a zero-cost optimum still yields gap 0
@@ -209,6 +226,7 @@ def solve_subproblem(
     on_progress=None,
     suffix_bounds=None,
     order=None,
+    start=None,
 ) -> SubproblemSolution:
     """Proven global optimum of the node Lagrangian by best-first branch-and-bound.
 
@@ -225,11 +243,18 @@ def solve_subproblem(
     are skipped.
 
     The search starts from :func:`lloyd_incumbent`'s one descent from the
-    first K observations of the branching order.  The incumbent changes what
-    the search prunes, not what it proves: the result is optimal to within
-    ``rel_tol``, and among assignments whose values lie within ``rel_tol`` of
-    each other the incumbent decides which one is returned.  A solve keeps no
-    state between calls.
+    first K observations of the branching order.  ``start``, a complete
+    assignment such as the plain K-means optimum that
+    :func:`suffix_lower_bounds` returns, is a second candidate: when the rows
+    of ``c`` differ it is first relabelled to its least value under ``c``
+    (its parts keep their observations, the labels are permuted; exhaustive
+    over the K! permutations, so ValueError for K > 8), and when they are
+    equal it is taken as given.  It replaces Lloyd's incumbent only when it
+    is lower by more than the ``rel_tol`` threshold.  The incumbent changes
+    what the search prunes, not what it proves: the result is optimal to
+    within ``rel_tol``, and among assignments whose values lie within
+    ``rel_tol`` of each other the incumbent decides which one is returned.
+    A solve keeps no state between calls.
 
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
     ``time_budget`` (seconds) instead returns the incumbent with its actual
@@ -245,7 +270,13 @@ def solve_subproblem(
     order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
     incumbent = lloyd_incumbent(subproblem, order)
-    start = time.perf_counter()
+    if start is not None:
+        start = _checked_assignment(subproblem, start)
+        new_label, value = tree.least_cost_relabelling([start[j] for j in order])
+        ub = incumbent.lagrangian_value
+        if value < ub - rel_tol * max(abs(ub), _GAP_FLOOR):
+            incumbent = evaluate_assignment(subproblem, [new_label[a] for a in start])
+    started = time.perf_counter()
 
     def on_leaf(labels):
         nonlocal incumbent
@@ -256,11 +287,11 @@ def solve_subproblem(
         return incumbent.lagrangian_value
 
     def on_bound(lb):
-        on_progress(time.perf_counter() - start, incumbent, lb)
+        on_progress(time.perf_counter() - started, incumbent, lb)
 
     lb, explored, status = _best_first(
         tree, 0, incumbent.lagrangian_value, rel_tol, max_nodes, on_leaf,
-        deadline=None if time_budget is None else start + time_budget,
+        deadline=None if time_budget is None else started + time_budget,
         on_bound=None if on_progress is None else on_bound,
     )
     if status == "node_limit":
@@ -269,8 +300,9 @@ def solve_subproblem(
 
 
 def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
-                        max_nodes: int = DEFAULT_MAX_NODES, order=None) -> np.ndarray:
-    """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`.
+                        max_nodes: int = DEFAULT_MAX_NODES, order=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`, and
+    the plain K-means optimum that the last of their searches proves.
 
     ``sb[d]`` is a proven lower bound on the plain K-means optimum (c = 0,
     centroids in the box) of the observations at positions d..n-1 of the
@@ -288,10 +320,17 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     its bound reaches the incumbent and the search's proven bound is the
     suffix optimum.  The searches share one ``max_nodes`` budget, like a
     single solve; :class:`NodeLimitExceeded` is raised when it runs out.
+
+    The search over the whole order (d = 0) proves the K-means optimum of
+    all observations.  It is returned as a complete assignment, observation
+    by observation, with labels numbered by first appearance along the
+    order, as the symmetric search labels its leaves; it can start a
+    :func:`solve_subproblem` search as its ``start``.
     """
     Y = data.observations
     n_pts, n_y = Y.shape
-    Yo = Y[_checked_order(Y, order)]
+    order = _checked_order(Y, order)
+    Yo = Y[order]
     zero = np.zeros((K, n_y))
     sb = [0.0] * (n_pts + 1)
     tree = _Tree(Yo, K, zero, box, sb)
@@ -316,7 +355,11 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
                                     where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}")
         sb[d] = max(sb[d + 1], lb)
         best = found[1]
-    return np.array(sb)
+    optimum = [0] * n_pts
+    first_seen: dict[int, int] = {}
+    for pos, k in zip(order, best):
+        optimum[pos] = first_seen.setdefault(k, len(first_seen))
+    return np.array(sb), tuple(optimum)
 
 
 def branching_order(Y: np.ndarray) -> list[int]:
@@ -377,6 +420,51 @@ class _Tree:
         for d, k in enumerate(labels, start):
             clusters[k] = _add_point(clusters[k], self.points[d], self.sq[d], self.coef[k])
         return sum(cluster[3] for cluster in clusters)
+
+    def least_cost_relabelling(self, labels) -> tuple[list[int], float]:
+        """The new label of each old one that gives ``labels`` (one per
+        position) its least objective, and that objective.
+
+        Part p, the positions labelled p, costs ``table[p][k]`` under label
+        k: its closed-form minimum under c_k, from its count, coordinate sums
+        and summed squared norms.  The labels are permuted by the least cost
+        permutation of that K x K table.  When every row of c is equal, every
+        labelling has the same objective and the labels are kept.
+        """
+        K = self.K
+        if self.symmetric:
+            return list(range(K)), self.labels_value(0, labels)
+        parts = [[] for _ in range(K)]
+        for d, k in enumerate(labels):
+            parts[k].append(d)
+        table = []
+        for part in parts:
+            if not part:
+                table.append([cluster[3] for cluster in self.root])
+                continue
+            sums = [sum(column) for column in zip(*[self.points[d] for d in part])]
+            sumsq = sum([self.sq[d] for d in part])
+            table.append([_part_value(len(part), sums, sumsq, coef) for coef in self.coef])
+        new_label = _least_cost_relabelling(table)
+        return new_label, sum(table[p][new_label[p]] for p in range(K))
+
+
+def _part_value(count: int, sums, sumsq: float, coef) -> float:
+    """Closed-form minimum of a non-empty cluster from its ``count``,
+    coordinate ``sums`` and summed squared norms ``sumsq``, computed as
+    :func:`_add_point` computes a cluster's value (which keeps its own copy
+    of these lines: it runs once per child in the scalar search)."""
+    mm = sm = cm = 0.0
+    for s, (h, c, lo, hi) in zip(sums, coef):
+        m = (s - h) / count
+        if m < lo:
+            m = lo
+        elif m > hi:
+            m = hi
+        mm += m * m
+        sm += s * m
+        cm += c * m
+    return sumsq + (count * mm - 2.0 * sm + cm)
 
 
 def _add_point(cluster, y, y_sq: float, coef):
@@ -790,7 +878,7 @@ def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
     """Permute cluster labels to best match a reference centroid set.
 
     Chooses the permutation minimizing the total squared centroid-to-reference
-    distance (exhaustive over K! for the small K used here) and recomputes the
+    distance (exhaustive over K!, so ValueError for K > 8) and recomputes the
     Lagrangian value under the new labels.  A permuted optimum stays optimal
     only when every cluster has the same dual term, as at zero duals, so the
     rows of ``subproblem.c`` must be equal; ValueError otherwise.
@@ -798,20 +886,32 @@ def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
     if np.any(subproblem.c != subproblem.c[0]):
         raise ValueError("label alignment needs the same dual term for every cluster")
     reference = np.asarray(reference, dtype=float)
-    K = solution.centroids.shape[0]
     if reference.shape != solution.centroids.shape:
         raise ValueError("reference must have shape (K, n_y)")
+    d2 = np.sum((solution.centroids[:, None, :] - reference[None, :, :]) ** 2, axis=2)
+    new_label = _least_cost_relabelling(d2.tolist())
+    relabeled = evaluate_assignment(subproblem, [new_label[a] for a in solution.assignment])
+    return replace(relabeled, proof_gap=solution.proof_gap, stats=dict(solution.stats))
+
+
+def _least_cost_relabelling(cost: list[list[float]]) -> list[int]:
+    """The new label of each old label k that minimizes the sum of
+    ``cost[k][new label]``.
+
+    Exhaustive over the K! permutations in :func:`itertools.permutations`
+    order; a later permutation replaces the best so far only when its sum is
+    lower by more than 1e-15.  ValueError for K > 8.
+    """
+    K = len(cost)
     if K > 8:
         raise ValueError("exhaustive relabeling supports K <= 8")
-    d2 = np.sum((solution.centroids[:, None, :] - reference[None, :, :]) ** 2, axis=2)
     best_perm, best_cost = None, math.inf
     for perm in itertools.permutations(range(K)):
-        cost = sum(d2[perm[k], k] for k in range(K))
-        if cost < best_cost - 1e-15:
-            best_perm, best_cost = perm, cost
-    # New label k takes the old cluster best_perm[k].
-    inverse = [0] * K
+        total = sum(cost[perm[k]][k] for k in range(K))
+        if total < best_cost - 1e-15:
+            best_perm, best_cost = perm, total
+    # New label k takes the old label best_perm[k].
+    new_label = [0] * K
     for k in range(K):
-        inverse[best_perm[k]] = k
-    relabeled = evaluate_assignment(subproblem, [inverse[a] for a in solution.assignment])
-    return replace(relabeled, proof_gap=solution.proof_gap, stats=dict(solution.stats))
+        new_label[best_perm[k]] = k
+    return new_label

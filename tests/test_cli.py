@@ -99,6 +99,28 @@ class TestRun:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "run-remote"])
+    def test_missing_csv_directory_checked_before_solving(self, instance_file, tmp_path, capsys,
+                                                          monkeypatch, command):
+        # A solve or a node connection would fail this test.
+        import fedkmeans.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved or contacted a node before checking --csv")
+
+        class NeverConnects(cli.NetworkedBackend):
+            __init__ = never
+
+        monkeypatch.setattr(cli, "run", never)
+        monkeypatch.setattr(cli, "NetworkedBackend", NeverConnects)
+        nodes = ["--nodes", "127.0.0.1:9", "127.0.0.1:9"] if command == "run-remote" else []
+        code = main([command, "--instance", str(instance_file), *nodes,
+                     "--csv", str(tmp_path / "missing" / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: --csv directory") and "missing" in err
+        assert not (tmp_path / "missing").exists()
+
     def test_solver_failure_exit_code(self, instance_file, tmp_path):
         # An absurdly small branch-and-bound budget forces an inexact solve.
         code = main(["run", "--instance", str(instance_file), "--max-nodes", "2",
@@ -136,6 +158,19 @@ class TestCentral:
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_missing_csv_directory_checked_before_solving(self, instance_file, tmp_path, capsys,
+                                                          monkeypatch):
+        import fedkmeans.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved before checking --csv")
+
+        monkeypatch.setattr(cli, "central_solve", never)
+        code = main(["central", "--instance", str(instance_file),
+                     "--csv", str(tmp_path / "missing" / "central.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("central: --csv directory")
 
     def test_node_limit_is_solver_failure(self, instance_file, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -281,6 +316,23 @@ class TestReport:
         assert float(rows[("2N2D2K", "qnda")]["mean_iterations"]) == pytest.approx(5.5)
         assert float(rows[("2N2D2K", "sg")]["mean_t_comp_s"]) == pytest.approx(12.0)
         assert float(rows[("2N2D2K", "btm")]["mean_certified_gap_percent"]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"instance": "2N2D2K_1", "algorithm": "sg", "iterations": 3,
+                     "termination": "max_iter", "rel_dg_percent": 1.0, "modeled_t_comp_s": 2.4}),
+         "missing field(s) certified_gap_percent"),
+        ("[1, 2]", "not a JSON object"),
+        ("{", "not valid JSON"),
+    ])
+    def test_malformed_meta_is_argument_error(self, tmp_path, capsys, text, message):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        meta = runs / "sg_1.csv.meta.json"
+        meta.write_text(text)
+        code = main(["report", "--runs", str(runs), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"report: {meta}: {message}")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_empty_dir_is_argument_error(self, tmp_path):
         empty = tmp_path / "empty"

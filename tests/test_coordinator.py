@@ -311,11 +311,29 @@ class TestNodeSession:
 
     def test_suffix_bounds_ignore_rel_tol(self):
         # The suffix searches run to a zero gap whatever the run's rel_tol,
-        # so a loose tolerance cannot push an entry above its suffix optimum.
+        # so a loose tolerance cannot push an entry above its suffix optimum
+        # nor change the K-means optimum that the last search proves.
         instance = two_node_instance(seed=6, K=3)
         tight, loose = (InProcessBackend(instance, RunConfig(rel_tol=tol)).sessions[0]
                         for tol in (1e-9, 0.3))
-        np.testing.assert_array_equal(tight.suffix_bounds, loose.suffix_bounds)
+        np.testing.assert_array_equal(tight.suffix[0], loose.suffix[0])
+        assert tight.suffix[1] == loose.suffix[1]
+
+    @pytest.mark.parametrize("cell", [None, "3N2D4K_1"])
+    def test_fresh_session_at_zero_duals_explores_no_nodes(self, monkeypatch, tmp_path, cell):
+        # The suffix precompute proves the node's K-means optimum, and at
+        # zero duals its value meets the root bound, so the search stops at
+        # the root whether Lloyd's incumbent or that optimum starts it.
+        if cell is None:
+            instance = two_node_instance(seed=6, K=3)
+        else:
+            generate_grid(0, tmp_path)
+            instance = read_instance(tmp_path / f"{cell}.json")
+        log = record_solves(monkeypatch)
+        body = NodeSession.hello_body(instance, RunConfig())
+        for node in instance.nodes:
+            NodeSession.open(node, body).solve(np.zeros(instance.K * instance.n_y), None)
+        assert [entry["explored"] for entry in log] == [0] * instance.n_nodes
 
     def test_reply_does_not_depend_on_earlier_solves(self, tmp_path):
         # Solving c1, then c2, then c1 again gives the first reply's bits,
@@ -384,16 +402,18 @@ class TestLloydStart:
 class TestSearchSize:
     def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
         # The K=4 cells of the seed-0 grid, SG for two iterations, explore
-        # 24,217 nodes in all with the farthest-first branching order and
-        # the Lloyd start taken from it (267,303 in decreasing distance from
-        # the data mean).  The counts are deterministic, so this bound, about
-        # twice the count, catches a regression in the order or in the bounds.
+        # 13,148 nodes in all with the farthest-first branching order, the
+        # Lloyd start taken from it and each node's K-means optimum as a
+        # second start (24,217 from Lloyd alone; 267,303 in decreasing
+        # distance from the data mean).  The counts are deterministic, so
+        # this bound, about twice the count, catches a regression in the
+        # order, the starts or the bounds.
         log = record_solves(monkeypatch)
         generate_grid(0, tmp_path)
         for cell in ("2N2D4K_1", "3N2D4K_1", "4N2D4K_1"):
             run(read_instance(tmp_path / f"{cell}.json"), RunConfig(algorithm="sg", t_max=2))
         assert len(log) == 18
-        assert sum(entry["explored"] for entry in log) <= 48_000
+        assert sum(entry["explored"] for entry in log) <= 26_000
 
 
 class TestRunCsv:

@@ -23,7 +23,7 @@ from fedkmeans.subsolver import (
     suffix_lower_bounds,
 )
 import fedkmeans.subsolver as subsolver
-from fedkmeans.subsolver import _add_point, _add_point_batch, _Tree
+from fedkmeans.subsolver import _add_point, _add_point_batch, _Tree, _least_cost_relabelling
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -113,6 +113,11 @@ class TestEvaluateAssignment:
             evaluate_assignment(sub, [0, 1])
         with pytest.raises(ValueError, match="out of range"):
             evaluate_assignment(sub, [0, 1, 2])
+        # A search's start is checked the same way.
+        with pytest.raises(ValueError, match="length"):
+            solve_subproblem(sub, start=[0, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            solve_subproblem(sub, start=[0, -1, 1])
 
     def test_label_permutation_invariance(self):
         sub = subproblem_1d([0, 1, 2, 8, 9], K=3)
@@ -247,6 +252,21 @@ class TestLloydIncumbent:
         assert got.lagrangian_value == want.lagrangian_value
         np.testing.assert_array_equal(got.centroids, want.centroids)
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_value_is_evaluate_assignment_bitwise(self, seed):
+        # Lloyd values its labels from the centroids of its last step;
+        # evaluate_assignment recomputes them.  Few points for K = 4 leave
+        # clusters empty.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(2, 9)), K=int(rng.integers(2, 5)),
+                                n_y=int(rng.integers(1, 4)))
+        got = lloyd_incumbent(sub, branching_order(sub.data.observations))
+        want = evaluate_assignment(sub, got.assignment)
+        assert got.lagrangian_value == want.lagrangian_value
+        assert got.cluster_cost == want.cluster_cost
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+
 
 def reference_lloyd(subproblem, order):
     """One Lloyd descent from the observations at positions 0, 1, ... of
@@ -328,7 +348,7 @@ class TestBranchingOrder:
         rng = np.random.default_rng(3)
         sub = random_subproblem(rng, n_pts=7, K=3)
         order = branching_order(sub.data.observations)[::-1]
-        sb = suffix_lower_bounds(sub.data, sub.K, sub.box, order=order)
+        sb, _ = suffix_lower_bounds(sub.data, sub.K, sub.box, order=order)
         for d in range(len(order)):
             optimum = suffix_optimum(sub, d, order)
             assert sb[d] <= optimum + 1e-12 * max(optimum, 1.0)
@@ -385,7 +405,7 @@ class TestSolveSubproblem:
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8)))
         optimum = brute_force_subproblem(sub).lagrangian_value
         poor_start = {"lloyd_incumbent": starting_from([0] * sub.data.n_points)}
-        for bounds in (None, suffix_lower_bounds(sub.data, sub.K, sub.box)):
+        for bounds in (None, suffix_lower_bounds(sub.data, sub.K, sub.box)[0]):
             sol = with_constants(poor_start, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds))
             proven = sol.lagrangian_value - sol.proof_gap * max(abs(sol.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
@@ -439,7 +459,7 @@ class TestSuffixLowerBounds:
     def test_below_each_suffix_optimum(self, seed):
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(3, 8)), K=int(rng.integers(2, 4)))
-        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        sb, _ = suffix_lower_bounds(sub.data, sub.K, sub.box)
         for d in range(sub.data.n_points):
             optimum = suffix_optimum(sub, d)
             assert sb[d] <= optimum + 1e-12 * max(optimum, 1.0)
@@ -449,16 +469,34 @@ class TestSuffixLowerBounds:
     def test_non_increasing_and_zero_at_end(self, seed):
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(3, 10)), K=int(rng.integers(2, 4)))
-        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        sb, _ = suffix_lower_bounds(sub.data, sub.K, sub.box)
         assert len(sb) == sub.data.n_points + 1
         assert sb[-1] == 0.0
         assert all(a >= b for a, b in zip(sb, sb[1:]))
+
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_returns_the_kmeans_optimum(self, seed, given_order):
+        # The last search proves the plain K-means optimum of all the
+        # observations; its labels are numbered by first appearance along
+        # the order.  Few points for K = 4 can leave clusters empty.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(1, 8)), K=int(rng.integers(2, 5)))
+        n = sub.data.n_points
+        order = rng.permutation(n).tolist() if given_order else branching_order(sub.data.observations)
+        _, optimum = suffix_lower_bounds(sub.data, sub.K, sub.box, order=order)
+        plain = LagrangianSubproblem(data=sub.data, K=sub.K, box=sub.box, c=np.zeros(sub.c.shape))
+        brute = brute_force_subproblem(plain).lagrangian_value
+        value = evaluate_assignment(plain, optimum).lagrangian_value
+        assert abs(value - brute) <= 1e-12 * max(brute, 1e-9)
+        firsts = list(dict.fromkeys(optimum[j] for j in order))
+        assert firsts == list(range(len(firsts)))
 
     def test_tight_on_separated_groups(self):
         # Three tight pairs, K = 3: the whole-data optimum is the within-pair
         # cost, and each suffix search runs to a zero gap.
         sub = subproblem_1d([0.0, 0.1, 5.0, 5.1, 10.0, 10.1], K=3)
-        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        sb, _ = suffix_lower_bounds(sub.data, sub.K, sub.box)
         assert sb[0] == pytest.approx(3 * 0.005, rel=1e-9)
 
     @given(st.integers(0, 10 ** 6))
@@ -468,7 +506,7 @@ class TestSuffixLowerBounds:
         sub = random_subproblem(rng, n_pts=int(rng.integers(3, 8)), K=int(rng.integers(2, 4)))
         sub = LagrangianSubproblem(data=sub.data, K=sub.K, box=sub.box,
                                    c=rng.normal(scale=rng.choice([0.5, 2.0]), size=sub.c.shape))
-        exact = solve_subproblem(sub, suffix_bounds=suffix_lower_bounds(sub.data, sub.K, sub.box))
+        exact = solve_subproblem(sub, suffix_bounds=suffix_lower_bounds(sub.data, sub.K, sub.box)[0])
         brute = brute_force_subproblem(sub)
         scale = max(abs(brute.lagrangian_value), 1e-9)
         assert abs(exact.lagrangian_value - brute.lagrangian_value) <= 1e-9 * scale
@@ -482,7 +520,7 @@ class TestSuffixLowerBounds:
         sub = random_subproblem(rng, n_pts=int(rng.integers(6, 13)), K=3)
         sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box,
                                    c=rng.normal(scale=rng.choice([0.2, 1.0]), size=sub.c.shape))
-        sb = suffix_lower_bounds(sub.data, 3, sub.box)
+        sb, _ = suffix_lower_bounds(sub.data, 3, sub.box)
         with_bounds = solve_subproblem(sub, suffix_bounds=sb)
         without = solve_subproblem(sub)
         assert with_bounds.assignment == without.assignment
@@ -516,11 +554,11 @@ class TestSuffixLowerBounds:
             return result
 
         monkeypatch.setattr(subsolver, "_best_first", counting)
-        sb = suffix_lower_bounds(sub.data, sub.K, sub.box)
+        sb, _ = suffix_lower_bounds(sub.data, sub.K, sub.box)
         total = sum(counts)
         assert max(counts) < total  # no single search uses the whole budget
         monkeypatch.setattr(subsolver, "_best_first", original)
-        np.testing.assert_array_equal(suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=total + 1), sb)
+        np.testing.assert_array_equal(suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=total + 1)[0], sb)
         with pytest.raises(NodeLimitExceeded) as err:
             suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=total)
         assert err.value.explored == total
@@ -583,7 +621,7 @@ class TestBatchedSearch:
         scale = max(abs(brute.lagrangian_value), 1.0)
 
         def solve():
-            bounds = suffix_lower_bounds(sub.data, K, sub.box)
+            bounds, _ = suffix_lower_bounds(sub.data, K, sub.box)
             return bounds, solve_subproblem(sub, suffix_bounds=bounds), solve_subproblem(sub)
 
         ref_bounds, *ref = with_constants(SCALAR, solve)
@@ -603,7 +641,7 @@ class TestBatchedSearch:
         rng = np.random.default_rng(5)
         sub = random_subproblem(rng, n_pts=22, K=4, n_y=2)
         sub = LagrangianSubproblem(data=sub.data, K=4, box=sub.box, c=rng.normal(size=(4, 2)))
-        bounds = suffix_lower_bounds(sub.data, 4, sub.box)
+        bounds, _ = suffix_lower_bounds(sub.data, 4, sub.box)
         scalar = with_constants(SCALAR, lambda: solve_subproblem(sub, suffix_bounds=bounds))
         assert scalar.stats["explored"] > 10 * subsolver._BATCH_AT
         switched = solve_subproblem(sub, suffix_bounds=bounds)
@@ -618,7 +656,7 @@ class TestBatchedSearch:
         # entries are unused.
         rng = np.random.default_rng(5)
         sub = random_subproblem(rng, n_pts=22, K=4, n_y=2)
-        scalar = with_constants(SCALAR, lambda: suffix_lower_bounds(sub.data, 4, sub.box))
+        scalar = with_constants(SCALAR, lambda: suffix_lower_bounds(sub.data, 4, sub.box)[0])
         switches = []
         original = subsolver._best_first_batched
 
@@ -627,7 +665,7 @@ class TestBatchedSearch:
             return original(tree, start, heap, *args)
 
         monkeypatch.setattr(subsolver, "_best_first_batched", recording)
-        switched = suffix_lower_bounds(sub.data, 4, sub.box)
+        switched = suffix_lower_bounds(sub.data, 4, sub.box)[0]
         assert any(start > 0 and size >= subsolver._BATCH_AT for start, size in switches)
         np.testing.assert_allclose(switched, scalar, rtol=0, atol=1e-12 * max(abs(scalar[0]), 1.0))
 
@@ -671,14 +709,17 @@ class TestWarmStart:
     """Searches that start from a given incumbent in place of Lloyd's."""
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.booleans(),
-           st.sampled_from(["random", "worst"]),
+           st.sampled_from(["random", "worst"]), st.sampled_from(["lloyd", "start"]),
            st.sampled_from([{}, {"_BATCH_AT": 8}, BATCHED, SMALL_BATCHES]))
-    @settings(max_examples=60, deadline=None)
-    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, constants):
+    @settings(max_examples=80, deadline=None)
+    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, via, constants):
         # "worst" is the costliest of the one-cluster assignments and the
         # optimum's partition under every relabelling: under nonzero duals a
-        # relabelled optimum can be far from optimal.  A lowered _BATCH_AT
-        # switches the search to batches early.
+        # relabelled optimum can be far from optimal.  The warm start stands
+        # in for Lloyd's incumbent, or is passed as ``start`` next to a
+        # Lloyd stand-in that puts every observation in cluster 0, so that
+        # ``start`` (relabelled under nonzero duals) usually replaces it.  A
+        # lowered _BATCH_AT switches the search to batches early.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
         c = np.zeros((K, 2)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, 2))
@@ -690,20 +731,59 @@ class TestWarmStart:
             candidates = [[k] * sub.data.n_points for k in range(K)]
             candidates += [[perm[a] for a in brute.assignment] for perm in itertools.permutations(range(K))]
             warm = max(candidates, key=lambda a: evaluate_assignment(sub, a).lagrangian_value)
-        bounds = suffix_lower_bounds(sub.data, K, sub.box)
+        bounds, _ = suffix_lower_bounds(sub.data, K, sub.box)
         optimum = brute.lagrangian_value
         scale = max(abs(optimum), 1e-9)
-        constants = {**constants, "lloyd_incumbent": starting_from(warm)}
+        if via == "lloyd":
+            constants, start = {**constants, "lloyd_incumbent": starting_from(warm)}, None
+        else:
+            constants, start = {**constants, "lloyd_incumbent": starting_from([0] * sub.data.n_points)}, warm
         for sb in (None, bounds):
-            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb))
+            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=start))
             assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
             assert sol.proof_gap <= 1e-9
             assert sol.lagrangian_value == evaluate_assignment(sub, sol.assignment).lagrangian_value
             # At a loose tolerance the proven bound must still lie below the optimum.
-            loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb))
+            loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb,
+                                                                       start=start))
             proven = loose.lagrangian_value - loose.proof_gap * max(abs(loose.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert loose.proof_gap <= 0.3
+
+
+class TestStartRelabelling:
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["zero", "equal", "unequal"]))
+    @settings(max_examples=60, deadline=None)
+    def test_least_value_over_all_relabellings(self, seed, dual):
+        # Few points for K = 4 leave parts empty.  Under equal dual rows every
+        # relabelling has the same value, and the start is kept as given.
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 5))
+        sub = random_subproblem(rng, n_pts=int(rng.integers(2, 9)), K=K, n_y=int(rng.integers(1, 4)))
+        c = {"zero": np.zeros(sub.c.shape), "equal": np.tile(rng.normal(size=sub.c.shape[1]), (K, 1)),
+             "unequal": rng.normal(scale=rng.choice([0.5, 2.0]), size=sub.c.shape)}[dual]
+        sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
+        start = rng.integers(0, K, size=sub.data.n_points).tolist()
+        tree = _Tree(sub.data.observations, K, sub.c, sub.box, [0.0] * (sub.data.n_points + 1))
+        new_label, value = tree.least_cost_relabelling(start)
+        assert sorted(new_label) == list(range(K))
+        got = evaluate_assignment(sub, [new_label[a] for a in start]).lagrangian_value
+        values = [evaluate_assignment(sub, [perm[a] for a in start]).lagrangian_value
+                  for perm in itertools.permutations(range(K))]
+        scale = max(abs(got), 1.0)
+        assert got <= min(values) + 1e-12 * scale
+        assert abs(value - got) <= 1e-12 * scale
+        if dual != "unequal":
+            assert new_label == list(range(K))
+
+    def test_permutation_tie_rule_and_limit(self):
+        # The first least-cost permutation in itertools order wins unless a
+        # later one is lower by more than 1e-15; K > 8 is refused.
+        assert _least_cost_relabelling([[1.0, 0.0], [0.0, 1.0]]) == [1, 0]
+        assert _least_cost_relabelling([[0.0, 0.0], [0.0, 0.0]]) == [0, 1]
+        assert _least_cost_relabelling([[0.0, 1e-16], [1e-16, 0.0]]) == [0, 1]
+        with pytest.raises(ValueError, match="K <= 8"):
+            _least_cost_relabelling([[0.0] * 9] * 9)
 
 
 class TestRelabel:
