@@ -207,14 +207,16 @@ def _group_of(instance_name: str) -> str:
     return instance_name.rsplit("_", 1)[0]
 
 
-# The .meta.json fields that report reads.
-_META_FIELDS = ("instance", "algorithm", "iterations", "termination", "rel_dg_percent",
-                "certified_gap_percent", "modeled_t_comp_s")
+# The .meta.json fields that report reads, each with the Python types its
+# JSON value may load as (a JSON true or false is never a number) and their name.
+_TEXT, _INTEGER, _NUMBER = ((str,), "a string"), ((int,), "an integer"), ((int, float), "a number")
+_META_FIELDS = {"instance": _TEXT, "algorithm": _TEXT, "iterations": _INTEGER, "termination": _TEXT,
+                "rel_dg_percent": _NUMBER, "certified_gap_percent": _NUMBER, "modeled_t_comp_s": _NUMBER}
 
 
 def _read_meta(path: Path) -> dict:
     """A run's metadata; ValueError naming ``path`` unless it is a JSON
-    object with every field that report reads."""
+    object with every field that report reads, each of its type."""
     try:
         meta = json.loads(path.read_text())
     except ValueError as exc:
@@ -224,6 +226,10 @@ def _read_meta(path: Path) -> dict:
     missing = [name for name in _META_FIELDS if name not in meta]
     if missing:
         raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
+    for name, (types, kind) in _META_FIELDS.items():
+        value = meta[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{path}: field {name} must be {kind}, got {json.dumps(value)}")
     return meta
 
 

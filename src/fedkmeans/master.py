@@ -315,9 +315,9 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
 def _kkt_residual(vals, grads, obj_grad, lam) -> float:
     """max(||stationarity||_inf, max complementarity, max violation) at one point."""
     stationarity = obj_grad + grads.T @ lam
-    return max(float(np.abs(stationarity).max()),
-               float(np.max(lam * np.abs(vals))),
-               float(max(0.0, np.max(vals))))
+    return max(float(abs(stationarity).max()),
+               float((lam * abs(vals)).max()),
+               float(max(0.0, vals.max())))
 
 
 # Iterations without a merit improvement that end an interior-point pass whose
@@ -363,7 +363,7 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme):
         r_stat = obj_grad + grads.T @ lam_pd
         r_prim = vals + slack
         mu = float(lam_pd @ slack) / n_con
-        merit = max(float(np.abs(r_stat).max()), float(np.abs(r_prim).max()), mu)
+        merit = max(float(abs(r_stat).max()), float(abs(r_prim).max()), mu)
         # Late iterations can degrade once slacks underflow; keep the best
         # iterate seen and stop when the merit stops improving.
         if merit < best[0]:
@@ -375,12 +375,12 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme):
             break
         if stall == _PDIP_SETTLE and _kkt_residual(*constraints(best[1]), obj_grad, best[2]) <= _KKT_TOL:
             break  # the best iterate passes the solver's test and has stopped improving
-        if np.min(slack) <= 0 or np.min(lam_pd) < 0 or np.max(lam_pd) > 1e12:
+        if slack.min() <= 0 or lam_pd.min() < 0 or lam_pd.max() > 1e12:
             break  # slack underflow or multiplier blow-up; keep the best iterate
         # Condensed Newton system in (dz, dlam); ds eliminated.
         W = lam_pd / slack
         H = hess_weighted(lam_pd) + grads.T @ (grads * W[:, None])
-        if not np.all(np.isfinite(H)):
+        if not np.isfinite(H).all():
             break
 
         def direction(r_comp_target):
@@ -394,10 +394,10 @@ def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme):
             a_p = a_d = 1.0
             neg = ds < 0
             if neg.any():
-                a_p = min(a_p, margin * float(np.min(-slack[neg] / ds[neg])))
+                a_p = min(a_p, margin * float((-slack[neg] / ds[neg]).min()))
             neg = dlam < 0
             if neg.any():
-                a_d = min(a_d, margin * float(np.min(-lam_pd[neg] / dlam[neg])))
+                a_d = min(a_d, margin * float((-lam_pd[neg] / dlam[neg]).min()))
             return a_p, a_d
 
         try:

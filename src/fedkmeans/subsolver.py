@@ -19,16 +19,18 @@ K-means optimum of the whole dataset, which it returns as the start for the
 dataset's solves.
 
 A search expands one node at a time, keeping per-cluster sums in Python
-scalars, until its open heap holds ``_BATCH_AT`` nodes.  It then moves its open
-nodes into numpy arrays, each with a row of its labels, and expands up to
-``_BATCH`` of them per step, with child bounds bit-identical to the scalar
-ones.  A batched step has a fixed numpy overhead, so batching only pays for
+scalars and valuing each child with a kernel unrolled for the data's
+dimension, until its open heap holds ``_BATCH_AT`` nodes.  It then moves its
+open nodes into numpy arrays, each with a row of its labels, and expands up
+to ``_BATCH`` of them per step, with child bounds bit-identical to the
+scalar ones.  A batched step has a fixed numpy overhead, so batching only pays for
 large searches: small ones, such as the K=3 solves of the benchmark, never
 switch.  A full enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -338,7 +340,8 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     total = 0
     for d in range(n_pts - 1, -1, -1):
         # Incumbent: that assignment, extended by the cheapest label for d.
-        found = min((tree.labels_value(d, (k,) + best), (k,) + best) for k in range(K))
+        values = tree.extension_values(d, best)
+        found = min((values[k], (k,) + best) for k in range(K))
 
         def on_leaf(labels):
             nonlocal found
@@ -398,8 +401,10 @@ class _Tree:
     norms, per-cluster coefficients and suffix bounds, in plain Python floats
     for the scalar search and as arrays for the batched one.
 
-    A scalar node holds one ``(count, sums, sumsq, value)`` tuple per cluster
-    (see :func:`_add_point`); ``root`` is the tuple of empty clusters.
+    A scalar node holds one ``(count, sums, sumsq, value)`` tuple per cluster;
+    ``add_point`` is the :func:`_add_point_kernel` for the data's dimension,
+    which gives a cluster's tuple after adding one observation, and ``root``
+    is the tuple of empty clusters.
     """
 
     def __init__(self, Yo: np.ndarray, K: int, c: np.ndarray, box: BoundingBox, suffix_bounds):
@@ -410,16 +415,37 @@ class _Tree:
         self.symmetric = bool(np.all(c == c[0]))
         lo, hi = box.lo.tolist(), box.hi.tolist()
         self.coef = [tuple(zip([0.5 * v for v in row], row, lo, hi)) for row in c.tolist()]
+        self.add_point = _add_point_kernel(Yo.shape[1])
         self.root = tuple((0, (0.0,) * Yo.shape[1], 0.0, closed_form_centroid(Yo[:0], c[k], box)[1])
                           for k in range(K))
         self.Yo, self.c, self.half_c, self.lo, self.hi = Yo, c, 0.5 * c, box.lo, box.hi
 
     def labels_value(self, start: int, labels) -> float:
         """Objective of labelling positions start..n-1 with ``labels``."""
+        add_point, points, sq, coef = self.add_point, self.points, self.sq, self.coef
         clusters = list(self.root)
         for d, k in enumerate(labels, start):
-            clusters[k] = _add_point(clusters[k], self.points[d], self.sq[d], self.coef[k])
+            clusters[k] = add_point(clusters[k], points[d], sq[d], coef[k])
         return sum(cluster[3] for cluster in clusters)
+
+    def extension_values(self, start: int, labels) -> list[float]:
+        """``labels_value(start, (k,) + labels)`` for each label k, bit for
+        bit, from one pass over positions start+1..n-1.
+
+        A cluster's value depends only on the sequence of observations added
+        to it, and label k changes only cluster k's sequence: position
+        ``start`` comes first.  So the pass keeps two tuples per cluster,
+        without and with that observation, and the value of extension k sums
+        the first of every cluster but k and the second of k.
+        """
+        add_point, points, sq, coef = self.add_point, self.points, self.sq, self.coef
+        rest = list(self.root)
+        led = [add_point(cluster, points[start], sq[start], coef[k]) for k, cluster in enumerate(self.root)]
+        for d, k in enumerate(labels, start + 1):
+            rest[k] = add_point(rest[k], points[d], sq[d], coef[k])
+            led[k] = add_point(led[k], points[d], sq[d], coef[k])
+        values = [cluster[3] for cluster in rest]
+        return [sum(values[:k] + [led[k][3]] + values[k + 1:]) for k in range(self.K)]
 
     def least_cost_relabelling(self, labels) -> tuple[list[int], float]:
         """The new label of each old one that gives ``labels`` (one per
@@ -451,9 +477,9 @@ class _Tree:
 
 def _part_value(count: int, sums, sumsq: float, coef) -> float:
     """Closed-form minimum of a non-empty cluster from its ``count``,
-    coordinate ``sums`` and summed squared norms ``sumsq``, computed as
-    :func:`_add_point` computes a cluster's value (which keeps its own copy
-    of these lines: it runs once per child in the scalar search)."""
+    coordinate ``sums`` and summed squared norms ``sumsq``, with the
+    operations, coordinate by coordinate, that :func:`_add_point_kernel`'s
+    kernels unroll after adding an observation."""
     mm = sm = cm = 0.0
     for s, (h, c, lo, hi) in zip(sums, coef):
         m = (s - h) / count
@@ -467,40 +493,69 @@ def _part_value(count: int, sums, sumsq: float, coef) -> float:
     return sumsq + (count * mm - 2.0 * sm + cm)
 
 
-def _add_point(cluster, y, y_sq: float, coef):
-    """Cluster ``(count, sums, sumsq, value)`` after adding observation ``y``.
+# Source of the kernels of _add_point_kernel: the function's frame, and the
+# lines it repeats for coordinate {i}.  mm, sm and cm add their terms to 0.0
+# in coordinate order, as a loop over the coordinates would.
+_ADD_POINT_SOURCE = """\
+def add_point(cluster, y, y_sq, coef):
+    count, ({sums}), sumsq, _ = cluster
+    {ys} = y
+    {coefs} = coef
+    count += 1
+    sumsq += y_sq
+{coordinates}\
+    mm = 0.0{mm}
+    sm = 0.0{sm}
+    cm = 0.0{cm}
+    return count, ({sums}), sumsq, sumsq + (count * mm - 2.0 * sm + cm)
+"""
+_ADD_POINT_COORDINATE = """\
+    s{i} += y{i}
+    m{i} = (s{i} - h{i}) / count
+    if m{i} < lo{i}:
+        m{i} = lo{i}
+    elif m{i} > hi{i}:
+        m{i} = hi{i}
+"""
+
+
+@functools.cache
+def _add_point_kernel(n_y: int):
+    """``add_point(cluster, y, y_sq, coef)``: cluster ``(count, sums, sumsq,
+    value)`` after adding observation ``y``, for ``n_y`` coordinates.
 
     ``count``, ``sums`` and ``sumsq`` are the number, coordinate sums and
     summed squared norms of the cluster's observations; ``value`` is its
     closed-form minimum, computed as :func:`closed_form_centroid` does but in
     scalars.  ``coef`` holds ``(c_i / 2, c_i, lo_i, hi_i)`` per coordinate.
+    The kernel is :data:`_ADD_POINT_SOURCE` with the coordinate loop
+    unrolled, compiled once per ``n_y``: the search calls it once per child,
+    where a loop's iteration and tuple unpacking cost more than its
+    arithmetic.
     """
-    count, sums, sumsq, _ = cluster
-    count += 1
-    sumsq += y_sq
-    new_sums = []
-    mm = sm = cm = 0.0
-    for s, y_i, (h, c, lo, hi) in zip(sums, y, coef):
-        s += y_i
-        new_sums.append(s)
-        m = (s - h) / count
-        if m < lo:
-            m = lo
-        elif m > hi:
-            m = hi
-        mm += m * m
-        sm += s * m
-        cm += c * m
-    return count, new_sums, sumsq, sumsq + (count * mm - 2.0 * sm + cm)
+    each = range(n_y)
+    source = _ADD_POINT_SOURCE.format(
+        sums="".join(f"s{i}, " for i in each),
+        ys="".join(f"y{i}, " for i in each),
+        coefs="".join(f"(h{i}, c{i}, lo{i}, hi{i}), " for i in each),
+        coordinates="".join(_ADD_POINT_COORDINATE.format(i=i) for i in each),
+        mm="".join(f" + m{i} * m{i}" for i in each),
+        sm="".join(f" + s{i} * m{i}" for i in each),
+        cm="".join(f" + c{i} * m{i}" for i in each),
+    )
+    namespace = {}
+    exec(compile(source, f"<_add_point_kernel({n_y})>", "exec"), namespace)
+    return namespace["add_point"]
 
 
 def _add_point_batch(tree: _Tree, stats: np.ndarray, y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
-    """:func:`_add_point` for every cluster of many nodes at once.
+    """The scalar search's ``add_point`` (see :func:`_add_point_kernel`) for
+    every cluster of many nodes at once.
 
     ``stats`` has shape (m, K, n_y + 3) and holds each cluster's ``count``,
     ``sums``, ``sumsq`` and ``value`` in that order; ``y`` (m, n_y) and
     ``y_sq`` (m,) are each node's next observation.  Returns the clusters'
-    stats after adding it, bit-identical to :func:`_add_point`'s: the same
+    stats after adding it, bit-identical to the kernel's: the same
     operations run in the same order, coordinate by coordinate.  (The clip
     may change the sign of a zero centroid coordinate; the products it enters
     are added to sums that start at 0.0, so that changes no result.)
@@ -524,10 +579,12 @@ def _add_point_batch(tree: _Tree, stats: np.ndarray, y: np.ndarray, y_sq: np.nda
 # A search expands one node at a time until its open heap holds _BATCH_AT
 # nodes, then up to _BATCH nodes per numpy step; _FRONT sizes the sorted front
 # of _OpenNodes.  A step has a fixed numpy cost of a few hundred microseconds,
-# so batching a small search loses.  On the seed-0 benchmark subproblems
-# batching every search made the 900 K=3 solves 1.7 -> 2.5 s and their suffix
-# bounds about 9x slower; with the switch at 128 open nodes those searches
-# never switch, while the 18 K=4 solves took 0.4 s instead of 4.0 s.
+# so batching a small search loses.  On the benchmark's seed-0 subproblems
+# (fastest of five or nine passes), batching every search made the 900 K=3
+# solves 0.7 -> 2.6 s and their suffix bounds about 15x slower; with the
+# switch at 128 open nodes those searches never switch, while the 18 K=4
+# solves took 0.03 s and their nine nodes' suffix bounds 0.07 s, against
+# 0.05 s and 0.10 s when no search switches.
 _BATCH_AT = 128
 _BATCH = 256
 _FRONT = 1024
@@ -558,7 +615,7 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     """
     points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
     n, K, symmetric = len(points), tree.K, tree.symmetric
-    add_point, push, pop = _add_point, heapq.heappush, heapq.heappop
+    add_point, push, pop = tree.add_point, heapq.heappush, heapq.heappop
     tiebreak = 0
     threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
     dropped = math.inf

@@ -293,6 +293,11 @@ class TestRemote:
         assert code == 2
 
 
+# A .meta.json with every field that report reads, each of its type.
+VALID_META = {"instance": "2N2D2K_1", "algorithm": "sg", "iterations": 3, "termination": "max_iter",
+              "rel_dg_percent": 1.0, "certified_gap_percent": 0.5, "modeled_t_comp_s": 2.4}
+
+
 class TestReport:
     def test_grouping_and_means(self, instance_file, tmp_path):
         runs = tmp_path / "runs"
@@ -323,6 +328,11 @@ class TestReport:
          "missing field(s) certified_gap_percent"),
         ("[1, 2]", "not a JSON object"),
         ("{", "not valid JSON"),
+        (json.dumps({**VALID_META, "iterations": "3"}), 'field iterations must be an integer, got "3"'),
+        (json.dumps({**VALID_META, "iterations": 3.0}), "field iterations must be an integer, got 3.0"),
+        (json.dumps({**VALID_META, "rel_dg_percent": True}), "field rel_dg_percent must be a number, got true"),
+        (json.dumps({**VALID_META, "modeled_t_comp_s": None}), "field modeled_t_comp_s must be a number, got null"),
+        (json.dumps({**VALID_META, "instance": 7}), "field instance must be a string, got 7"),
     ])
     def test_malformed_meta_is_argument_error(self, tmp_path, capsys, text, message):
         runs = tmp_path / "runs"

@@ -1,5 +1,6 @@
 """Tests for the run loop, averaging heuristic, time model, and central baseline."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from fedkmeans.core import (
     primal_residual,
     read_instance,
 )
-from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem, solve_subproblem
+from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem, solve_subproblem, suffix_lower_bounds
 
 
 def two_node_instance(seed=123, n_y=2, K=2, points=3):
@@ -414,6 +415,46 @@ class TestSearchSize:
             run(read_instance(tmp_path / f"{cell}.json"), RunConfig(algorithm="sg", t_max=2))
         assert len(log) == 18
         assert sum(entry["explored"] for entry in log) <= 26_000
+
+
+def _digest(value) -> str:
+    """sha256 of ``repr(value)``; the repr of a Python float gives it back
+    bit for bit, so equal digests mean bit-identical numbers."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed0_grid(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid")
+    generate_grid(0, path)
+    return path
+
+
+class TestGoldenRecords:
+    """Bit-exact results on the K=4 cells of the seed-0 grid, rows as
+    generated.  A change to the node search that moves one bit of a bound,
+    an optimum or a record fails here; a change that means to move them
+    must say why and record the new values."""
+
+    # _digest of the numeric_key()s of an SG run's records, t_max 2.
+    K4_SG_RECORDS = {
+        "2N2D4K_1": "f1680d00c0c10ee832b94c5474a49777054ece783e80d9d56e5815916b9afb63",
+        "3N2D4K_1": "a901c2044fb3054fa6b0e755eb2a207eaf8ab4bd4cdc8a5ca9b0b612576ba7b0",
+        "4N2D4K_1": "7f04e1aca4071a6235c0824a88c3c04748874fb7a297475df77a23862fd44a42",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(K4_SG_RECORDS))
+    def test_k4_sg_records(self, seed0_grid, cell):
+        result = run(read_instance(seed0_grid / f"{cell}.json"), RunConfig(algorithm="sg", t_max=2))
+        assert _digest(tuple(r.numeric_key() for r in result.records)) == self.K4_SG_RECORDS[cell]
+
+    def test_suffix_bounds_and_optimum(self, seed0_grid):
+        instance = read_instance(seed0_grid / "3N2D4K_1.json")
+        bounds, optimum = suffix_lower_bounds(instance.nodes[0], instance.K, instance.box)
+        assert len(bounds) == 21
+        assert float(bounds[0]) == 1.371920292992614
+        assert _digest(bounds.tolist()) == "b6290c5a15c1dc60010c3effc548873a00cef280847979055dfa4046b287b81e"
+        assert optimum == (3, 1, 3, 1, 3, 1, 3, 3, 1, 3, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0)
 
 
 class TestRunCsv:

@@ -23,9 +23,33 @@ from fedkmeans.subsolver import (
     suffix_lower_bounds,
 )
 import fedkmeans.subsolver as subsolver
-from fedkmeans.subsolver import _add_point, _add_point_batch, _Tree, _least_cost_relabelling
+from fedkmeans.subsolver import _add_point_batch, _add_point_kernel, _Tree, _least_cost_relabelling
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+
+
+def _add_point(cluster, y, y_sq: float, coef):
+    """Reference for the scalar search's kernels (see ``_add_point_kernel``):
+    cluster ``(count, sums, sumsq, value)`` after adding observation ``y``,
+    as a loop over the coordinates.  ``coef`` holds ``(c_i / 2, c_i, lo_i,
+    hi_i)`` per coordinate."""
+    count, sums, sumsq, _ = cluster
+    count += 1
+    sumsq += y_sq
+    new_sums = []
+    mm = sm = cm = 0.0
+    for s, y_i, (h, c, lo, hi) in zip(sums, y, coef):
+        s += y_i
+        new_sums.append(s)
+        m = (s - h) / count
+        if m < lo:
+            m = lo
+        elif m > hi:
+            m = hi
+        mm += m * m
+        sm += s * m
+        cm += c * m
+    return count, new_sums, sumsq, sumsq + (count * mm - 2.0 * sm + cm)
 
 
 def subproblem_1d(values, K, c=None, lo=-20.0, hi=20.0):
@@ -441,6 +465,73 @@ class TestScalarChildBound:
             clusters[k] = new
             expected = assignment_lower_bound(sub, prefix[:d + 1])
             assert abs(bound - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+
+def bits(value):
+    """``value`` with every float replaced by its hex form, which tells
+    apart every two floats that differ in a bit (0.0 and -0.0 included)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+# Unit-scale floats, signed zeros among them.
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """``(cluster, y, y_sq, coef)`` for a cluster of up to 5 observations in
+    1-6 coordinates.  Each coordinate's box puts the new centroid coordinate
+    below it, above it, inside it or on an edge, so that the clip to lo, the
+    clip to hi and no clip all occur."""
+    n_y = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 5))
+    sums = [draw(COORDINATES) for _ in range(n_y)]
+    y = [draw(COORDINATES) for _ in range(n_y)]
+    coef = []
+    for s, y_i in zip(sums, y):
+        c = draw(COORDINATES)
+        m = (s + y_i - 0.5 * c) / (count + 1)  # the unclipped centroid coordinate
+        gap, width = draw(st.floats(1e-3, 5.0)), draw(st.floats(0.0, 5.0))
+        lo, hi = draw(st.sampled_from([
+            (m + gap, m + gap + width),    # clipped to lo
+            (m - gap - width, m - gap),    # clipped to hi
+            (m - gap, m + width),          # inside
+            (m, m + width), (m - width, m),  # on an edge
+        ]))
+        coef.append((0.5 * c, c, lo, hi))
+    sumsq, y_sq = draw(COORDINATES), draw(COORDINATES)
+    return (count, tuple(sums), sumsq, 0.0), tuple(y), y_sq, tuple(coef)
+
+
+class TestAddPointKernel:
+    @given(kernel_cases())
+    @example(((2, (-0.0, 0.0), 1.0, 0.0), (0.0, -0.0), 0.0,
+              ((-0.0, -0.0, 0.5, 1.0), (0.0, 0.0, -1.0, -0.5))))  # one coordinate clipped each way
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_bitwise(self, case):
+        cluster, y, y_sq, coef = case
+        assert bits(_add_point_kernel(len(y))(*case)) == bits(_add_point(cluster, y, y_sq, coef))
+
+    def test_compiled_once_per_dimension(self):
+        assert _add_point_kernel(3) is _add_point_kernel(3)
+        assert _add_point_kernel(3) is not _add_point_kernel(4)
+
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_extension_values_match_labels_value_bitwise(self, seed, zero_dual):
+        rng = np.random.default_rng(seed)
+        K, n_y, n = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        sub = random_subproblem(rng, n_pts=n, K=K, n_y=n_y)
+        c = np.zeros((K, n_y)) if zero_dual else sub.c
+        tree = _Tree(sub.data.observations, K, c, sub.box, [0.0] * (n + 1))
+        start = int(rng.integers(0, n))
+        labels = tuple(rng.integers(0, K, size=n - 1 - start).tolist())
+        expected = [tree.labels_value(start, (k,) + labels) for k in range(K)]
+        assert bits(tree.extension_values(start, labels)) == bits(expected)
 
 
 def suffix_optimum(sub, d, order=None):
