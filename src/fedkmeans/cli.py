@@ -45,7 +45,7 @@ _RUN_FLAG_HELP = {
     "eps_dg": "relative duality gap tolerance in percent",
     "tau": "bundle window in iterations",
     "t_comm": "modeled per-iteration communication time in seconds",
-    "rel_tol": "node subproblem relative optimality tolerance",
+    "rel_tol": "node subproblem relative optimality tolerance; 0, the default, proves exact optimality",
     "max_nodes": "branch-and-bound node limit per subproblem solve; a node's one-off "
                  "suffix-bound precompute gets the same limit",
 }
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock budget in seconds (default: none)")
     p.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol,
-                   help="relative optimality tolerance (default: %(default)s)")
+                   help="relative optimality tolerance; 0, the default, proves exact optimality")
     p.add_argument("--max-nodes", type=int, default=RunConfig.max_nodes,
                    help="branch-and-bound node limit (default: %(default)s)")
     p.add_argument("--csv", required=True, help="incumbent/bound trace CSV")

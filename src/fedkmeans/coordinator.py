@@ -56,9 +56,8 @@ class RunConfig:
     residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
     50, and a constant 800 ms modeled communication time per iteration.
     ``rel_tol`` and ``max_nodes`` are the settings of every node solve, with
-    :func:`solve_subproblem`'s defaults.  The incumbents that start a node's
-    search have no setting: one Lloyd descent from the first K observations
-    of the node's branching order, and the node's plain K-means optimum,
+    :func:`solve_subproblem`'s defaults; ``rel_tol`` 0 proves each node's
+    minimum exactly.  A node's search starts from its plain K-means optimum,
     proven once per session by its suffix-bound precompute.
     """
 
@@ -231,15 +230,13 @@ class NodeSession:
     def solve(self, c, reference) -> NodeSolveReply:
         """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.
 
-        Relabelling needs every row of ``c`` to be equal (ValueError
-        otherwise).  The first solve also computes :attr:`order` and
-        :attr:`suffix`, and its ``solve_time`` includes that work.  Every
-        solve starts from a Lloyd descent from the first K observations of
-        :attr:`order`, or from the session's K-means optimum when that is
-        lower under ``c`` (see :func:`solve_subproblem`).  Neither depends on
-        the duals, so a reply depends only on the node's data, ``c`` and
-        ``reference``: not on earlier solves, nor on the backend or the run
-        that asks for it.
+        Relabelling needs every row of ``c`` to be equal, and ``c`` must be
+        finite (ValueError otherwise).  The first solve also computes
+        :attr:`order` and :attr:`suffix`, and its ``solve_time`` includes
+        that work.  Every solve starts from the session's K-means optimum
+        (see :func:`solve_subproblem`), so a reply depends only on the node's
+        data, ``c`` and ``reference``: not on earlier solves, nor on the
+        backend or the run that asks for it.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
@@ -256,9 +253,12 @@ class NodeSession:
         )
 
     def objective(self, mean_centroids) -> float:
-        """z_i: cost of the node's local data under the averaged centroids."""
+        """z_i: cost of the node's local data under the averaged centroids, a finite (K, n_y) array."""
         Y = self.data.observations
         M = np.asarray(mean_centroids, dtype=float)
+        if M.shape != (self.K, self.data.n_y) or not np.isfinite(M).all():
+            raise ValueError(f"node {self.data.node_id}: mean centroids must be a finite "
+                             f"({self.K}, {self.data.n_y}) array")
         d2 = np.sum((Y[:, None, :] - M[None, :, :]) ** 2, axis=2)
         return float(np.sum(np.min(d2, axis=1)))
 
@@ -440,8 +440,9 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
                   rel_tol: float = DEFAULT_REL_TOL, max_nodes: int = DEFAULT_MAX_NODES) -> CentralResult:
     """Branch-and-bound on the merged data (zero duals): the central baseline.
 
-    Emits an incumbent/bound trace comparable against the distributed duality
-    gap.  If the time budget runs out the final entry carries the proven gap
+    Its search is given no start, so one Lloyd descent starts it.  Emits an
+    incumbent/bound trace comparable against the distributed duality gap.
+    If the time budget runs out the final entry carries the proven gap
     at that point.  ValueError for settings a run would refuse or a negative
     time budget; :class:`NodeLimitExceeded` if ``max_nodes`` runs out first,
     with the trace rows reached so far as its ``trace``.
@@ -456,8 +457,7 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
     )
     trace: list[tuple[float, float, float, float]] = []
 
-    def on_progress(elapsed, incumbent, bound):
-        ub = incumbent.lagrangian_value
+    def on_progress(elapsed, ub, bound):
         gap = 100.0 * max(0.0, ub - bound) / max(abs(ub), 1e-9)
         trace.append((elapsed, ub, bound, gap))
 

@@ -5,10 +5,10 @@ subproblem separates per cluster and per dimension, so the optimal
 box-constrained centroid has a closed form.  The solver therefore
 branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations in the farthest-first
-order of :func:`branching_order`), pruning against an incumbent: one Lloyd
-descent started from the first K observations of that order, or a given start
-assignment relabelled to its least value under the dual term, whichever is
-lower.  A solve keeps no state between calls.
+order of :func:`branching_order`), pruning against one incumbent: a given
+start assignment relabelled to its least value under the dual term, or else
+one Lloyd descent.  By default a search proves its optimum exactly, and it
+keeps no state between calls.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
@@ -62,7 +62,7 @@ __all__ = [
 class LagrangianSubproblem:
     """One node's clustering problem plus the dual linear term.
 
-    ``c`` has shape (K, n_y); cluster k's objective contribution is
+    ``c`` is a finite (K, n_y) array; cluster k's objective contribution is
     sum_{j in C_k} ||y_j - m_k||^2 + c_k . m_k with m_k constrained to the box.
     """
 
@@ -73,8 +73,8 @@ class LagrangianSubproblem:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.K, self.data.n_y):
-            raise ValueError(f"c must have shape ({self.K}, {self.data.n_y})")
+        if c.shape != (self.K, self.data.n_y) or not np.isfinite(c).all():
+            raise ValueError(f"c must be a finite ({self.K}, {self.data.n_y}) array")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -91,7 +91,7 @@ class SubproblemSolution:
 
 # Default relative optimality tolerance and node cap of an exact solve;
 # RunConfig and central_solve take their defaults from here.
-DEFAULT_REL_TOL = 1e-9
+DEFAULT_REL_TOL = 0.0
 DEFAULT_MAX_NODES = 5_000_000
 
 
@@ -244,24 +244,22 @@ def solve_subproblem(
     the zero dual), cluster labels are interchangeable and symmetric branches
     are skipped.
 
-    The search starts from :func:`lloyd_incumbent`'s one descent from the
-    first K observations of the branching order.  ``start``, a complete
-    assignment such as the plain K-means optimum that
-    :func:`suffix_lower_bounds` returns, is a second candidate: when the rows
-    of ``c`` differ it is first relabelled to its least value under ``c``
-    (its parts keep their observations, the labels are permuted; exhaustive
-    over the K! permutations, so ValueError for K > 8), and when they are
-    equal it is taken as given.  It replaces Lloyd's incumbent only when it
-    is lower by more than the ``rel_tol`` threshold.  The incumbent changes
-    what the search prunes, not what it proves: the result is optimal to
-    within ``rel_tol``, and among assignments whose values lie within
-    ``rel_tol`` of each other the incumbent decides which one is returned.
-    A solve keeps no state between calls.
+    The search starts from ``start``, a complete assignment such as the
+    plain K-means optimum that :func:`suffix_lower_bounds` returns, or else
+    from :func:`lloyd_incumbent`'s descent.  When the rows of ``c`` differ,
+    that start is relabelled to its least value under ``c`` (its parts keep
+    their observations; exhaustive over the K! permutations, so ValueError
+    for K > 8).  Incumbents are valued by :meth:`_Tree.labels_value`, the
+    kernel of the bounds; the reply is :func:`evaluate_assignment`'s solution
+    of the last one, with the gap between its kernel value and the proven
+    bound as ``proof_gap``.  At the default ``rel_tol`` of 0 the optimum is
+    exact, so the start changes what the search prunes, not what it returns,
+    except at an exact tie.  A solve keeps no state between calls.
 
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
     ``time_budget`` (seconds) instead returns the incumbent with its actual
-    ``proof_gap``; ``on_progress(elapsed, incumbent, bound)`` is invoked on
-    bound or incumbent improvements (used by the central baseline trace).
+    ``proof_gap``; ``on_progress(elapsed, incumbent_value, bound)`` is invoked
+    on bound or incumbent improvements (used by the central baseline trace).
     """
     Y = subproblem.data.observations
     n_pts = Y.shape[0]
@@ -271,34 +269,34 @@ def solve_subproblem(
         raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
     order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
-    incumbent = lloyd_incumbent(subproblem, order)
-    if start is not None:
-        start = _checked_assignment(subproblem, start)
-        new_label, value = tree.least_cost_relabelling([start[j] for j in order])
-        ub = incumbent.lagrangian_value
-        if value < ub - rel_tol * max(abs(ub), _GAP_FLOOR):
-            incumbent = evaluate_assignment(subproblem, [new_label[a] for a in start])
+    start = lloyd_incumbent(subproblem, order).assignment if start is None else _checked_assignment(subproblem, start)
+    new_label = tree.least_cost_relabelling([start[j] for j in order])
+    labels = [new_label[start[j]] for j in order]
+    value = tree.labels_value(0, labels)
     started = time.perf_counter()
 
-    def on_leaf(labels):
-        nonlocal incumbent
-        full = [0] * n_pts
-        for pos, lab in zip(order, labels):
-            full[pos] = lab
-        incumbent = evaluate_assignment(subproblem, full)
-        return incumbent.lagrangian_value
+    def on_leaf(leaf):
+        # A leaf's bound, a running sum, may lie a rounding error below its value.
+        nonlocal labels, value
+        leaf_value = tree.labels_value(0, leaf)
+        if leaf_value < value:
+            labels, value = leaf, leaf_value
+        return value
 
     def on_bound(lb):
-        on_progress(time.perf_counter() - started, incumbent, lb)
+        on_progress(time.perf_counter() - started, value, lb)
 
     lb, explored, status = _best_first(
-        tree, 0, incumbent.lagrangian_value, rel_tol, max_nodes, on_leaf,
+        tree, 0, value, rel_tol, max_nodes, on_leaf,
         deadline=None if time_budget is None else started + time_budget,
         on_bound=None if on_progress is None else on_bound,
     )
+    assignment = np.empty(n_pts, dtype=int)
+    assignment[order] = labels
+    solution = _finish(subproblem, assignment, value, lb, explored)
     if status == "node_limit":
-        raise NodeLimitExceeded(_finish(incumbent, lb, explored), lb, explored)
-    return _finish(incumbent, lb, explored)
+        raise NodeLimitExceeded(solution, lb, explored)
+    return solution
 
 
 def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
@@ -353,8 +351,7 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
         total += explored
         if status == "node_limit":
             suffix = LagrangianSubproblem(data=NodeDataset(data.node_id, Yo[d:]), K=K, box=box, c=zero)
-            incumbent = evaluate_assignment(suffix, found[1])
-            raise NodeLimitExceeded(_finish(incumbent, lb, total), lb, total,
+            raise NodeLimitExceeded(_finish(suffix, found[1], found[0], lb, total), lb, total,
                                     where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}")
         sb[d] = max(sb[d + 1], lb)
         best = found[1]
@@ -447,9 +444,9 @@ class _Tree:
         values = [cluster[3] for cluster in rest]
         return [sum(values[:k] + [led[k][3]] + values[k + 1:]) for k in range(self.K)]
 
-    def least_cost_relabelling(self, labels) -> tuple[list[int], float]:
+    def least_cost_relabelling(self, labels) -> list[int]:
         """The new label of each old one that gives ``labels`` (one per
-        position) its least objective, and that objective.
+        position) its least objective.
 
         Part p, the positions labelled p, costs ``table[p][k]`` under label
         k: its closed-form minimum under c_k, from its count, coordinate sums
@@ -459,7 +456,7 @@ class _Tree:
         """
         K = self.K
         if self.symmetric:
-            return list(range(K)), self.labels_value(0, labels)
+            return list(range(K))
         parts = [[] for _ in range(K)]
         for d, k in enumerate(labels):
             parts[k].append(d)
@@ -471,8 +468,7 @@ class _Tree:
             sums = [sum(column) for column in zip(*[self.points[d] for d in part])]
             sumsq = sum([self.sq[d] for d in part])
             table.append([_part_value(len(part), sums, sumsq, coef) for coef in self.coef])
-        new_label = _least_cost_relabelling(table)
-        return new_label, sum(table[p][new_label[p]] for p in range(K))
+        return _least_cost_relabelling(table)
 
 
 def _part_value(count: int, sums, sumsq: float, coef) -> float:
@@ -595,9 +591,9 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     """Best-first branch-and-bound over the labels of positions start..n-1.
 
     ``ub`` is the incumbent's value.  ``on_leaf(labels)`` receives every leaf
-    whose bound is below the incumbent and returns that assignment's value,
-    the new incumbent.  ``on_bound(lb)`` is called when the proven bound or
-    the incumbent improves.  Returns ``(lower_bound, explored, status)``,
+    whose bound is below the incumbent and returns the incumbent's value
+    after it.  ``on_bound(lb)`` is called when the proven bound or the
+    incumbent improves.  Returns ``(lower_bound, explored, status)``,
     status being "optimal" (gap <= rel_tol proven), "node_limit" or "time".
 
     Nodes are popped in ``(bound, tiebreak)`` order, the tiebreak numbering
@@ -894,9 +890,12 @@ def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: 
         store.push(children)
 
 
-def _finish(incumbent: SubproblemSolution, lb: float, explored: int) -> SubproblemSolution:
-    return replace(incumbent, proof_gap=_relative_gap(incumbent.lagrangian_value, lb),
-                   stats={**incumbent.stats, "explored": explored})
+def _finish(subproblem: LagrangianSubproblem, assignment, value: float, lb: float, explored: int
+            ) -> SubproblemSolution:
+    """:func:`evaluate_assignment`'s solution of a search's incumbent, with
+    the gap between the search's ``value`` of it and the proven bound ``lb``."""
+    return replace(evaluate_assignment(subproblem, assignment), proof_gap=_relative_gap(value, lb),
+                   stats={"explored": explored})
 
 
 def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSolution:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,20 @@ class TestNodeSession:
         expected = sum(min(float(np.sum((y - m) ** 2)) for m in reply.centroids) for y in Y)
         assert session.objective(reply.centroids) == pytest.approx(expected)
 
+    def test_malformed_input_rejected(self):
+        # Mean centroids of any other shape would broadcast against the data,
+        # and a non-finite dual term has no exact minimum to report.
+        instance = generate_instance(BenchmarkSpec(n_nodes=2, n_y=2, K=3, replicate=1, seed=0))
+        session = InProcessBackend(instance, RunConfig()).sessions[0]
+        for mean in (np.zeros((3, 1)), np.zeros((1, 2)), [[0.0]], np.zeros((4, 2)), [[math.nan, 0.0]] * 3,
+                     [[math.inf, 0.0]] * 3):
+            with pytest.raises(ValueError, match=r"finite \(3, 2\) array"):
+                session.objective(mean)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"c must be a finite \(3, 2\) array"):
+                session.solve([0.0, 0.0, bad, 0.0, 0.0, 0.0], None)
+        assert math.isfinite(session.objective(session.solve(np.zeros(6), None).centroids))
+
     def test_solve_refuses_reference_under_unequal_dual_terms(self):
         instance = two_node_instance(seed=6)
         session = InProcessBackend(instance, RunConfig()).sessions[1]
@@ -383,10 +398,11 @@ def record_solves(monkeypatch):
 
 class TestLloydStart:
     @pytest.mark.parametrize("cell, t_max", [(None, 5), ("3N2D4K_1", 3)])
-    def test_lloyd_runs_once_per_solve(self, monkeypatch, tmp_path, cell, t_max):
-        # Every solve starts from one Lloyd descent, whether its search stays
-        # scalar, as the small K=3 searches do, or switches to batches, as
-        # some of the K=4 grid cell's do.
+    def test_node_solves_run_no_lloyd(self, monkeypatch, tmp_path, cell, t_max):
+        # Every node solve starts from the node's K-means optimum, relabelled
+        # under its dual term, whether its search stays scalar, as the small
+        # K=3 searches do, or switches to batches, as some of the K=4 grid
+        # cell's do; none runs a Lloyd descent.
         if cell is None:
             instance = two_node_instance(seed=6, K=3, points=2)
         else:
@@ -395,20 +411,29 @@ class TestLloydStart:
         log = record_solves(monkeypatch)
         run(instance, RunConfig(algorithm="sg", t_max=t_max))
         assert len(log) == t_max * instance.n_nodes
-        assert all(entry["lloyd"] == 1 for entry in log)
+        assert all(entry["lloyd"] == 0 for entry in log)
         switched = sum(entry["switch"] for entry in log)
         assert switched == 0 if cell is None else switched > 0
+
+    def test_central_solve_runs_lloyd_once(self, monkeypatch):
+        # The central search is given no start, so one Lloyd descent starts it.
+        import fedkmeans.subsolver as subsolver
+
+        calls = []
+        original = subsolver.lloyd_incumbent
+        monkeypatch.setattr(subsolver, "lloyd_incumbent", lambda *args: calls.append(args) or original(*args))
+        central_solve(two_node_instance(seed=11, points=3))
+        assert len(calls) == 1
 
 
 class TestSearchSize:
     def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
         # The K=4 cells of the seed-0 grid, SG for two iterations, explore
-        # 13,148 nodes in all with the farthest-first branching order, the
-        # Lloyd start taken from it and each node's K-means optimum as a
-        # second start (24,217 from Lloyd alone; 267,303 in decreasing
-        # distance from the data mean).  The counts are deterministic, so
-        # this bound, about twice the count, catches a regression in the
-        # order, the starts or the bounds.
+        # 13,148 nodes in all with the farthest-first branching order and
+        # each node's K-means optimum as its start (24,217 from a Lloyd start
+        # alone; 267,303 in decreasing distance from the data mean).  The
+        # counts are deterministic, so this bound, about twice the count,
+        # catches a regression in the order, the start or the bounds.
         log = record_solves(monkeypatch)
         generate_grid(0, tmp_path)
         for cell in ("2N2D4K_1", "3N2D4K_1", "4N2D4K_1"):

@@ -239,6 +239,34 @@ class TestNetworkedRun:
         assert threads[0].is_alive()
         assert_run_matches_in_process(instance, addresses, config)
 
+    def test_malformed_solve_and_average_get_error_frames(self):
+        # After a valid HELLO, a SOLVE with a non-finite dual term and an
+        # AVERAGE whose centroids are not a finite (K, n_y) array get an
+        # ERROR frame, not a SOLUTION or an OBJECTIVE; the node keeps serving.
+        instance = make_instance(seed=6)
+        config = RunConfig(algorithm="sg", t_max=3)
+        addresses, threads = start_servers(instance)
+        hello = NodeSession.hello_body(instance, config)
+        bad_messages = [
+            {"kind": "SOLVE", "body": {"c": [0.0, float("nan"), 0.0, 0.0], "reference": None}},
+            {"kind": "SOLVE", "body": {"c": [0.0, float("inf"), 0.0, 0.0], "reference": None}},
+            {"kind": "AVERAGE", "body": {"mean_centroids": [[0.0], [0.0]]}},
+            {"kind": "AVERAGE", "body": {"mean_centroids": [[0.0, 0.0]]}},
+            {"kind": "AVERAGE", "body": {"mean_centroids": [[0.0]]}},
+            {"kind": "AVERAGE", "body": {"mean_centroids": [[float("nan"), 0.0]] * 2}},
+        ]
+        for message in bad_messages:
+            with socket.create_connection(addresses[0], timeout=5.0) as sock:
+                sock.sendall(encode_frame({"kind": "HELLO", "run_id": "x", "t": 0, "body": hello}))
+                assert read_message(sock)["kind"] == "HELLO"
+                sock.sendall(encode_frame({**message, "run_id": "x", "t": 1}))
+                reply = read_message(sock)
+                assert reply["kind"] == "ERROR"
+                assert reply["body"]["class"] == "internal"
+                assert reply["body"]["error"].startswith("ValueError")
+        assert threads[0].is_alive()
+        assert_run_matches_in_process(instance, addresses, config)
+
     @pytest.mark.parametrize("kind, field, value", [
         ("SOLUTION", "t", 2), ("SOLUTION", "run_id", "old"),
         ("OBJECTIVE", "t", 0), ("OBJECTIVE", "run_id", "old"),

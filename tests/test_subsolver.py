@@ -3,6 +3,7 @@
 import itertools
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ class TestEvaluateAssignment:
             solve_subproblem(sub, start=[0, 1])
         with pytest.raises(ValueError, match="out of range"):
             solve_subproblem(sub, start=[0, -1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dual_term_rejected(self, bad):
+        # A NaN would leave no permutation to relabel a start with, and an
+        # infinity would make -inf a proven value.
+        with pytest.raises(ValueError, match="finite"):
+            subproblem_1d([0.0, 1.0, 2.0], K=2, c=[[0.0], [bad]])
 
     def test_label_permutation_invariance(self):
         sub = subproblem_1d([0, 1, 2, 8, 9], K=3)
@@ -807,9 +815,8 @@ class TestWarmStart:
         # "worst" is the costliest of the one-cluster assignments and the
         # optimum's partition under every relabelling: under nonzero duals a
         # relabelled optimum can be far from optimal.  The warm start stands
-        # in for Lloyd's incumbent, or is passed as ``start`` next to a
-        # Lloyd stand-in that puts every observation in cluster 0, so that
-        # ``start`` (relabelled under nonzero duals) usually replaces it.  A
+        # in for Lloyd's incumbent or is passed as ``start``; either way the
+        # search relabels it under nonzero duals and then starts from it.  A
         # lowered _BATCH_AT switches the search to batches early.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
@@ -828,7 +835,7 @@ class TestWarmStart:
         if via == "lloyd":
             constants, start = {**constants, "lloyd_incumbent": starting_from(warm)}, None
         else:
-            constants, start = {**constants, "lloyd_incumbent": starting_from([0] * sub.data.n_points)}, warm
+            start = warm
         for sb in (None, bounds):
             sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=start))
             assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
@@ -840,6 +847,65 @@ class TestWarmStart:
             proven = loose.lagrangian_value - loose.proof_gap * max(abs(loose.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert loose.proof_gap <= 0.3
+
+
+def exact_value(sub, assignment) -> Fraction:
+    """The Lagrangian value of ``assignment`` in exact rational arithmetic:
+    each cluster's closed-form centroid (see :func:`closed_form_centroid`)
+    and cost, from the floats of the data, box and dual term."""
+    Y = [[Fraction(v) for v in row] for row in sub.data.observations.tolist()]
+    lo, hi = ([Fraction(v) for v in bound.tolist()] for bound in (sub.box.lo, sub.box.hi))
+    total = Fraction(0)
+    for k, c_k in enumerate(sub.c.tolist()):
+        c_k = [Fraction(v) for v in c_k]
+        part = [y for y, a in zip(Y, assignment) if a == k]
+        if part:
+            sums = [sum(column) for column in zip(*part)]
+            m = [min(max((s - c / 2) / len(part), l), h) for s, c, l, h in zip(sums, c_k, lo, hi)]
+        else:
+            m = [l if c > 0 else h if c < 0 else (l + h) / 2 for c, l, h in zip(c_k, lo, hi)]
+        total += sum(sum((v - m_i) ** 2 for v, m_i in zip(y, m)) for y in part)
+        total += sum(c * m_i for c, m_i in zip(c_k, m))
+    return total
+
+
+class TestIncumbentIndependence:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]),
+           st.sampled_from([SCALAR, {"_BATCH_AT": 8}, SMALL_BATCHES]))
+    @settings(max_examples=60, deadline=None)
+    @example(seed=267776, K=4, constants=SCALAR)
+    def test_every_start_gives_the_same_answer(self, seed, K, constants):
+        # At the default tolerance a search proves its optimum exactly, so
+        # the start changes what it prunes, not what it returns: the same
+        # assignment, hence the same value bit for bit, from the optimum, a
+        # random assignment, the costliest one-cluster assignment or no
+        # start (a Lloyd descent), with and without suffix bounds, and a zero
+        # proof gap.  The dual rows differ, so the start is relabelled under
+        # them.  Only an exact tie may go either way: two assignments of
+        # equal value in exact arithmetic, whose values in floating point
+        # differ in the last bits or not at all.  The explicit example is
+        # one: a point alone in cluster 1, or with another in cluster 0,
+        # gives both clusters the box corner where empty cluster 1 lies.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
+        c = rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, 2))
+        sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
+        assert np.any(c != c[0])
+        n = sub.data.n_points
+        starts = [brute_force_subproblem(sub).assignment, rng.integers(0, K, size=n).tolist(),
+                  max(([k] * n for k in range(K)), key=lambda a: evaluate_assignment(sub, a).lagrangian_value),
+                  None]
+        bounds, _ = suffix_lower_bounds(sub.data, K, sub.box)
+        sols = [with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=start))
+                for sb in (None, bounds) for start in starts]
+        for sol in sols:
+            assert sol.proof_gap == 0.0
+            if sol.assignment == sols[0].assignment:
+                assert bits(sol.lagrangian_value) == bits(sols[0].lagrangian_value)
+            else:
+                assert exact_value(sub, sol.assignment) == exact_value(sub, sols[0].assignment)
+                scale = max(abs(sols[0].lagrangian_value), 1.0)
+                assert abs(sol.lagrangian_value - sols[0].lagrangian_value) <= 1e-12 * scale
 
 
 class TestStartRelabelling:
@@ -856,14 +922,13 @@ class TestStartRelabelling:
         sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
         start = rng.integers(0, K, size=sub.data.n_points).tolist()
         tree = _Tree(sub.data.observations, K, sub.c, sub.box, [0.0] * (sub.data.n_points + 1))
-        new_label, value = tree.least_cost_relabelling(start)
+        new_label = tree.least_cost_relabelling(start)
         assert sorted(new_label) == list(range(K))
         got = evaluate_assignment(sub, [new_label[a] for a in start]).lagrangian_value
         values = [evaluate_assignment(sub, [perm[a] for a in start]).lagrangian_value
                   for perm in itertools.permutations(range(K))]
         scale = max(abs(got), 1.0)
         assert got <= min(values) + 1e-12 * scale
-        assert abs(value - got) <= 1e-12 * scale
         if dual != "unequal":
             assert new_label == list(range(K))
 
