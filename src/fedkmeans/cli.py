@@ -134,10 +134,9 @@ def cmd_central(args) -> int:
     instance = read_instance(args.instance)
     _check_csv_dir(args.csv)
     try:
-        result = central_solve(instance, time_budget=args.time_budget,
-                               rel_tol=args.rel_tol, max_nodes=args.max_nodes)
+        result = central_solve(instance, time_budget=args.time_budget, max_nodes=args.max_nodes)
     except NodeLimitExceeded as exc:
-        # The rows reached before the cap; main() reports the failure.
+        # The rows reached before a budget ran out; main() reports the failure.
         _write_central_csv(exc.trace, args.csv)
         raise
     _write_central_csv(result.trace, args.csv)
@@ -314,11 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("central", help="solve the merged problem centrally")
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--time-budget", type=float, default=None,
-                   help="wall-clock budget in seconds (default: none)")
-    p.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol,
-                   help="relative optimality tolerance; 0, the default, proves exact optimality")
+                   help="wall-clock budget in seconds for the whole search (default: none)")
     p.add_argument("--max-nodes", type=int, default=RunConfig.max_nodes,
-                   help="branch-and-bound node limit (default: %(default)s)")
+                   help="branch-and-bound node limit of the whole search (default: %(default)s)")
     p.add_argument("--csv", required=True, help="incumbent/bound trace CSV")
     p.set_defaults(func=cmd_central)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,8 +24,8 @@ from .core import (BoundingBox, ConsensusTopology, NodeDataset, ProblemInstance,
 from .master import (Bundle, BundleEntry, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push,
                      qnda_update, sg_update, step_size)
 from .subsolver import (DEFAULT_MAX_NODES, DEFAULT_REL_TOL, LagrangianSubproblem, NodeLimitExceeded,
-                        SubproblemSolution, branching_order, relabel_to_reference, solve_subproblem,
-                        suffix_lower_bounds)
+                        SubproblemSolution, branching_order, evaluate_assignment, relabel_to_reference,
+                        solve_subproblem, suffix_lower_bounds)
 
 __all__ = [
     "ALGORITHMS",
@@ -437,34 +438,37 @@ class CentralResult:
 
 
 def central_solve(instance: ProblemInstance, time_budget: float | None = None,
-                  rel_tol: float = DEFAULT_REL_TOL, max_nodes: int = DEFAULT_MAX_NODES) -> CentralResult:
-    """Branch-and-bound on the merged data (zero duals): the central baseline.
+                  max_nodes: int = DEFAULT_MAX_NODES) -> CentralResult:
+    """The proven K-means optimum of the merged data: the central baseline.
 
-    Its search is given no start, so one Lloyd descent starts it.  Emits an
-    incumbent/bound trace comparable against the distributed duality gap.
-    If the time budget runs out the final entry carries the proven gap
-    at that point.  ValueError for settings a run would refuse or a negative
-    time budget; :class:`NodeLimitExceeded` if ``max_nodes`` runs out first,
-    with the trace rows reached so far as its ``trace``.
+    The last search of :func:`suffix_lower_bounds` on the merged data proves
+    it; the solution is :func:`evaluate_assignment`'s, with the gap to the
+    proven bound as ``proof_gap``.  ``time_budget`` (seconds) and
+    ``max_nodes`` cover all its searches; :class:`NodeLimitExceeded` names
+    the proven bound when either runs out, with the trace rows reached as
+    its ``trace``.  Rows before the last search have no incumbent (``inf``,
+    gap 100 %).  ValueError for a budget that a run would refuse.
     """
-    _check_solver_settings(rel_tol, max_nodes)
+    _check_solver_settings(DEFAULT_REL_TOL, max_nodes)
     if time_budget is not None and time_budget < 0:
         raise ValueError(f"time_budget must be at least 0, got {time_budget}")
     merged = NodeDataset(node_id=0, observations=instance.merged_observations())
-    sub = LagrangianSubproblem(
-        data=merged, K=instance.K, box=instance.box,
-        c=np.zeros((instance.K, instance.n_y)),
-    )
-    trace: list[tuple[float, float, float, float]] = []
+    trace, explored = [], 0
 
-    def on_progress(elapsed, ub, bound):
-        gap = 100.0 * max(0.0, ub - bound) / max(abs(ub), 1e-9)
+    def on_progress(elapsed, ub, bound, nodes):
+        nonlocal explored
+        explored = nodes
+        gap = 100.0 * max(0.0, ub - bound) / max(abs(ub), 1e-9) if ub < math.inf else 100.0
         trace.append((elapsed, ub, bound, gap))
 
     try:
-        solution = solve_subproblem(sub, rel_tol=rel_tol, max_nodes=max_nodes,
-                                    time_budget=time_budget, on_progress=on_progress)
+        _, optimum = suffix_lower_bounds(merged, instance.K, instance.box, max_nodes=max_nodes,
+                                         time_budget=time_budget, on_progress=on_progress)
     except NodeLimitExceeded as exc:
         exc.trace = tuple(trace)
         raise
+    sub = LagrangianSubproblem(data=merged, K=instance.K, box=instance.box,
+                               c=np.zeros((instance.K, instance.n_y)))
+    solution = replace(evaluate_assignment(sub, optimum), proof_gap=trace[-1][3] / 100.0,
+                       stats={"explored": explored})
     return CentralResult(solution=solution, trace=tuple(trace))

@@ -7,8 +7,8 @@ branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations in the farthest-first
 order of :func:`branching_order`), pruning against one incumbent: a given
 start assignment relabelled to its least value under the dual term, or else
-one Lloyd descent.  By default a search proves its optimum exactly, and it
-keeps no state between calls.
+none until the first leaf.  By default a search proves its optimum exactly,
+and it keeps no state between calls.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
@@ -16,7 +16,7 @@ the unassigned ones.  The suffix bounds do not depend on the dual term, so
 :func:`suffix_lower_bounds` computes them once per dataset, by repetitive
 branch-and-bound over ever longer suffixes.  Its last search proves the plain
 K-means optimum of the whole dataset, which it returns as the start for the
-dataset's solves.
+dataset's solves and as the central optimum of a merged dataset.
 
 A search expands one node at a time, keeping per-cluster sums in Python
 scalars and valuing each child with a kernel unrolled for the data's
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -96,14 +95,15 @@ DEFAULT_MAX_NODES = 5_000_000
 
 
 class NodeLimitExceeded(RuntimeError):
-    """Raised when branch-and-bound hits its node cap before proving optimality."""
+    """Raised when branch-and-bound runs out of its node cap or, as ``limit``
+    says, its time budget before proving optimality.  ``lower_bound`` is
+    proven; ``incumbent`` is None if the search had none."""
 
-    def __init__(self, incumbent: SubproblemSolution, lower_bound: float, explored: int,
-                 where: str = ""):
-        super().__init__(
-            f"node limit reached after {explored} nodes{where} "
-            f"(incumbent {incumbent.lagrangian_value:.6g}, bound {lower_bound:.6g})"
-        )
+    def __init__(self, incumbent: SubproblemSolution | None, lower_bound: float, explored: int,
+                 where: str = "", limit: str = "node limit"):
+        found = "no incumbent" if incumbent is None else f"incumbent {incumbent.lagrangian_value:.6g}"
+        super().__init__(f"{limit} reached after {explored} nodes{where} "
+                         f"({found}, proven lower bound {lower_bound:.6g})")
         self.incumbent = incumbent
         self.lower_bound = lower_bound
         self.explored = explored
@@ -183,19 +183,14 @@ def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], par
 
 
 def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSolution:
-    """One Lloyd descent; a feasible upper bound for branch-and-bound.
+    """One Lloyd descent, a heuristic upper bound; no search runs it.
 
-    It starts from the observations at the first K positions of the
-    branching ``order`` (``order[k % n]`` for cluster k when there are only
-    n < K observations), so the starting centroids are spread out in the
-    farthest-first sense of :func:`branching_order` and the result depends
-    on nothing but the subproblem and the order.  The dual term does not
-    depend on the assignment variables, so the assignment step uses pure
-    squared distances; the centroid step uses the clipped closed-form
-    centroid of :func:`closed_form_centroid`, including the dual
-    coefficients.  The last centroid step's centroids are those of the final
-    labels, so the result is valued from them, bit for bit as
-    :func:`evaluate_assignment` values those labels.
+    It starts from the observations at the first K positions of ``order``
+    (``order[k % n]`` when n < K).  The assignment step uses pure squared
+    distances, since the dual term does not depend on the assignment; the
+    centroid step uses :func:`closed_form_centroid`'s clipped centroid.  The
+    result is valued bit for bit as :func:`evaluate_assignment` values its
+    labels.
     """
     Y = subproblem.data.observations
     K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
@@ -214,6 +209,9 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
 
 
 _GAP_FLOOR = 1e-9  # denominator floor so a zero-cost optimum still yields gap 0
+# The incumbent value of a search that has none yet.  It is finite because
+# inf - rel_tol * inf is NaN, a stop threshold that no child bound is below.
+_NO_INCUMBENT = float(np.finfo(float).max)
 
 
 def _relative_gap(upper: float, lower: float) -> float:
@@ -224,8 +222,6 @@ def solve_subproblem(
     subproblem: LagrangianSubproblem,
     rel_tol: float = DEFAULT_REL_TOL,
     max_nodes: int = DEFAULT_MAX_NODES,
-    time_budget: float | None = None,
-    on_progress=None,
     suffix_bounds=None,
     order=None,
     start=None,
@@ -245,21 +241,18 @@ def solve_subproblem(
     are skipped.
 
     The search starts from ``start``, a complete assignment such as the
-    plain K-means optimum that :func:`suffix_lower_bounds` returns, or else
-    from :func:`lloyd_incumbent`'s descent.  When the rows of ``c`` differ,
-    that start is relabelled to its least value under ``c`` (its parts keep
-    their observations; exhaustive over the K! permutations, so ValueError
-    for K > 8).  Incumbents are valued by :meth:`_Tree.labels_value`, the
-    kernel of the bounds; the reply is :func:`evaluate_assignment`'s solution
-    of the last one, with the gap between its kernel value and the proven
-    bound as ``proof_gap``.  At the default ``rel_tol`` of 0 the optimum is
-    exact, so the start changes what the search prunes, not what it returns,
-    except at an exact tie.  A solve keeps no state between calls.
+    plain K-means optimum that :func:`suffix_lower_bounds` returns,
+    relabelled to its least value under ``c`` when its rows differ (its
+    parts keep their observations); without one it has no incumbent until
+    its first leaf.  Incumbents are valued by :meth:`_Tree.labels_value`,
+    the kernel of the bounds; the reply is :func:`evaluate_assignment`'s
+    solution of the last one, with the gap between its kernel value and the
+    proven bound as ``proof_gap``.  At the default ``rel_tol`` of 0 the
+    optimum is exact, so the start changes what the search prunes, not what
+    it returns, except at an exact tie.  A solve keeps no state between
+    calls.
 
-    Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.  A
-    ``time_budget`` (seconds) instead returns the incumbent with its actual
-    ``proof_gap``; ``on_progress(elapsed, incumbent_value, bound)`` is invoked
-    on bound or incumbent improvements (used by the central baseline trace).
+    Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.
     """
     Y = subproblem.data.observations
     n_pts = Y.shape[0]
@@ -269,11 +262,12 @@ def solve_subproblem(
         raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
     order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
-    start = lloyd_incumbent(subproblem, order).assignment if start is None else _checked_assignment(subproblem, start)
-    new_label = tree.least_cost_relabelling([start[j] for j in order])
-    labels = [new_label[start[j]] for j in order]
-    value = tree.labels_value(0, labels)
-    started = time.perf_counter()
+    labels, value = None, _NO_INCUMBENT
+    if start is not None:
+        start = _checked_assignment(subproblem, start)
+        new_label = tree.least_cost_relabelling([start[j] for j in order])
+        labels = [new_label[start[j]] for j in order]
+        value = tree.labels_value(0, labels)
 
     def on_leaf(leaf):
         # A leaf's bound, a running sum, may lie a rounding error below its value.
@@ -283,24 +277,16 @@ def solve_subproblem(
             labels, value = leaf, leaf_value
         return value
 
-    def on_bound(lb):
-        on_progress(time.perf_counter() - started, value, lb)
-
-    lb, explored, status = _best_first(
-        tree, 0, value, rel_tol, max_nodes, on_leaf,
-        deadline=None if time_budget is None else started + time_budget,
-        on_bound=None if on_progress is None else on_bound,
-    )
-    assignment = np.empty(n_pts, dtype=int)
-    assignment[order] = labels
-    solution = _finish(subproblem, assignment, value, lb, explored)
+    lb, explored, status = _best_first(tree, 0, value, rel_tol, max_nodes, on_leaf)
+    solution = None if labels is None else _finish(
+        subproblem, [labels[pos] for pos in np.argsort(order)], value, lb, explored)
     if status == "node_limit":
         raise NodeLimitExceeded(solution, lb, explored)
     return solution
 
 
-def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
-                        max_nodes: int = DEFAULT_MAX_NODES, order=None) -> tuple[np.ndarray, tuple[int, ...]]:
+def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox, max_nodes: int = DEFAULT_MAX_NODES, order=None,
+                        time_budget: float | None = None, on_progress=None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dual-independent bounds ``sb[0..n]`` for :func:`solve_subproblem`, and
     the plain K-means optimum that the last of their searches proves.
 
@@ -318,14 +304,20 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     1975): the search over suffix d bounds its nodes with the entries already
     computed.  Each search runs to a zero gap, so a child is pruned only when
     its bound reaches the incumbent and the search's proven bound is the
-    suffix optimum.  The searches share one ``max_nodes`` budget, like a
-    single solve; :class:`NodeLimitExceeded` is raised when it runs out.
+    suffix optimum.  The searches share one ``max_nodes`` budget and one
+    ``time_budget`` in seconds; :class:`NodeLimitExceeded` is raised with the
+    bound proven so far when either runs out.
 
     The search over the whole order (d = 0) proves the K-means optimum of
     all observations.  It is returned as a complete assignment, observation
     by observation, with labels numbered by first appearance along the
     order, as the symmetric search labels its leaves; it can start a
     :func:`solve_subproblem` search as its ``start``.
+
+    ``on_progress(elapsed, incumbent_value, bound, explored)`` is called when
+    a search's bound or incumbent improves; ``bound`` is a non-decreasing
+    lower bound on the optimum of all observations, and ``incumbent_value``
+    is ``math.inf`` until the last search starts.
     """
     Y = data.observations
     n_pts, n_y = Y.shape
@@ -336,6 +328,8 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
     tree = _Tree(Yo, K, zero, box, sb)
     best = ()  # optimal labels of the suffix d+1..n-1
     total = 0
+    started = time.perf_counter()
+    deadline = None if time_budget is None else started + time_budget
     for d in range(n_pts - 1, -1, -1):
         # Incumbent: that assignment, extended by the cheapest label for d.
         values = tree.extension_values(d, best)
@@ -346,13 +340,18 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox,
             found = (tree.labels_value(d, labels), tuple(labels))
             return found[0]
 
+        def on_bound(lb, explored):
+            on_progress(time.perf_counter() - started, found[0] if d == 0 else math.inf, lb, total + explored)
+
         sb[d] = sb[d + 1]  # the root's bound until this entry is known
-        lb, explored, status = _best_first(tree, d, found[0], 0.0, max_nodes - total, on_leaf)
+        lb, explored, status = _best_first(tree, d, found[0], 0.0, max_nodes - total, on_leaf, deadline,
+                                           None if on_progress is None else on_bound)
         total += explored
-        if status == "node_limit":
+        if status != "optimal":
             suffix = LagrangianSubproblem(data=NodeDataset(data.node_id, Yo[d:]), K=K, box=box, c=zero)
             raise NodeLimitExceeded(_finish(suffix, found[1], found[0], lb, total), lb, total,
-                                    where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}")
+                                    where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}",
+                                    limit=f"time budget of {time_budget:g} s" if status == "time" else "node limit")
         sb[d] = max(sb[d + 1], lb)
         best = found[1]
     optimum = [0] * n_pts
@@ -592,8 +591,8 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
 
     ``ub`` is the incumbent's value.  ``on_leaf(labels)`` receives every leaf
     whose bound is below the incumbent and returns the incumbent's value
-    after it.  ``on_bound(lb)`` is called when the proven bound or the
-    incumbent improves.  Returns ``(lower_bound, explored, status)``,
+    after it.  ``on_bound(lb, explored)`` is called when the proven bound or
+    the incumbent improves.  Returns ``(lower_bound, explored, status)``,
     status being "optimal" (gap <= rel_tol proven), "node_limit" or "time".
 
     Nodes are popped in ``(bound, tiebreak)`` order, the tiebreak numbering
@@ -623,7 +622,7 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     heap = [(pc_sum + sb[start], tiebreak, start, None, 0, pc_sum, tree.root)]
     best_lb = heap[0][0]
     if on_bound is not None:
-        on_bound(best_lb)
+        on_bound(best_lb, explored)
     while heap:
         if len(heap) >= _BATCH_AT:
             return _best_first_batched(tree, start, heap, tiebreak, ub, rel_tol, dropped, best_lb,
@@ -634,12 +633,12 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
             # so a larger bound proves no more than the incumbent's value.
             best_lb = max(best_lb, min(bound, dropped, ub))
             if on_bound is not None:
-                on_bound(best_lb)
+                on_bound(best_lb, explored)
             return best_lb, explored, "optimal"
         if min(bound, dropped) > best_lb:
             best_lb = min(bound, dropped)
             if on_bound is not None:
-                on_bound(best_lb)
+                on_bound(best_lb, explored)
         if depth == n:
             if bound < ub:  # leaf bound is the exact assignment value
                 path = []
@@ -649,7 +648,7 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
                 ub = on_leaf(path[::-1])
                 threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
                 if on_bound is not None:
-                    on_bound(best_lb)
+                    on_bound(best_lb, explored)
             continue
         explored += 1
         if explored >= max_nodes:
@@ -670,7 +669,7 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
                 dropped = child_bound
     best_lb = max(best_lb, min(dropped, ub))  # search space exhausted
     if on_bound is not None:
-        on_bound(best_lb)
+        on_bound(best_lb, explored)
     return best_lb, explored, "optimal"
 
 
@@ -825,12 +824,12 @@ def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: 
             # Gap <= rel_tol proven, or the search space is exhausted.
             best_lb = max(best_lb, min(float(bound[0]) if len(top) else math.inf, dropped, ub))
             if on_bound is not None:
-                on_bound(best_lb)
+                on_bound(best_lb, explored)
             return best_lb, explored, "optimal"
         if min(bound[0], dropped) > best_lb:
             best_lb = min(float(bound[0]), dropped)
             if on_bound is not None:
-                on_bound(best_lb)
+                on_bound(best_lb, explored)
         taken = int(np.searchsorted(bound, threshold))
         node = store.node[top]
         leaf = node[:, 0] == n
@@ -843,7 +842,7 @@ def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: 
             threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
             taken = min(taken, int(np.searchsorted(bound, threshold)))
             if on_bound is not None:
-                on_bound(best_lb)
+                on_bound(best_lb, explored)
         expand = np.zeros(len(top), dtype=bool)
         expand[:taken] = ~leaf[:taken]
         slots, node = top[expand], node[expand]
@@ -934,7 +933,7 @@ def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
     """Permute cluster labels to best match a reference centroid set.
 
     Chooses the permutation minimizing the total squared centroid-to-reference
-    distance (exhaustive over K!, so ValueError for K > 8) and recomputes the
+    distance (see :func:`_least_cost_relabelling`) and recomputes the
     Lagrangian value under the new labels.  A permuted optimum stays optimal
     only when every cluster has the same dual term, as at zero duals, so the
     rows of ``subproblem.c`` must be equal; ValueError otherwise.
@@ -952,22 +951,22 @@ def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
 
 def _least_cost_relabelling(cost: list[list[float]]) -> list[int]:
     """The new label of each old label k that minimizes the sum of
-    ``cost[k][new label]``.
+    ``cost[k][new label]``, by dynamic programming over sets of old labels.
 
-    Exhaustive over the K! permutations in :func:`itertools.permutations`
-    order; a later permutation replaces the best so far only when its sum is
-    lower by more than 1e-15.  ValueError for K > 8.
+    ``rest[used]`` is the least cost of giving new labels |used|..K-1 to the
+    other old labels.  Each new label in turn goes to the first old label
+    whose least completion is within 1e-15 of ``rest[used]``, so near-ties
+    go to the permutation that comes first in lexicographic order.
     """
     K = len(cost)
-    if K > 8:
-        raise ValueError("exhaustive relabeling supports K <= 8")
-    best_perm, best_cost = None, math.inf
-    for perm in itertools.permutations(range(K)):
-        total = sum(cost[perm[k]][k] for k in range(K))
-        if total < best_cost - 1e-15:
-            best_perm, best_cost = perm, total
-    # New label k takes the old label best_perm[k].
-    new_label = [0] * K
+    rest = [0.0] * (1 << K)
+    for used in range((1 << K) - 2, -1, -1):
+        k = bin(used).count("1")
+        rest[used] = min([cost[p][k] + rest[used | 1 << p] for p in range(K) if not used >> p & 1])
+    new_label, used = [0] * K, 0
     for k in range(K):
-        new_label[best_perm[k]] = k
+        p = next(p for p in range(K)
+                 if not used >> p & 1 and cost[p][k] + rest[used | 1 << p] <= rest[used] + 1e-15)
+        new_label[p] = k
+        used |= 1 << p
     return new_label

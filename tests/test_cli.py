@@ -49,6 +49,13 @@ class TestGenerate:
 
 
 class TestRun:
+    def test_more_than_eight_clusters(self, tmp_path):
+        # Label alignment at iteration 1 has no limit on K.
+        path = tmp_path / "k9.json"
+        assert main(["generate", "--n-nodes", "2", "--n-y", "1", "--K", "9", "--points-per-cluster", "1",
+                     "--seed", "0", "--out", str(path)]) == 0
+        assert main(["run", "--instance", str(path), "--t-max", "3", "--csv", str(tmp_path / "k9.csv")]) == 0
+
     def test_run_writes_csv_and_meta(self, instance_file, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = main(["run", "--instance", str(instance_file), "--algorithm", "qnda",
@@ -150,8 +157,7 @@ class TestCentral:
         assert list(rows[0]) == ["wall_s", "incumbent", "lower_bound", "rel_gap_percent"]
         assert float(rows[-1]["rel_gap_percent"]) <= 1e-6
 
-    @pytest.mark.parametrize("flag, value", [("--rel-tol", "2"), ("--rel-tol", "-1"),
-                                             ("--max-nodes", "0"), ("--time-budget", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--max-nodes", "0"), ("--time-budget", "-1")])
     def test_bad_setting_is_argument_error(self, instance_file, tmp_path, capsys, flag, value):
         code = main(["central", "--instance", str(instance_file), flag, value,
                      "--csv", str(tmp_path / "out.csv")])
@@ -185,6 +191,21 @@ class TestCentral:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["wall_s", "incumbent", "lower_bound", "rel_gap_percent"]
         assert all(float(row["lower_bound"]) <= float(row["incumbent"]) for row in rows)
+
+    def test_time_budget_is_solver_failure(self, instance_file, tmp_path, capsys):
+        # A budget that has run out before the first node is expanded stops
+        # the search as the node cap does: exit 3, one line that names the
+        # proven lower bound, and the trace rows reached.
+        out = tmp_path / "out.csv"
+        code = main(["central", "--instance", str(instance_file), "--time-budget", "0",
+                     "--csv", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("central: time budget of 0 s reached after 1 nodes")
+        assert "proven lower bound" in err and err.count("\n") == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(row["lower_bound"]) <= float(row["incumbent"]) for row in rows)
 
 
 class TestRemote:

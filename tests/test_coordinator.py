@@ -9,6 +9,7 @@ import pytest
 
 from fedkmeans.bench import BenchmarkSpec, generate_grid, generate_instance
 from fedkmeans.coordinator import (
+    ALGORITHMS,
     CentralResult,
     InProcessBackend,
     IterationRecord,
@@ -415,16 +416,6 @@ class TestLloydStart:
         switched = sum(entry["switch"] for entry in log)
         assert switched == 0 if cell is None else switched > 0
 
-    def test_central_solve_runs_lloyd_once(self, monkeypatch):
-        # The central search is given no start, so one Lloyd descent starts it.
-        import fedkmeans.subsolver as subsolver
-
-        calls = []
-        original = subsolver.lloyd_incumbent
-        monkeypatch.setattr(subsolver, "lloyd_incumbent", lambda *args: calls.append(args) or original(*args))
-        central_solve(two_node_instance(seed=11, points=3))
-        assert len(calls) == 1
-
 
 class TestSearchSize:
     def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
@@ -536,6 +527,26 @@ class TestCentralBaseline:
         assert all(b <= a + 1e-12 for a, b in zip(lbs[1:], lbs))
         assert all(a <= b + 1e-12 for a, b in zip(ubs[1:], ubs))
         assert central.trace[-1][3] <= 1e-7
+
+    @pytest.mark.parametrize("cell", ["2N2D3K_1", "2N3D3K_1", "2N4D3K_1", "3N3D3K_1"])
+    def test_weak_duality_on_grid_cells(self, seed0_grid, cell):
+        # Against the proven central optimum of seed-0 grid cells: each
+        # algorithm's best dual lies below it and its best primal above.
+        # The optimum is the bound that the precompute on the merged data
+        # proves, with a zero gap.
+        instance = read_instance(seed0_grid / f"{cell}.json")
+        central = central_solve(instance)
+        optimum = central.solution.lagrangian_value
+        merged = NodeDataset(0, instance.merged_observations())
+        bound = float(suffix_lower_bounds(merged, instance.K, instance.box)[0][0])
+        assert central.solution.proof_gap == 0.0
+        assert central.trace[-1][2] == bound
+        assert optimum == pytest.approx(bound, rel=1e-12)
+        scale = max(abs(optimum), 1e-9)
+        for algorithm in ALGORITHMS:
+            result = run(instance, RunConfig(algorithm=algorithm, t_max=20))
+            assert result.final_dual_value <= optimum + 1e-9 * scale
+            assert optimum <= result.best_primal_value + 1e-9 * scale
 
     def test_sandwich(self):
         instance = two_node_instance(seed=13, points=3)

@@ -418,12 +418,43 @@ class TestSolveSubproblem:
         assert exact.lagrangian_value == pytest.approx(brute.lagrangian_value, abs=1e-9)
 
     def test_node_limit_raises_with_incumbent(self):
+        # A search given a start has an incumbent from the outset.
         rng = np.random.default_rng(0)
         sub = random_subproblem(rng, n_pts=8, K=3)
         with pytest.raises(NodeLimitExceeded) as err:
-            solve_subproblem(sub, max_nodes=3)
+            solve_subproblem(sub, max_nodes=3, start=[0] * sub.data.n_points)
         assert err.value.incumbent is not None
         assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
+
+    def test_node_limit_before_any_leaf_reports_a_proven_bound(self):
+        # Without a start a search has no incumbent until its first leaf; a
+        # cap hit before it still names the bound proven so far.
+        rng = np.random.default_rng(0)
+        sub = random_subproblem(rng, n_pts=8, K=3)
+        optimum = brute_force_subproblem(sub).lagrangian_value
+        with pytest.raises(NodeLimitExceeded, match="no incumbent, proven lower bound") as err:
+            solve_subproblem(sub, max_nodes=3)
+        assert err.value.incumbent is None
+        assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
+
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_no_start_runs_no_lloyd(self, seed, batched):
+        # A search given no start has no incumbent until its first leaf and
+        # runs no Lloyd descent; it still proves the optimum with a zero gap,
+        # one node at a time or in batches.
+        rng = np.random.default_rng(seed)
+        sub = random_subproblem(rng, n_pts=int(rng.integers(3, 8)), K=int(rng.integers(2, 4)))
+        sub = LagrangianSubproblem(data=sub.data, K=sub.K, box=sub.box, c=rng.normal(size=sub.c.shape))
+
+        def no_lloyd(*args):
+            raise AssertionError("a search ran a Lloyd descent")
+
+        constants = {**(SMALL_BATCHES if batched else {}), "lloyd_incumbent": no_lloyd}
+        sol = with_constants(constants, lambda: solve_subproblem(sub))
+        brute = brute_force_subproblem(sub)
+        assert abs(sol.lagrangian_value - brute.lagrangian_value) <= 1e-9 * max(abs(brute.lagrangian_value), 1e-9)
+        assert sol.proof_gap == 0.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -431,14 +462,14 @@ class TestSolveSubproblem:
         # At rel_tol 0.3 the search prunes children whose bound lies between
         # the stop threshold and the incumbent.  The bound behind proof_gap
         # must still lie below the optimum, with and without suffix bounds.
-        # The search starts from the all-zeros assignment in place of Lloyd's,
-        # a poor incumbent, so it has children to prune.
+        # The search starts from the all-zeros assignment, a poor incumbent,
+        # so it has children to prune, or from none.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8)))
         optimum = brute_force_subproblem(sub).lagrangian_value
-        poor_start = {"lloyd_incumbent": starting_from([0] * sub.data.n_points)}
-        for bounds in (None, suffix_lower_bounds(sub.data, sub.K, sub.box)[0]):
-            sol = with_constants(poor_start, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds))
+        for bounds, start in itertools.product((None, suffix_lower_bounds(sub.data, sub.K, sub.box)[0]),
+                                               ([0] * sub.data.n_points, None)):
+            sol = solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds, start=start)
             proven = sol.lagrangian_value - sol.proof_gap * max(abs(sol.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert sol.proof_gap <= 0.3
@@ -782,42 +813,37 @@ class TestBatchedSearch:
             assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
     def test_time_budget_stop_is_proven(self, monkeypatch):
-        # A clock that advances one second per reading stops the search
-        # after a few batched steps.
+        # A clock that advances one second per reading stops the suffix
+        # precompute after a few batched steps, in the middle of one of its
+        # searches; the bound it names lies below the K-means optimum of
+        # all observations.
+        rng = np.random.default_rng(4)
+        sub = random_subproblem(rng, n_pts=9, K=3)
+        optimum = brute_force_subproblem(sub).lagrangian_value
+        progress = []
+        with_constants(SMALL_BATCHES, lambda: suffix_lower_bounds(
+            sub.data, 3, sub.box, on_progress=lambda *row: progress.append(row)))
         ticks = itertools.count()
         monkeypatch.setattr(subsolver, "time", types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
-        rng = np.random.default_rng(4)
-        sub = random_subproblem(rng, n_pts=10, K=3)
-        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
-        optimum = brute_force_subproblem(sub).lagrangian_value
-        full = with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub))
-        stopped = with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub, time_budget=4.5))
-        assert stopped.stats["explored"] < full.stats["explored"]
-        assert stopped.proof_gap > 0
-        proven = stopped.lagrangian_value - stopped.proof_gap * max(abs(stopped.lagrangian_value), 1e-9)
-        assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
-
-
-def starting_from(assignment):
-    """A stand-in for :func:`lloyd_incumbent` that starts a search from
-    ``assignment``; :func:`solve_subproblem` looks it up at each call."""
-    return lambda subproblem, order: evaluate_assignment(subproblem, assignment)
+        with pytest.raises(NodeLimitExceeded, match="time budget of 4.5 s reached after") as err:
+            with_constants(SMALL_BATCHES, lambda: suffix_lower_bounds(sub.data, 3, sub.box, time_budget=4.5))
+        assert 0 < err.value.explored < progress[-1][3]
+        assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
 
 class TestWarmStart:
-    """Searches that start from a given incumbent in place of Lloyd's."""
+    """Searches that start from a given incumbent."""
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.booleans(),
-           st.sampled_from(["random", "worst"]), st.sampled_from(["lloyd", "start"]),
+           st.sampled_from(["random", "worst"]),
            st.sampled_from([{}, {"_BATCH_AT": 8}, BATCHED, SMALL_BATCHES]))
     @settings(max_examples=80, deadline=None)
-    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, via, constants):
+    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, constants):
         # "worst" is the costliest of the one-cluster assignments and the
         # optimum's partition under every relabelling: under nonzero duals a
-        # relabelled optimum can be far from optimal.  The warm start stands
-        # in for Lloyd's incumbent or is passed as ``start``; either way the
-        # search relabels it under nonzero duals and then starts from it.  A
-        # lowered _BATCH_AT switches the search to batches early.
+        # relabelled optimum can be far from optimal.  The search relabels
+        # the start under nonzero duals and then starts from it.  A lowered
+        # _BATCH_AT switches the search to batches early.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
         c = np.zeros((K, 2)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, 2))
@@ -832,18 +858,14 @@ class TestWarmStart:
         bounds, _ = suffix_lower_bounds(sub.data, K, sub.box)
         optimum = brute.lagrangian_value
         scale = max(abs(optimum), 1e-9)
-        if via == "lloyd":
-            constants, start = {**constants, "lloyd_incumbent": starting_from(warm)}, None
-        else:
-            start = warm
         for sb in (None, bounds):
-            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=start))
+            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=warm))
             assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
             assert sol.proof_gap <= 1e-9
             assert sol.lagrangian_value == evaluate_assignment(sub, sol.assignment).lagrangian_value
             # At a loose tolerance the proven bound must still lie below the optimum.
             loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb,
-                                                                       start=start))
+                                                                       start=warm))
             proven = loose.lagrangian_value - loose.proof_gap * max(abs(loose.lagrangian_value), 1e-9)
             assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
             assert loose.proof_gap <= 0.3
@@ -879,7 +901,7 @@ class TestIncumbentIndependence:
         # the start changes what it prunes, not what it returns: the same
         # assignment, hence the same value bit for bit, from the optimum, a
         # random assignment, the costliest one-cluster assignment or no
-        # start (a Lloyd descent), with and without suffix bounds, and a zero
+        # start (no incumbent), with and without suffix bounds, and a zero
         # proof gap.  The dual rows differ, so the start is relabelled under
         # them.  Only an exact tie may go either way: two assignments of
         # equal value in exact arithmetic, whose values in floating point
@@ -932,14 +954,36 @@ class TestStartRelabelling:
         if dual != "unequal":
             assert new_label == list(range(K))
 
-    def test_permutation_tie_rule_and_limit(self):
-        # The first least-cost permutation in itertools order wins unless a
-        # later one is lower by more than 1e-15; K > 8 is refused.
+    def test_permutation_tie_rule(self):
+        # The least sum wins, and sums within 1e-15 of it tie: the first
+        # permutation in lexicographic order among them wins.  K has no limit.
         assert _least_cost_relabelling([[1.0, 0.0], [0.0, 1.0]]) == [1, 0]
         assert _least_cost_relabelling([[0.0, 0.0], [0.0, 0.0]]) == [0, 1]
         assert _least_cost_relabelling([[0.0, 1e-16], [1e-16, 0.0]]) == [0, 1]
-        with pytest.raises(ValueError, match="K <= 8"):
-            _least_cost_relabelling([[0.0] * 9] * 9)
+        assert _least_cost_relabelling([[1e-16, 0.0], [0.0, 0.0]]) == [0, 1]
+        assert _least_cost_relabelling([[1e-14, 0.0], [0.0, 0.0]]) == [1, 0]
+        assert _least_cost_relabelling([[0.0] * 9] * 9) == list(range(9))
+        shifted = [[float((old - new) % 9 != 1) for new in range(9)] for old in range(9)]
+        assert _least_cost_relabelling(shifted) == [(old - 1) % 9 for old in range(9)]
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration(self, seed):
+        # Against all K! permutations in itertools (lexicographic) order: on
+        # a table of normal draws, the least sum; on one of a few dyadic
+        # values, whose sums are exact and often tie, the first least sum.
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 7))
+        for cost, tol in ((rng.normal(size=(K, K)).tolist(), 1e-12),
+                          (rng.choice([0.0, 0.5, 1.0, 2.0], size=(K, K)).tolist(), 0.0)):
+            new_label = _least_cost_relabelling(cost)
+            got = sum(cost[p][new_label[p]] for p in range(K))
+            totals = [sum(cost[perm[k]][k] for k in range(K)) for perm in itertools.permutations(range(K))]
+            assert got <= min(totals) + tol
+            if tol == 0.0:
+                first = next(perm for perm, total in zip(itertools.permutations(range(K)), totals)
+                             if total == min(totals))
+                assert all(new_label[first[k]] == k for k in range(K))
 
 
 class TestRelabel:
