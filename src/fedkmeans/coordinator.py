@@ -178,10 +178,11 @@ class NodeSession:
 
     Between solves a session keeps only what does not depend on the duals:
     its branching order, its suffix bounds and the plain K-means optimum
-    that their precompute proves.  Both backends open sessions from
-    the same :meth:`hello_body` dict (the networked backend sends it as the
-    HELLO body), so in-process and networked nodes solve with identical
-    settings by construction.
+    that their precompute proves.  It never sees another node's centroids:
+    :func:`run` aligns the iteration-1 labels itself.  Both backends open
+    sessions from the same :meth:`hello_body` dict (the networked backend
+    sends it as the HELLO body), so in-process and networked nodes solve
+    with identical settings by construction.
     """
 
     data: NodeDataset
@@ -228,16 +229,14 @@ class NodeSession:
         first use."""
         return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes, order=self.order)
 
-    def solve(self, c, reference) -> NodeSolveReply:
-        """Exact subproblem solve under dual term ``c``, relabelled to ``reference`` if given.
+    def solve(self, c) -> NodeSolveReply:
+        """Exact subproblem solve under dual term ``c``, which must be finite (ValueError otherwise).
 
-        Relabelling needs every row of ``c`` to be equal, and ``c`` must be
-        finite (ValueError otherwise).  The first solve also computes
-        :attr:`order` and :attr:`suffix`, and its ``solve_time`` includes
-        that work.  Every solve starts from the session's K-means optimum
-        (see :func:`solve_subproblem`), so a reply depends only on the node's
-        data, ``c`` and ``reference``: not on earlier solves, nor on the
-        backend or the run that asks for it.
+        The first solve also computes :attr:`order` and :attr:`suffix`, and
+        its ``solve_time`` includes that work.  Every solve starts from the
+        session's K-means optimum (see :func:`solve_subproblem`), so a reply
+        depends only on the node's data and ``c``: not on earlier solves,
+        nor on the backend or the run that asks for it.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
@@ -245,8 +244,6 @@ class NodeSession:
         bounds, optimum = self.suffix
         solution = solve_subproblem(sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
                                     suffix_bounds=bounds, order=self.order, start=optimum)
-        if reference is not None:
-            solution = relabel_to_reference(solution, np.asarray(reference, dtype=float), sub)
         return NodeSolveReply(
             centroids=solution.centroids,
             lagrangian_value=solution.lagrangian_value,
@@ -275,8 +272,9 @@ class InProcessBackend:
         body = NodeSession.hello_body(instance, config)
         self.sessions = [NodeSession.open(node, body) for node in instance.nodes]
 
+    # run() passes no reference and every node index; perfbench's TracedBackend forwards all four.
     def solve_batch(self, t, c_list, reference, node_indices) -> list[NodeSolveReply]:
-        return [self.sessions[i].solve(c_list[i], reference) for i in node_indices]
+        return [self.sessions[i].solve(c_list[i]) for i in node_indices]
 
     def objective_batch(self, t, mean_centroids) -> list[float]:
         return [session.objective(mean_centroids) for session in self.sessions]
@@ -312,18 +310,13 @@ def run(instance: ProblemInstance, config: RunConfig, backend=None) -> RunResult
     try:
         for t in range(1, config.t_max + 1):
             c_list = [apply_coupling_adjoint(topology, i, lam) for i in range(instance.n_nodes)]
-
-            # Iteration 1: node 0 solves first and provides the reference
-            # centroids used to break label symmetry at the other nodes.  The
-            # duals are zero, so every label has the same dual term and a
-            # relabelled optimum is still optimal.
+            replies = backend.solve_batch(t, c_list, None, list(range(instance.n_nodes)))
             if t == 1:
-                first = backend.solve_batch(t, c_list, None, [0])[0]
-                reference = first.centroids
-                rest = backend.solve_batch(t, c_list, reference, list(range(1, instance.n_nodes)))
-                replies = [first] + rest
-            else:
-                replies = backend.solve_batch(t, c_list, None, list(range(instance.n_nodes)))
+                # Align the labels to node 0's.  The duals are zero, so every
+                # label has the same dual term, and a reply with its centroid
+                # rows permuted is the same partition with the same value.
+                replies[1:] = [replace(r, centroids=relabel_to_reference(r.centroids, replies[0].centroids))
+                               for r in replies[1:]]
 
             dual_value = float(sum(r.lagrangian_value for r in replies))
             g, residual_norm = primal_residual(topology, [r.centroids for r in replies])

@@ -4,10 +4,9 @@ Wire protocol: each frame is a 4-byte big-endian length prefix followed by a
 UTF-8 JSON payload (at most 16 MiB).  Within an iteration the message order is
 SOLVE -> SOLUTION -> AVERAGE -> OBJECTIVE; a HELLO exchange opens a run and
 TERMINATE closes it.  Raw observation coordinates never cross the wire: a node
-receives only its dual coefficients and averaged centroids, plus, at iteration 1
-for every node but node 0, node 0's centroids as the SOLVE ``reference`` for
-label alignment.  It replies with centroids, Lagrangian values, and objective
-values.
+receives only its dual coefficients and the averaged centroids, never another
+node's centroids, and it replies with centroids, Lagrangian values, and
+objective values.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def _serve_connection(conn: socket.socket, dataset) -> bool:
             elif session is None:
                 raise NetworkError(f"{kind} before HELLO")
             elif kind == "SOLVE":
-                solved = session.solve(body["c"], body.get("reference"))
+                solved = session.solve(body["c"])
                 reply = {"kind": "SOLUTION", "body": {
                     "centroids": solved.centroids.tolist(),
                     "lagrangian_value": solved.lagrangian_value,
@@ -252,11 +251,11 @@ class NetworkedBackend:
                                f"expected run {self.run_id!r} t={t}")
         return message
 
+    # run() passes no reference and every node index; perfbench's TracedBackend forwards all four.
     def solve_batch(self, t, c_list, reference, node_indices) -> list[NodeSolveReply]:
-        ref = None if reference is None else np.asarray(reference).tolist()
         for i in node_indices:
             self._send(i, {"kind": "SOLVE", "run_id": self.run_id, "t": t,
-                           "body": {"c": np.asarray(c_list[i]).tolist(), "reference": ref}})
+                           "body": {"c": np.asarray(c_list[i]).tolist()}})
         replies = []
         for i in node_indices:  # gather preserves node-index order
             body = self._recv(i, "SOLUTION", t)["body"]

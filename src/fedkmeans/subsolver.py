@@ -928,25 +928,22 @@ def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSoluti
     return evaluate_assignment(subproblem, grids[best])
 
 
-def relabel_to_reference(solution: SubproblemSolution, reference: np.ndarray,
-                         subproblem: LagrangianSubproblem) -> SubproblemSolution:
-    """Permute cluster labels to best match a reference centroid set.
+def relabel_to_reference(centroids: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The rows of ``centroids`` permuted to best match ``reference``.
 
-    Chooses the permutation minimizing the total squared centroid-to-reference
-    distance (see :func:`_least_cost_relabelling`) and recomputes the
-    Lagrangian value under the new labels.  A permuted optimum stays optimal
-    only when every cluster has the same dual term, as at zero duals, so the
-    rows of ``subproblem.c`` must be equal; ValueError otherwise.
+    The permutation minimizes the total squared row-to-reference distance
+    (see :func:`_least_cost_relabelling`).  A permuted optimum is the same
+    partition with the same value only when every cluster has the same dual
+    term, as at zero duals; the caller must ensure that.
     """
-    if np.any(subproblem.c != subproblem.c[0]):
-        raise ValueError("label alignment needs the same dual term for every cluster")
+    centroids = np.asarray(centroids, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    if reference.shape != solution.centroids.shape:
-        raise ValueError("reference must have shape (K, n_y)")
-    d2 = np.sum((solution.centroids[:, None, :] - reference[None, :, :]) ** 2, axis=2)
-    new_label = _least_cost_relabelling(d2.tolist())
-    relabeled = evaluate_assignment(subproblem, [new_label[a] for a in solution.assignment])
-    return replace(relabeled, proof_gap=solution.proof_gap, stats=dict(solution.stats))
+    if reference.shape != centroids.shape:
+        raise ValueError("reference must have the shape of the centroids")
+    d2 = np.sum((centroids[:, None, :] - reference[None, :, :]) ** 2, axis=2)
+    aligned = np.empty_like(centroids)
+    aligned[_least_cost_relabelling(d2.tolist())] = centroids
+    return aligned
 
 
 def _least_cost_relabelling(cost: list[list[float]]) -> list[int]:

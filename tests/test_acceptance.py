@@ -337,7 +337,7 @@ def test_criterion_10_transport_transparency():
 
     allowed = {
         "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes", "node_id"},
-        "SOLVE": {"c", "reference"},
+        "SOLVE": {"c"},
         "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
         "AVERAGE": {"mean_centroids"},
         "OBJECTIVE": {"z"},

@@ -210,13 +210,13 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("K", [3, 4])
     def test_first_iteration_values_are_unaligned_minima(self, K):
-        # Label alignment at iteration 1 permutes each node's optimum under
-        # zero duals, so every node still reports its exact minimum.
+        # Label alignment at iteration 1 permutes only the centroid rows of
+        # each reply, so every node's value is its own minimum, bit for bit.
         instance = generate_instance(BenchmarkSpec(n_nodes=3, n_y=2, K=K, replicate=1, seed=0))
         record = run(instance, RunConfig(algorithm="sg", t_max=1)).records[0]
         for node, value in zip(instance.nodes, record.node_lagrangians, strict=True):
             sub = LagrangianSubproblem(data=node, K=K, box=instance.box, c=np.zeros((K, instance.n_y)))
-            assert value == pytest.approx(solve_subproblem(sub).lagrangian_value, rel=1e-12, abs=0)
+            assert value == solve_subproblem(sub).lagrangian_value
 
 
 class TestNodeSession:
@@ -246,7 +246,7 @@ class TestNodeSession:
         instance = two_node_instance(seed=6)
         session = InProcessBackend(instance, RunConfig()).sessions[0]
         c = np.array([[0.3, -0.1], [0.0, 0.2]])
-        reply = session.solve(c.ravel(), None)
+        reply = session.solve(c.ravel())
         sub = LagrangianSubproblem(data=session.data, K=2, box=instance.box, c=c)
         assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
         Y = session.data.observations
@@ -264,15 +264,8 @@ class TestNodeSession:
                 session.objective(mean)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=r"c must be a finite \(3, 2\) array"):
-                session.solve([0.0, 0.0, bad, 0.0, 0.0, 0.0], None)
-        assert math.isfinite(session.objective(session.solve(np.zeros(6), None).centroids))
-
-    def test_solve_refuses_reference_under_unequal_dual_terms(self):
-        instance = two_node_instance(seed=6)
-        session = InProcessBackend(instance, RunConfig()).sessions[1]
-        reference = session.solve(np.zeros(4), None).centroids
-        with pytest.raises(ValueError, match="same dual term"):
-            session.solve([0.3, -0.1, 0.0, 0.2], reference)
+                session.solve([0.0, 0.0, bad, 0.0, 0.0, 0.0])
+        assert math.isfinite(session.objective(session.solve(np.zeros(6)).centroids))
 
     def test_suffix_bounds_computed_once(self, monkeypatch):
         # One branching order per session: the suffix bounds and every
@@ -298,7 +291,7 @@ class TestNodeSession:
         assert calls == {"order": [], "bounds": [], "solve": []}  # not computed when the session opens
         c = np.array([[0.3, -0.1], [0.0, 0.2], [-0.2, 0.1]])
         for scale in (0.0, 1.0, -0.5, 2.0):
-            reply = session.solve(scale * c.ravel(), None)
+            reply = session.solve(scale * c.ravel())
             sub = LagrangianSubproblem(data=session.data, K=3, box=instance.box, c=scale * c)
             assert reply.lagrangian_value == pytest.approx(brute_force_subproblem(sub).lagrangian_value, abs=1e-9)
         assert len(calls["order"]) == 1 and len(calls["bounds"]) == 1 and len(calls["solve"]) == 4
@@ -320,8 +313,8 @@ class TestNodeSession:
         replies = []
         for node_id in (0, 1):
             session = NodeSession.open(NodeDataset(node_id, data), body)
-            replies.append([session.solve(np.zeros(instance.K * instance.n_y), None),
-                            session.solve(apply_coupling_adjoint(topology, node, lam), None)])
+            replies.append([session.solve(np.zeros(instance.K * instance.n_y)),
+                            session.solve(apply_coupling_adjoint(topology, node, lam))])
         for a, b in zip(*replies):
             assert a.lagrangian_value == b.lagrangian_value
             np.testing.assert_array_equal(a.centroids, b.centroids)
@@ -349,7 +342,7 @@ class TestNodeSession:
         log = record_solves(monkeypatch)
         body = NodeSession.hello_body(instance, RunConfig())
         for node in instance.nodes:
-            NodeSession.open(node, body).solve(np.zeros(instance.K * instance.n_y), None)
+            NodeSession.open(node, body).solve(np.zeros(instance.K * instance.n_y))
         assert [entry["explored"] for entry in log] == [0] * instance.n_nodes
 
     def test_reply_does_not_depend_on_earlier_solves(self, tmp_path):
@@ -363,8 +356,8 @@ class TestNodeSession:
         c1, c2 = (apply_coupling_adjoint(topology, 1, lam) for lam in lams)
         body = NodeSession.hello_body(instance, RunConfig())
         session = NodeSession.open(instance.nodes[1], body)
-        first, _, again = (session.solve(c, None) for c in (c1, c2, c1))
-        fresh = NodeSession.open(instance.nodes[1], body).solve(c1, None)
+        first, _, again = (session.solve(c) for c in (c1, c2, c1))
+        fresh = NodeSession.open(instance.nodes[1], body).solve(c1)
         for reply in (again, fresh):
             assert reply.lagrangian_value == first.lagrangian_value
             np.testing.assert_array_equal(reply.centroids, first.centroids)

@@ -143,7 +143,7 @@ class TestNetworkedRun:
         # one observation, so the check is structural, not value-based.)
         allowed_body_keys = {
             "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes", "node_id"},
-            "SOLVE": {"c", "reference"},
+            "SOLVE": {"c"},
             "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
             "AVERAGE": {"mean_centroids"},
             "OBJECTIVE": {"z"},
@@ -159,6 +159,32 @@ class TestNetworkedRun:
         # nodes compute their suffix bounds during their first solve.
         generate_grid(0, tmp_path)
         instance = read_instance(tmp_path / "2N2D4K_1.json")
+        addresses, threads = start_servers(instance)
+        assert_run_matches_in_process(instance, addresses, RunConfig(algorithm="sg", t_max=2))
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+
+    def test_first_iteration_sends_every_solve_before_reading_a_reply(self, tmp_path):
+        # Iteration 1 is one solve phase: the coordinator aligns the labels
+        # itself, so no node waits for another node's reply.
+        generate_grid(0, tmp_path)
+        instance = read_instance(tmp_path / "3N2D3K_1.json")
+        addresses, _ = start_servers(instance)
+        capture = []
+        backend = NetworkedBackend(addresses=addresses, instance=instance,
+                                   config=RunConfig(algorithm="sg", t_max=1), capture=capture)
+        try:
+            run(instance, backend.config, backend=backend)
+        finally:
+            backend.close()
+        first = [(direction, m["kind"]) for direction, m in capture if m.get("t") == 1]
+        assert first[:6] == [("send", "SOLVE")] * 3 + [("recv", "SOLUTION")] * 3
+
+    def test_three_node_grid_cell_matches_in_process(self, tmp_path):
+        # With three nodes, two replies are aligned to node 0's at t = 1.
+        generate_grid(0, tmp_path)
+        instance = read_instance(tmp_path / "3N2D4K_1.json")
         addresses, threads = start_servers(instance)
         assert_run_matches_in_process(instance, addresses, RunConfig(algorithm="sg", t_max=2))
         for thread in threads:
@@ -211,7 +237,7 @@ class TestNetworkedRun:
         addresses, threads = start_servers(instance)
         hello = NodeSession.hello_body(instance, config)
         bad_messages = [
-            {"kind": "SOLVE", "run_id": "x", "t": 1, "body": {"c": [0.0] * 4, "reference": None}},
+            {"kind": "SOLVE", "run_id": "x", "t": 1, "body": {"c": [0.0] * 4}},
             {"kind": "AVERAGE", "run_id": "x", "t": 1, "body": {"mean_centroids": [[0.0, 0.0]] * 2}},
             {"kind": "SOLUTION", "run_id": "x", "t": 1, "body": {}},
             {"kind": "BOGUS", "run_id": "x", "t": 1, "body": {}},
@@ -226,16 +252,6 @@ class TestNetworkedRun:
                 assert reply["kind"] == "ERROR"
                 assert reply["body"]["class"] == "internal"
                 assert sock.recv(1) == b""  # the node dropped this connection
-        # A SOLVE whose reference would relabel under unequal dual terms.
-        with socket.create_connection(addresses[0], timeout=5.0) as sock:
-            sock.sendall(encode_frame({"kind": "HELLO", "run_id": "x", "t": 0, "body": hello}))
-            assert read_message(sock)["kind"] == "HELLO"
-            sock.sendall(encode_frame({"kind": "SOLVE", "run_id": "x", "t": 1, "body": {
-                "c": [0.3, -0.1, 0.0, 0.2], "reference": [[0.0, 0.0], [1.0, 1.0]]}}))
-            reply = read_message(sock)
-            assert reply["kind"] == "ERROR"
-            assert reply["body"]["class"] == "internal"
-            assert "same dual term" in reply["body"]["error"]
         assert threads[0].is_alive()
         assert_run_matches_in_process(instance, addresses, config)
 
@@ -248,8 +264,8 @@ class TestNetworkedRun:
         addresses, threads = start_servers(instance)
         hello = NodeSession.hello_body(instance, config)
         bad_messages = [
-            {"kind": "SOLVE", "body": {"c": [0.0, float("nan"), 0.0, 0.0], "reference": None}},
-            {"kind": "SOLVE", "body": {"c": [0.0, float("inf"), 0.0, 0.0], "reference": None}},
+            {"kind": "SOLVE", "body": {"c": [0.0, float("nan"), 0.0, 0.0]}},
+            {"kind": "SOLVE", "body": {"c": [0.0, float("inf"), 0.0, 0.0]}},
             {"kind": "AVERAGE", "body": {"mean_centroids": [[0.0], [0.0]]}},
             {"kind": "AVERAGE", "body": {"mean_centroids": [[0.0, 0.0]]}},
             {"kind": "AVERAGE", "body": {"mean_centroids": [[0.0]]}},
@@ -281,7 +297,7 @@ class TestNetworkedRun:
             if message["kind"] == "HELLO":
                 reply.update(kind="HELLO", body={"node_id": 1})
             elif message["kind"] == "SOLVE":
-                solved = session.solve(message["body"]["c"], message["body"]["reference"])
+                solved = session.solve(message["body"]["c"])
                 reply.update(kind="SOLUTION", body={"centroids": solved.centroids.tolist(),
                                                     "lagrangian_value": solved.lagrangian_value,
                                                     "solve_time": solved.solve_time})
