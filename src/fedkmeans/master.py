@@ -92,13 +92,18 @@ def bundle_push(bundle: Bundle, entry: BundleEntry) -> Bundle:
 
 def linearization_errors(bundle: Bundle, lam_t: np.ndarray, d_t: float) -> np.ndarray:
     """beta_(l,t) = d(lam_t) - d(lam_l) - g_l . (lam_t - lam_l) per entry."""
+    return _bundle_cuts(bundle, lam_t, d_t)[1]
+
+
+def _bundle_cuts(bundle: Bundle, lam_t: np.ndarray, d_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The master problem's cuts at lam_t: subgradients as rows and their linearization errors."""
     if not bundle.entries:
         raise ValueError("bundle is empty")
     lam_t = np.asarray(lam_t, dtype=float)
-    return np.array([
-        d_t - e.dual_value - float(e.subgradient @ (lam_t - e.lam))
-        for e in bundle.entries
-    ])
+    G = np.array([e.subgradient for e in bundle.entries])
+    lams = np.array([e.lam for e in bundle.entries])
+    values = np.array([e.dual_value for e in bundle.entries])
+    return G, d_t - values - np.einsum("ij,ij->i", G, lam_t - lams)
 
 
 # ------------------------------ BFGS update ---------------------------------
@@ -189,8 +194,22 @@ def _distinct_cuts(cut_normals: np.ndarray, cut_offsets: np.ndarray) -> list[int
     Cut i is dropped when its row (g_i, beta_i) lies within 1e-7 * max(1,
     |row_i|) of a row already kept.  Near-duplicate cuts (bundle entries from
     almost-identical dual points) would make the KKT system singular.
+
+    The pairwise test runs only when a prefilter finds a candidate pair: two
+    rows that close project onto any direction u within |u| * 1e-7 * max(1,
+    |rows|_F) of each other, so the test is skipped when no two sorted
+    projections come within twice that (the factor covers round-off).  The
+    direction weighs coordinate k by sqrt(k + 1).  Projections onto it
+    flagged 2 of the 347 master problems of the benchmark workloads at seed 0,
+    none of which has a duplicate, and 464 of the 2,682 of the K=3
+    replicate-1 grid cells under BTM and QNDA; the first coordinate alone
+    flagged 81 and 932.
     """
     rows = np.hstack([cut_normals, cut_offsets[:, None]])
+    u = np.sqrt(np.arange(1.0, rows.shape[1] + 1))
+    bound = 2e-7 * max(1.0, float(np.linalg.norm(rows))) * float(np.linalg.norm(u))
+    if not (np.diff(np.sort(rows @ u)) <= bound).any():
+        return list(range(rows.shape[0]))
     gaps = np.linalg.norm(rows[:, None] - rows[None], axis=2)
     # |row_i| as np.linalg.norm(rows[i]) computes it: one dot product per row.
     scale = np.maximum(1.0, np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]))
@@ -224,10 +243,10 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
     from the best point so far, which identifies the active set at fully
     degenerate vertices (more active constraints than variables) that can
     defeat both.  Each stage ends at the same test, a KKT residual within
-    ``_KKT_TOL``: an interior-point pass stops a few iterations after its best
-    iterate passes it (:func:`_pdip_core`), and the polish returns its first
-    candidate that does.  A stage's point is accepted as it stands when it
-    passes; otherwise it goes through the active-set polish of
+    ``_KKT_TOL``: an interior-point pass stops at its first iterate of least
+    merit so far that passes it (:func:`_pdip_core`), and the polish returns
+    its first candidate that does.  A stage's point is accepted as it stands
+    when it passes; otherwise it goes through the active-set polish of
     :func:`_polish_kkt`, and the lower residual of the two is kept (SLSQP
     returns no multipliers, so its point is always polished).  The
     solution's ``path`` names the accepting stage: "ipm" for the
@@ -248,17 +267,16 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
     jacobian = np.zeros((n_con, n + 1))
     jacobian[1:1 + m_cuts, :n] = -G
     jacobian[1:, n] = 1.0
-    ball_hessian = np.zeros((n + 1, n + 1))
-    ball_hessian[:n, :n] = 2.0 * np.eye(n)
     model_hessian = -problem.quad if has_model else None
 
-    def constraints(z):
-        """Values and gradients of all f_i at z."""
+    def constraints(z, vals=None, grads=None):
+        """Values and gradients of all f_i at z, written over the arrays of an
+        earlier call when they are given."""
         delta, w = z[:n], z[n]
-        vals = np.empty(n_con)
+        if vals is None:
+            vals, grads = np.empty(n_con), jacobian.copy()
         vals[0] = float(delta @ delta) - problem.alpha
         vals[1:1 + m_cuts] = w - G @ delta + beta
-        grads = jacobian.copy()
         grads[0, :n] = 2.0 * delta
         if has_model:
             Bd = problem.quad @ delta
@@ -266,11 +284,16 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             grads[-1, :n] = -Bd - problem.lin
         return vals, grads
 
-    def constraint_hessian_weighted(weights):
-        """sum_i weights_i * Hess f_i (only ball and model are curved)."""
-        H = weights[0] * ball_hessian
+    def add_curvature(H, weights):
+        """H + sum_i weights_i * Hess f_i, written into H.  Only the ball, whose
+        Hessian is 2 on the diagonal of the delta block, and the model cap are
+        curved."""
         if has_model:
-            H[:n, :n] += weights[-1] * model_hessian
+            curved = weights[-1] * model_hessian
+            curved.reshape(-1)[::n + 1] += 2.0 * weights[0]
+            H[:n, :n] += curved
+        else:
+            H.reshape(-1)[:n * (n + 2):n + 2] += 2.0 * weights[0]
         return H
 
     obj_grad = np.zeros(n + 1)
@@ -293,7 +316,7 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             if point is None:
                 break
         else:
-            point = _pdip_core(problem, constraints, constraint_hessian_weighted, obj_grad,
+            point = _pdip_core(problem, constraints, add_curvature, obj_grad,
                                n_con, n, "fixed" if stage == "ipm" else "mehrotra")
         trial = candidate(*point, stage)
         if result is None or trial[2] < result[2]:
@@ -320,106 +343,122 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
                float(max(0.0, vals.max())))
 
 
-# Iterations without a merit improvement that end an interior-point pass whose
-# best iterate meets _KKT_TOL, and one whose best iterate does not.  The long
-# wait is needed because the merit can stall and then recover: on the 2,684
-# master problems of the K=3 replicate-1 cells of the seed-0 grid under BTM
-# and QNDA (t_max 150, rows as `perfbench/run.py --seed 0` orders them),
-# ending every pass after _PDIP_SETTLE such iterations left 47 problems above
-# _KKT_TOL after all stages instead of 2, and the fixed-centering pass solved
-# 1,034 of them instead of 2,209.
-_PDIP_SETTLE = 3
+# Iterations without a merit improvement that end an interior-point pass
+# before any of its new best iterates meets _KKT_TOL.  The wait is long
+# because the merit can stall and then recover.  On the 2,682 master problems
+# of the K=3 replicate-1 cells of the seed-0 grid under BTM and QNDA (t_max
+# 150), the passes took 53,946 fixed-centering and 8,070 Mehrotra Newton
+# iterations, and the stages accepted 2,249 points as "ipm", 238 as "polish",
+# 185 as "mehrotra" and 10 as "sqp".  A wait of 3 on the same problems left
+# 37 of them above _KKT_TOL after all stages, and only 1,074 went to "ipm".
 _PDIP_WAIT = 30
 
 
-def _pdip_core(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme):
-    """One primal-dual path-following pass; returns the best iterate seen.
+def _step_length(x, dx, margin):
+    """margin times the step along dx to the boundary of x > 0, at most 1."""
+    # Where dx < 0, x / dx is minus the step that takes x to 0.
+    to_boundary = np.divide(x, dx, out=np.full(x.shape, -np.inf), where=dx < 0)
+    return min(1.0, -margin * float(to_boundary.max()))
+
+
+def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
+    """One primal-dual path-following pass; returns an iterate (z, lambda).
 
     ``scheme`` selects the centering rule: "fixed" uses sigma = 0.1 until the
     complementarity is small, "mehrotra" uses an affine predictor and adaptive
     sigma with a second-order corrector.
 
-    The best iterate is the one of least merit (the largest of the
-    stationarity and primal residuals and the mean complementarity).  The
-    pass ends when the merit falls below 1e-13, when the iteration breaks
-    down, or when the merit has not improved for ``_PDIP_SETTLE``
-    iterations and the best iterate's KKT residual meets ``_KKT_TOL``.  A best
-    iterate that misses ``_KKT_TOL`` keeps the pass going until the merit has
-    not improved for ``_PDIP_WAIT`` iterations, since late iterations can
-    still reach the tolerance on degenerate problems.  A pass ends after
-    ``_MAX_NEWTON`` Newton iterations in any case.
+    The pass keeps its best iterate, the one of least merit (the largest of
+    the stationarity and primal residuals and the mean complementarity).  It
+    returns the first new best iterate whose KKT residual, as
+    :func:`_kkt_residual` scores it, meets ``_KKT_TOL``.  An iterate that
+    passes without improving the merit is not returned: its slacks still
+    disagree with its constraint values, and on a flat model with a binding
+    ball such an iterate can sit well inside the ball at a model value far
+    below the optimum.  Failing that the pass returns its best iterate once
+    the merit falls below 1e-13, the iteration breaks down, the merit has not
+    improved for ``_PDIP_WAIT`` iterations, or ``_MAX_NEWTON`` Newton
+    iterations have run.
     """
     beta = problem.cut_offsets
     # Strictly feasible start: delta = 0, w below every cut and the model cap.
     z = np.zeros(n + 1)
     z[n] = min(0.0, float(-beta.max())) - 1.0 - abs(float(beta.max()))
-    vals, grads = constraints(z)
-    slack = -vals
-    lam_pd = np.ones(n_con)
-    best = (np.inf, z, lam_pd)
+    vals, grads = constraints(z)  # rewritten in place at every later iterate
+    grads_t = grads.T  # a view, so it follows those writes
+    # Slacks and multipliers side by side, so that a fixed-centering step
+    # finds its one length with one masked division and moves both at once.
+    state = np.concatenate((-vals, np.ones(n_con)))
+    best = (np.inf, z, state[n_con:])
     stall = 0
-    for _ in range(_MAX_NEWTON):
-        vals, grads = constraints(z)
-        r_stat = obj_grad + grads.T @ lam_pd
+    for newton in range(_MAX_NEWTON):
+        slack, lam_pd = state[:n_con], state[n_con:]
+        if newton:
+            constraints(z, vals, grads)
+        r_stat = obj_grad + grads_t @ lam_pd
+        stationarity = float(abs(r_stat).max())
         r_prim = vals + slack
         mu = float(lam_pd @ slack) / n_con
-        merit = max(float(abs(r_stat).max()), float(abs(r_prim).max()), mu)
+        merit = max(stationarity, float(abs(r_prim).max()), mu)
         # Late iterations can degrade once slacks underflow; keep the best
-        # iterate seen and stop when the merit stops improving.
+        # iterate seen and stop when the merit stops improving.  Iterates are
+        # never written in place, so the best one needs no copy.
         if merit < best[0]:
-            best = (merit, z.copy(), lam_pd.copy())
+            # _kkt_residual's test on the residuals at hand, cheapest term
+            # first; the tolerance is positive, so the violation needs no
+            # clipping at 0.
+            if (stationarity <= _KKT_TOL and float(vals.max()) <= _KKT_TOL
+                    and float((lam_pd * abs(vals)).max()) <= _KKT_TOL):
+                return z, lam_pd
+            best = (merit, z, lam_pd)
             stall = 0
         else:
             stall += 1
         if merit < 1e-13 or stall >= _PDIP_WAIT:
             break
-        if stall == _PDIP_SETTLE and _kkt_residual(*constraints(best[1]), obj_grad, best[2]) <= _KKT_TOL:
-            break  # the best iterate passes the solver's test and has stopped improving
         if slack.min() <= 0 or lam_pd.min() < 0 or lam_pd.max() > 1e12:
             break  # slack underflow or multiplier blow-up; keep the best iterate
         # Condensed Newton system in (dz, dlam); ds eliminated.
         W = lam_pd / slack
-        H = hess_weighted(lam_pd) + grads.T @ (grads * W[:, None])
+        H = add_curvature(grads_t @ (grads * W[:, None]), lam_pd)
         if not np.isfinite(H).all():
             break
+        weighted_r_prim = W * r_prim
 
         def direction(r_comp_target):
-            rhs = -r_stat - grads.T @ (W * r_prim - r_comp_target / slack)
-            dz = np.linalg.solve(H, rhs)
-            dlam = W * (grads @ dz + r_prim) - r_comp_target / slack
-            ds = -r_prim - grads @ dz
-            return dz, dlam, ds
-
-        def step_lengths(ds, dlam, margin):
-            a_p = a_d = 1.0
-            neg = ds < 0
-            if neg.any():
-                a_p = min(a_p, margin * float((-slack[neg] / ds[neg]).min()))
-            neg = dlam < 0
-            if neg.any():
-                a_d = min(a_d, margin * float((-lam_pd[neg] / dlam[neg]).min()))
-            return a_p, a_d
+            """(dz, (ds, dlam)) for the complementarity target."""
+            comp = r_comp_target / slack
+            dz = np.linalg.solve(H, -r_stat - grads_t @ (weighted_r_prim - comp))
+            moved = grads @ dz + r_prim
+            d_state = np.empty(2 * n_con)
+            np.negative(moved, out=d_state[:n_con])
+            np.multiply(W, moved, out=d_state[n_con:])
+            d_state[n_con:] -= comp
+            return dz, d_state
 
         try:
             if scheme == "fixed":
                 sigma = 0.1 if mu > 1e-10 else 0.0
-                dz, dlam, ds = direction(lam_pd * slack - sigma * mu)
-                a_p, a_d = step_lengths(ds, dlam, 0.995)
-                a_p = a_d = min(a_p, a_d)
+                dz, d_state = direction(lam_pd * slack - sigma * mu)
+                a_p = a_d = _step_length(state, d_state, 0.995)
             else:
                 # Affine predictor sets the centering weight sigma.
-                dz_a, dlam_a, ds_a = direction(lam_pd * slack)
-                a_p, a_d = step_lengths(ds_a, dlam_a, 1.0)
+                dz_a, d_a = direction(lam_pd * slack)
+                ds_a, dlam_a = d_a[:n_con], d_a[n_con:]
+                a_p, a_d = _step_length(slack, ds_a, 1.0), _step_length(lam_pd, dlam_a, 1.0)
                 mu_aff = float((lam_pd + a_d * dlam_a) @ (slack + a_p * ds_a)) / n_con
                 sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 0.0), 1.0) if mu > 0 else 0.0
                 # Corrector with centering and the second-order term.
-                dz, dlam, ds = direction(lam_pd * slack + dlam_a * ds_a - sigma * mu)
-                a_p, a_d = step_lengths(ds, dlam, 0.995)
+                dz, d_state = direction(lam_pd * slack + dlam_a * ds_a - sigma * mu)
+                a_p = _step_length(slack, d_state[:n_con], 0.995)
+                a_d = _step_length(lam_pd, d_state[n_con:], 0.995)
         except np.linalg.LinAlgError:
             break
         z = z + a_p * dz
-        slack = slack + a_p * ds
-        lam_pd = lam_pd + a_d * dlam
+        if a_p == a_d:
+            state = state + a_p * d_state
+        else:
+            state = np.concatenate((slack + a_p * d_state[:n_con], lam_pd + a_d * d_state[n_con:]))
     return best[1], best[2]
 
 
@@ -544,8 +583,7 @@ def btm_direction(bundle: Bundle, lam_t: np.ndarray, d_t: float, alpha_t: float)
     Returns (s, v): the step and the model improvement at lam_t + s.
     """
     lam_t = np.asarray(lam_t, dtype=float)
-    beta = linearization_errors(bundle, lam_t, d_t)
-    G = np.array([e.subgradient for e in bundle.entries])
+    G, beta = _bundle_cuts(bundle, lam_t, d_t)
     problem = TrustRegionProblem(center=lam_t, alpha=alpha_t,
                                  cut_normals=G, cut_offsets=beta, const=d_t)
     sol = solve_trust_region_qp(problem)
@@ -563,8 +601,7 @@ def qnda_update(B: np.ndarray, bundle: Bundle, lam_t: np.ndarray, g_t: np.ndarra
     """
     lam_t = np.asarray(lam_t, dtype=float)
     g_t = np.asarray(g_t, dtype=float)
-    beta = linearization_errors(bundle, lam_t, d_t)
-    G = np.array([e.subgradient for e in bundle.entries])
+    G, beta = _bundle_cuts(bundle, lam_t, d_t)
     problem = TrustRegionProblem(center=lam_t, alpha=alpha_t,
                                  cut_normals=G, cut_offsets=beta,
                                  quad=np.asarray(B, dtype=float), lin=g_t, const=d_t)

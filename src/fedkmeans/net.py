@@ -178,6 +178,29 @@ def _send_error(conn: socket.socket, run_id, t, exc: Exception) -> None:
 # ----------------------------- coordinator side ------------------------------
 
 
+def _finite_number(i: int, body: dict, key: str) -> float:
+    """``body[key]`` of node i's reply; NetworkError unless it is a finite number."""
+    value = body.get(key)
+    try:
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+    except OverflowError:  # a JSON integer beyond the float range
+        number = None
+    if number is None or not math.isfinite(number):
+        raise NetworkError(f"node {i}: {key} is not a finite number: {value!r:.40}")
+    return number
+
+
+def _finite_array(i: int, body: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
+    """``body[key]`` of node i's reply; NetworkError unless it is a finite array of ``shape``."""
+    try:
+        value = np.array(body.get(key), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value.shape != shape or not np.isfinite(value).all():
+        raise NetworkError(f"node {i}: {key} is not a finite {shape[0]} x {shape[1]} array")
+    return value
+
+
 @dataclass
 class NetworkedBackend:
     """Coordinator-side backend speaking the framed protocol to remote nodes.
@@ -188,6 +211,9 @@ class NetworkedBackend:
     ``socket.settimeout`` (about 9.2e9 s on a 64-bit platform); ValueError
     otherwise, before any node is contacted.  ``capture``, when given a
     list, records every (direction, payload) pair for traffic inspection.
+    A reply of the wrong kind, run or iteration raises NetworkError, and so
+    does a SOLUTION whose centroids are not a finite (K, n_y) array or whose
+    values are not finite numbers, and an OBJECTIVE whose ``z`` is not one.
     """
 
     addresses: list[tuple[str, int]]
@@ -251,18 +277,26 @@ class NetworkedBackend:
                                f"expected run {self.run_id!r} t={t}")
         return message
 
+    def _recv_body(self, i: int, kind: str, t: int) -> dict:
+        """The body of node i's next message, checked as :meth:`_recv` checks the message."""
+        body = self._recv(i, kind, t).get("body")
+        if not isinstance(body, dict):
+            raise NetworkError(f"node {i}: {kind} body is not an object")
+        return body
+
     # run() passes no reference and every node index; perfbench's TracedBackend forwards all four.
     def solve_batch(self, t, c_list, reference, node_indices) -> list[NodeSolveReply]:
         for i in node_indices:
             self._send(i, {"kind": "SOLVE", "run_id": self.run_id, "t": t,
                            "body": {"c": np.asarray(c_list[i]).tolist()}})
+        shape = (self.instance.K, self.instance.n_y)
         replies = []
         for i in node_indices:  # gather preserves node-index order
-            body = self._recv(i, "SOLUTION", t)["body"]
+            body = self._recv_body(i, "SOLUTION", t)
             replies.append(NodeSolveReply(
-                centroids=np.array(body["centroids"], dtype=float),
-                lagrangian_value=float(body["lagrangian_value"]),
-                solve_time=float(body["solve_time"]),
+                centroids=_finite_array(i, body, "centroids", shape),
+                lagrangian_value=_finite_number(i, body, "lagrangian_value"),
+                solve_time=_finite_number(i, body, "solve_time"),
             ))
         return replies
 
@@ -271,7 +305,7 @@ class NetworkedBackend:
                    "body": {"mean_centroids": np.asarray(mean_centroids).tolist()}}
         for i in range(len(self._socks)):
             self._send(i, payload)
-        return [float(self._recv(i, "OBJECTIVE", t)["body"]["z"]) for i in range(len(self._socks))]
+        return [_finite_number(i, self._recv_body(i, "OBJECTIVE", t), "z") for i in range(len(self._socks))]
 
     def close(self):
         for i, sock in enumerate(self._socks):

@@ -133,6 +133,27 @@ class TestLinearizationErrors:
                 via_beta = d_t + float(e.subgradient @ (lam - lam_t)) - b
                 assert direct == pytest.approx(via_beta, abs=1e-10)
 
+    def test_matches_per_entry_formula(self):
+        def per_entry(bundle, lam_t, d_t):
+            """The errors written with one dot product per bundle entry."""
+            return np.array([d_t - e.dual_value - float(e.subgradient @ (lam_t - e.lam))
+                             for e in bundle.entries])
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 51))
+            scale = 10 ** rng.uniform(-3, 3)
+            bundle = Bundle(capacity=m)
+            for t in range(1, m + 1):
+                bundle = bundle_push(bundle, entry(t, scale * rng.normal(size=n), rng.normal(size=n),
+                                                   scale * rng.normal()))
+            lam_t, d_t = scale * rng.normal(size=n), scale * rng.normal()
+            reference = per_entry(bundle, lam_t, d_t)
+            # Relative to the size of the terms each error sums.
+            terms = np.array([abs(d_t) + abs(e.dual_value) + float(abs(e.subgradient) @ abs(lam_t - e.lam))
+                              for e in bundle.entries])
+            assert np.all(abs(linearization_errors(bundle, lam_t, d_t) - reference) <= 1e-12 * terms)
+
 
 class TestBfgsUpdate:
     def test_cancellation_case(self):
@@ -202,26 +223,56 @@ def flat_problem(seed):
 
 
 def record_passes(monkeypatch):
-    """List that receives (scheme, Newton steps, index of the best iterate's
-    step) for each interior-point pass; a best iterate that was never
-    stepped from (merit below 1e-13) gets the step count."""
+    """List that receives (scheme, Newton steps, index of the returned iterate,
+    KKT residuals of the iterates stepped from) for each interior-point pass.
+    Iterates are indexed in the order the pass visits them; it evaluates the
+    constraints once at each."""
     passes = []
     core = master._pdip_core
 
-    def recording(problem, constraints, hess_weighted, obj_grad, n_con, n, scheme, *rest):
-        weights = []
+    def recording(problem, constraints, add_curvature, obj_grad, n_con, n, scheme, *rest):
+        points, weights = [], []
 
-        def hess(w):  # one call per Newton step, with that step's multipliers
+        def evaluate(z, *out):
+            points.append(z.copy())
+            return constraints(z, *out)
+
+        def curvature(H, w):  # one call per Newton step, with that step's multipliers
             weights.append(w.copy())
-            return hess_weighted(w)
+            return add_curvature(H, w)
 
-        z, lam = core(problem, constraints, hess, obj_grad, n_con, n, scheme, *rest)
-        best = next((i for i, w in enumerate(weights) if np.array_equal(w, lam)), len(weights))
-        passes.append((scheme, len(weights), best))
+        z, lam = core(problem, evaluate, curvature, obj_grad, n_con, n, scheme, *rest)
+        returned = next(i for i, p in enumerate(points) if np.array_equal(p, z))
+        residuals = [master._kkt_residual(*constraints(p), obj_grad, w) for p, w in zip(points, weights)]
+        passes.append((scheme, len(weights), returned, residuals))
         return z, lam
 
     monkeypatch.setattr(master, "_pdip_core", recording)
     return passes
+
+
+def steep_problem():
+    """Cuts of a steep concave quadratic: the merit stalls above its 1e-13
+    floor after an iterate within kkt_tol."""
+    rng = np.random.default_rng(0)
+    n, m = 12, 30
+    A = rng.normal(size=(n, n))
+    H = 100 * (-(A @ A.T) / n - 0.1 * np.eye(n))
+    center = rng.normal(size=n)
+    points = center + 0.3 * rng.normal(size=(m, n))
+    G = points @ H
+    beta = np.array([0.5 * (center @ H @ center - x @ H @ x) - g @ (center - x)
+                     for x, g in zip(points, G)])
+    return TrustRegionProblem(center=center, alpha=0.05, cut_normals=G, cut_offsets=beta)
+
+
+def well_posed_problem(quad):
+    rng = np.random.default_rng(3)
+    return TrustRegionProblem(
+        center=rng.normal(size=2), alpha=0.5, cut_normals=rng.normal(size=(4, 2)),
+        cut_offsets=np.abs(rng.normal(size=4)) * 0.1,
+        quad=quad, lin=None if quad is None else rng.normal(size=2),
+    )
 
 
 class TestTrustRegionSolver:
@@ -283,25 +334,19 @@ class TestTrustRegionSolver:
             pytest.fail("polish ran on a point that already met kkt_tol")
 
         monkeypatch.setattr(master, "_polish_kkt", no_polish)
-        rng = np.random.default_rng(3)
-        problem = TrustRegionProblem(
-            center=rng.normal(size=2), alpha=0.5, cut_normals=rng.normal(size=(4, 2)),
-            cut_offsets=np.abs(rng.normal(size=4)) * 0.1,
-            quad=quad, lin=None if quad is None else rng.normal(size=2),
-        )
-        sol = solve_trust_region_qp(problem)
+        sol = solve_trust_region_qp(well_posed_problem(quad))
         assert sol.path == "ipm"
         assert sol.kkt_residual <= 1e-8
 
     @pytest.mark.parametrize("seed", [10, 139, 185])
     def test_degenerate_problem_recovered_by_fallback(self, monkeypatch, seed):
         # The fixed-centering interior point misses kkt_tol on these seeds,
-        # so its pass is not ended by the settle rule.
+        # so its pass runs on past the iterate it returns.
         passes = record_passes(monkeypatch)
         problem = degenerate_problem(seed)
         sol = solve_trust_region_qp(problem)
-        scheme, newton, best = passes[0]
-        assert scheme == "fixed" and newton - best > master._PDIP_SETTLE
+        scheme, newton, returned, _ = passes[0]
+        assert scheme == "fixed" and newton > returned
         assert sol.path in ("polish", "mehrotra", "sqp")
         assert sol.kkt_residual <= 1e-8
         step = sol.argmax - problem.center
@@ -317,30 +362,20 @@ class TestTrustRegionSolver:
         assert sol.kkt_residual <= 1e-8
         assert sol.model_value == pytest.approx(eps * math.sqrt(problem.alpha), abs=1e-12)
 
-    def test_pass_ends_settle_count_after_its_best_iterate(self, monkeypatch):
-        # Cuts of a steep concave quadratic: the merit stalls above its 1e-13
-        # floor with the best iterate well within kkt_tol, so the pass ends
-        # on the settle rule.
-        rng = np.random.default_rng(0)
-        n, m = 12, 30
-        A = rng.normal(size=(n, n))
-        H = 100 * (-(A @ A.T) / n - 0.1 * np.eye(n))
-        center = rng.normal(size=n)
-        points = center + 0.3 * rng.normal(size=(m, n))
-        G = points @ H
-        beta = np.array([0.5 * (center @ H @ center - x @ H @ x) - g @ (center - x)
-                         for x, g in zip(points, G)])
-        problem = TrustRegionProblem(center=center, alpha=0.05, cut_normals=G, cut_offsets=beta)
+    @pytest.mark.parametrize("problem", [
+        pytest.param(steep_problem(), id="steep"),
+        pytest.param(well_posed_problem(None), id="cuts"),
+        pytest.param(well_posed_problem(-np.diag([1.0, 3.0])), id="model"),
+    ])
+    def test_pass_returns_its_first_iterate_within_tolerance(self, monkeypatch, problem):
+        # On the steep problem the merit goes on falling for a few iterations
+        # after the first iterate within kkt_tol.
         passes = record_passes(monkeypatch)
         sol = solve_trust_region_qp(problem)
         assert sol.path == "ipm" and sol.kkt_residual <= 1e-8
-        ((_, newton, best),) = passes
-        assert newton - best == master._PDIP_SETTLE
-        # The rule without the settle stop waits _PDIP_WAIT iterations instead.
-        monkeypatch.setattr(master, "_PDIP_SETTLE", master._PDIP_WAIT)
-        waited = solve_trust_region_qp(problem)
-        assert passes[1][1] > newton
-        assert waited.kkt_residual <= 1e-8
+        ((_, newton, returned, residuals),) = passes
+        assert returned == newton  # the last iterate visited, never stepped from
+        assert min(residuals) > 1e-8
 
     @pytest.mark.parametrize("problem", [
         pytest.param(degenerate_problem(10), id="degenerate-10"),
@@ -402,6 +437,18 @@ class TestTrustRegionSolver:
             noise = 10 ** rng.uniform(-10, -5, size=(k, 1))
             G[dst] = G[src] + noise * rng.normal(size=(k, n))
             beta[dst] = beta[src] + noise[:, 0] * rng.normal(size=k)
+            # Rows that share their first coordinate exactly, or their
+            # projection on the prefilter's direction, but differ elsewhere.
+            k = int(rng.integers(0, m + 1))
+            src, dst = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
+            G[dst, 0] = G[src, 0]
+            k = int(rng.integers(0, m + 1))
+            src, dst = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
+            u = np.sqrt(np.arange(1.0, n + 2))
+            shift = rng.normal(size=(k, n + 1))
+            shift -= np.outer(shift @ u / (u @ u), u)
+            shift *= 10 ** rng.uniform(-8, -3, size=(k, 1))
+            G[dst], beta[dst] = G[src] + shift[:, :n], beta[src] + shift[:, n]
             keep = master._distinct_cuts(G, beta)
             assert keep == pairwise(G, beta)
             dropped += m - len(keep)

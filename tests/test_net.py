@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fedkmeans.bench import generate_grid
+from fedkmeans.cli import main
 from fedkmeans.coordinator import NodeSession, RunConfig, run
-from fedkmeans.core import BoundingBox, NodeDataset, ProblemInstance, read_instance
+from fedkmeans.core import BoundingBox, NodeDataset, ProblemInstance, read_instance, write_instance
 from fedkmeans.net import (
     MAX_FRAME_BYTES,
     MESSAGE_KINDS,
@@ -78,6 +79,30 @@ def start_fake_node(respond):
 
     threading.Thread(target=loop, daemon=True).start()
     return server.getsockname()
+
+
+def honest_node(node):
+    """``respond`` for :func:`start_fake_node` that answers as ``serve_node`` would."""
+    state = {}
+
+    def respond(message):
+        reply = {"run_id": message["run_id"], "t": message["t"]}
+        if message["kind"] == "HELLO":
+            state["session"] = NodeSession.open(node, message["body"])
+            reply.update(kind="HELLO", body={"node_id": node.node_id})
+        elif message["kind"] == "SOLVE":
+            solved = state["session"].solve(message["body"]["c"])
+            reply.update(kind="SOLUTION", body={"centroids": solved.centroids.tolist(),
+                                                "lagrangian_value": solved.lagrangian_value,
+                                                "solve_time": solved.solve_time})
+        elif message["kind"] == "AVERAGE":
+            reply.update(kind="OBJECTIVE",
+                         body={"z": state["session"].objective(message["body"]["mean_centroids"])})
+        else:
+            return None
+        return reply
+
+    return respond
 
 
 def assert_run_matches_in_process(instance, addresses, config):
@@ -290,22 +315,11 @@ class TestNetworkedRun:
     def test_stale_reply_rejected(self, kind, field, value):
         instance = make_instance(seed=7)
         config = RunConfig(algorithm="sg", t_max=3)
-        session = NodeSession.open(instance.nodes[1], NodeSession.hello_body(instance, config))
+        honest = honest_node(instance.nodes[1])
 
         def respond(message):
-            reply = {"run_id": message["run_id"], "t": message["t"]}
-            if message["kind"] == "HELLO":
-                reply.update(kind="HELLO", body={"node_id": 1})
-            elif message["kind"] == "SOLVE":
-                solved = session.solve(message["body"]["c"])
-                reply.update(kind="SOLUTION", body={"centroids": solved.centroids.tolist(),
-                                                    "lagrangian_value": solved.lagrangian_value,
-                                                    "solve_time": solved.solve_time})
-            elif message["kind"] == "AVERAGE":
-                reply.update(kind="OBJECTIVE", body={"z": session.objective(message["body"]["mean_centroids"])})
-            else:
-                return None
-            if reply["kind"] == kind:
+            reply = honest(message)
+            if reply is not None and reply["kind"] == kind:
                 reply[field] = value
             return reply
 
@@ -323,6 +337,34 @@ class TestNetworkedRun:
                     backend.objective_batch(1, mean)
         finally:
             backend.close()
+
+    @pytest.mark.parametrize("kind, spoil", [
+        ("SOLUTION", lambda body: {**body, "centroids": body["centroids"][:1]}),
+        ("SOLUTION", lambda body: {k: v for k, v in body.items() if k != "centroids"}),
+        ("SOLUTION", lambda body: {**body, "lagrangian_value": float("nan")}),
+        ("SOLUTION", lambda body: {**body, "solve_time": None}),
+        ("OBJECTIVE", lambda body: {"z": str(body["z"])}),
+    ], ids=["one-centroid-row", "no-centroids", "nan-value", "no-solve-time", "string-z"])
+    def test_malformed_reply_is_a_network_failure(self, tmp_path, capsys, kind, spoil):
+        # Node 1 answers iteration 2 with a malformed body: run-remote exits 4
+        # with the record of iteration 1 in its CSV, as for a dropped node.
+        instance = make_instance(seed=7)
+        write_instance(instance, tmp_path / "inst.json")
+        honest = honest_node(instance.nodes[1])
+
+        def respond(message):
+            reply = honest(message)
+            if reply is not None and reply["kind"] == kind and reply["t"] == 2:
+                reply["body"] = spoil(reply["body"])
+            return reply
+
+        addresses = [start_server(instance.nodes[0])[0], start_fake_node(respond)]
+        code = main(["run-remote", "--instance", str(tmp_path / "inst.json"),
+                     "--nodes", *(f"{host}:{port}" for host, port in addresses),
+                     "--algorithm", "sg", "--t-max", "3", "--csv", str(tmp_path / "run.csv")])
+        assert code == 4
+        assert "node 1:" in capsys.readouterr().err
+        assert (tmp_path / "run.csv").read_text().count("\n") == 2  # header and iteration 1
 
     def test_connect_failure(self):
         instance = make_instance(seed=5)
