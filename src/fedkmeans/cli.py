@@ -45,7 +45,6 @@ _RUN_FLAG_HELP = {
     "eps_dg": "relative duality gap tolerance in percent",
     "tau": "bundle window in iterations",
     "t_comm": "modeled per-iteration communication time in seconds",
-    "rel_tol": "node subproblem relative optimality tolerance; 0, the default, proves exact optimality",
     "max_nodes": "branch-and-bound node limit per subproblem solve; a node's one-off "
                  "suffix-bound precompute gets the same limit",
 }

@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .core import (BoundingBox, ConsensusTopology, NodeDataset, ProblemInstance,
                    primal_residual)
 from .master import (Bundle, BundleEntry, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push,
                      qnda_update, sg_update, step_size)
-from .subsolver import (DEFAULT_MAX_NODES, DEFAULT_REL_TOL, LagrangianSubproblem, NodeLimitExceeded,
+from .subsolver import (DEFAULT_MAX_NODES, LagrangianSubproblem, NodeLimitExceeded,
                         SubproblemSolution, branching_order, evaluate_assignment, relabel_to_reference,
                         solve_subproblem, suffix_lower_bounds)
 
@@ -56,10 +57,11 @@ class RunConfig:
     alpha0 = 0.5 with alpha0/sqrt(t) decay, at most 150 iterations, primal
     residual tolerance 1e-2, duality-gap tolerance 0.25 %, bundle capacity
     50, and a constant 800 ms modeled communication time per iteration.
-    ``rel_tol`` and ``max_nodes`` are the settings of every node solve, with
-    :func:`solve_subproblem`'s defaults; ``rel_tol`` 0 proves each node's
-    minimum exactly.  A node's search starts from its plain K-means optimum,
-    proven once per session by its suffix-bound precompute.
+    ``max_nodes`` caps every node search, with :func:`solve_subproblem`'s
+    default.  Every node solve proves its minimum exactly: ``rel_tol``, the
+    relative optimality tolerance, is the constant 0, not a setting.  A
+    node's search starts from its plain K-means optimum, proven once per
+    session by its suffix-bound precompute.
     """
 
     algorithm: str = "qnda"
@@ -69,21 +71,19 @@ class RunConfig:
     eps_dg: float = 0.25            # percent
     tau: int = 50
     t_comm: float = 0.8             # seconds
-    rel_tol: float = DEFAULT_REL_TOL
     max_nodes: int = DEFAULT_MAX_NODES
+    rel_tol: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if min(self.alpha0, self.t_max, self.eps_primal, self.eps_dg, self.tau, self.t_comm) <= 0:
             raise ValueError("all run parameters must be positive")
-        _check_solver_settings(self.rel_tol, self.max_nodes)
+        _check_max_nodes(self.max_nodes)
 
 
-def _check_solver_settings(rel_tol: float, max_nodes: int) -> None:
-    """ValueError unless every node solve can run with these settings."""
-    if not 0 <= rel_tol < 1:
-        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
+def _check_max_nodes(max_nodes: int) -> None:
+    """ValueError unless every node search can run with this node cap."""
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
 
@@ -168,10 +168,6 @@ class NodeSolveFailed(RuntimeError):
     """A remote node reports that its exact subproblem solve failed."""
 
 
-# RunConfig fields every node solves with, and how a node reads each from HELLO.
-_SOLVER_SETTINGS = {"rel_tol": float, "max_nodes": int}
-
-
 @dataclass
 class NodeSession:
     """One node's side of a run: its data and the settings of every solve.
@@ -188,11 +184,10 @@ class NodeSession:
     data: NodeDataset
     K: int
     box: BoundingBox
-    rel_tol: float
     max_nodes: int
 
     def __post_init__(self):
-        _check_solver_settings(self.rel_tol, self.max_nodes)
+        _check_max_nodes(self.max_nodes)
 
     @staticmethod
     def hello_body(instance: ProblemInstance, config: RunConfig) -> dict:
@@ -200,7 +195,7 @@ class NodeSession:
         return {
             "K": instance.K, "n_y": instance.n_y,
             "box": {"lo": instance.box.lo.tolist(), "hi": instance.box.hi.tolist()},
-            **{name: getattr(config, name) for name in _SOLVER_SETTINGS},
+            "max_nodes": config.max_nodes,
         }
 
     @classmethod
@@ -214,8 +209,7 @@ class NodeSession:
         box = BoundingBox(np.array(body["box"]["lo"], dtype=float), np.array(body["box"]["hi"], dtype=float))
         if box.n_y != n_y or not box.contains(data.observations):
             raise ValueError(f"node {data.node_id}: the run's box does not contain the node data")
-        return cls(data=data, K=K, box=box,
-                   **{name: read(body[name]) for name, read in _SOLVER_SETTINGS.items()})
+        return cls(data=data, K=K, box=box, max_nodes=int(body["max_nodes"]))
 
     @cached_property
     def order(self) -> list[int]:
@@ -242,8 +236,8 @@ class NodeSession:
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
         started = time.perf_counter()
         bounds, optimum = self.suffix
-        solution = solve_subproblem(sub, rel_tol=self.rel_tol, max_nodes=self.max_nodes,
-                                    suffix_bounds=bounds, order=self.order, start=optimum)
+        solution = solve_subproblem(sub, max_nodes=self.max_nodes, suffix_bounds=bounds, order=self.order,
+                                    start=optimum)
         return NodeSolveReply(
             centroids=solution.centroids,
             lagrangian_value=solution.lagrangian_value,
@@ -442,7 +436,7 @@ def central_solve(instance: ProblemInstance, time_budget: float | None = None,
     its ``trace``.  Rows before the last search have no incumbent (``inf``,
     gap 100 %).  ValueError for a budget that a run would refuse.
     """
-    _check_solver_settings(DEFAULT_REL_TOL, max_nodes)
+    _check_max_nodes(max_nodes)
     if time_budget is not None and time_budget < 0:
         raise ValueError(f"time_budget must be at least 0, got {time_budget}")
     merged = NodeDataset(node_id=0, observations=instance.merged_observations())

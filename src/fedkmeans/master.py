@@ -301,10 +301,11 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
 
     def candidate(z, lam, stage):
         """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails _KKT_TOL."""
-        kkt = _kkt_residual(*constraints(z), obj_grad, lam)
+        vals, grads = constraints(z)
+        kkt = _kkt_residual(vals, grads, obj_grad, lam)
         if kkt <= _KKT_TOL:
             return z, lam, kkt, stage
-        polished = _polish_kkt(z, constraints, obj_grad, n_con)
+        polished = _polish_kkt(z, vals, grads, constraints, obj_grad, n_con)
         if polished is not None and polished[2] < kkt:
             return (*polished, "polish" if stage == "ipm" else stage)
         return z, lam, kkt, stage
@@ -484,8 +485,11 @@ def _sqp_fallback(z0, constraints, obj_grad, n_con):
     return result.x, np.zeros(n_con)
 
 
-def _polish_kkt(z, constraints, obj_grad, n_con):
+def _polish_kkt(z, z_vals, z_grads, constraints, obj_grad, n_con):
     """Active-set refinement of a solver stage's point that misses the tolerance.
+
+    ``z_vals`` and ``z_grads`` are ``constraints(z)``; the polish evaluates
+    the constraints only at the points it moves to, each once.
 
     For a range of slack thresholds: take the constraints within the threshold
     of being tight as active, project the iterate onto the active manifold by
@@ -502,9 +506,9 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
     """
     from scipy.optimize import nnls
 
-    def score_nnls(x, idx):
-        """Full KKT residual with NNLS multipliers restricted to idx."""
-        vals, grads = constraints(x)
+    def score_nnls(x, vals, grads, idx):
+        """Full KKT residual at x, whose constraints are (vals, grads), with
+        NNLS multipliers restricted to idx."""
         try:
             mu_active, _ = nnls(grads[idx].T, -obj_grad)
         except RuntimeError:
@@ -522,7 +526,6 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
             best = trial
         return best[2] <= _KKT_TOL
 
-    z_vals, _ = constraints(z)
     sets = [np.flatnonzero(-z_vals < thresh).tolist()
             for thresh in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)]
     # On a flat model the ball can bind with a multiplier so small that the
@@ -537,16 +540,15 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
         # Gauss-Newton projection below chases an inconsistent active set,
         # while the incoming point with least-squares multipliers is already
         # near-stationary.
-        trial = score_nnls(z, idx)
+        trial = score_nnls(z, z_vals, z_grads, idx)
         if trial is not None and keep(trial):
             return best
-        x = z.copy()
+        x, vals, grads = z, z_vals, z_grads
         for _ in range(6):
             # The first step can overshoot the ball from afar; from the
             # second on, a step that fails to halve the residual ends it.
             previous = np.inf
             for steps in range(30):
-                vals, grads = constraints(x)
                 residual = vals[idx]
                 size = float(np.abs(residual).max())
                 if size < 1e-14 or (steps > 1 and size >= 0.5 * previous):
@@ -556,14 +558,14 @@ def _polish_kkt(z, constraints, obj_grad, n_con):
                 if not np.all(np.isfinite(step)):
                     break
                 x = x + step
+                vals, grads = constraints(x)
             if not np.all(np.isfinite(x)):
                 break
-            trial = score_nnls(x, idx)
+            trial = score_nnls(x, vals, grads, idx)
             if trial is None:
                 break
             if keep(trial):
                 return best
-            vals, _ = constraints(x)
             support = [i for i in idx if trial[1][i] > 1e-12]
             violated = [i for i in range(n_con)
                         if i not in support and vals[i] > 1e-12]

@@ -7,8 +7,8 @@ branch-and-bounds over assignments only: best-first search, branching on the
 cluster of the next unassigned observation (observations in the farthest-first
 order of :func:`branching_order`), pruning against one incumbent: a given
 start assignment relabelled to its least value under the dual term, or else
-none until the first leaf.  By default a search proves its optimum exactly,
-and it keeps no state between calls.
+none until the first leaf.  A search proves its optimum exactly, and it
+keeps no state between calls.
 
 A node's bound is the closed-form minimum of each cluster over its assigned
 observations plus a suffix bound: a lower bound on the plain K-means cost of
@@ -42,7 +42,6 @@ from .core import BoundingBox, NodeDataset
 
 __all__ = [
     "DEFAULT_MAX_NODES",
-    "DEFAULT_REL_TOL",
     "LagrangianSubproblem",
     "NodeLimitExceeded",
     "SubproblemSolution",
@@ -88,9 +87,7 @@ class SubproblemSolution:
     stats: dict = field(default_factory=dict)
 
 
-# Default relative optimality tolerance and node cap of an exact solve;
-# RunConfig and central_solve take their defaults from here.
-DEFAULT_REL_TOL = 0.0
+# Default node cap of a search; RunConfig and central_solve take theirs from here.
 DEFAULT_MAX_NODES = 5_000_000
 
 
@@ -209,9 +206,6 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
 
 
 _GAP_FLOOR = 1e-9  # denominator floor so a zero-cost optimum still yields gap 0
-# The incumbent value of a search that has none yet.  It is finite because
-# inf - rel_tol * inf is NaN, a stop threshold that no child bound is below.
-_NO_INCUMBENT = float(np.finfo(float).max)
 
 
 def _relative_gap(upper: float, lower: float) -> float:
@@ -220,7 +214,6 @@ def _relative_gap(upper: float, lower: float) -> float:
 
 def solve_subproblem(
     subproblem: LagrangianSubproblem,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_nodes: int = DEFAULT_MAX_NODES,
     suffix_bounds=None,
     order=None,
@@ -247,7 +240,7 @@ def solve_subproblem(
     its first leaf.  Incumbents are valued by :meth:`_Tree.labels_value`,
     the kernel of the bounds; the reply is :func:`evaluate_assignment`'s
     solution of the last one, with the gap between its kernel value and the
-    proven bound as ``proof_gap``.  At the default ``rel_tol`` of 0 the
+    proven bound as ``proof_gap``, which is 0 for a finished search.  The
     optimum is exact, so the start changes what the search prunes, not what
     it returns, except at an exact tie.  A solve keeps no state between
     calls.
@@ -262,7 +255,7 @@ def solve_subproblem(
         raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
     order = _checked_order(Y, order)
     tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
-    labels, value = None, _NO_INCUMBENT
+    labels, value = None, math.inf
     if start is not None:
         start = _checked_assignment(subproblem, start)
         new_label = tree.least_cost_relabelling([start[j] for j in order])
@@ -277,7 +270,7 @@ def solve_subproblem(
             labels, value = leaf, leaf_value
         return value
 
-    lb, explored, status = _best_first(tree, 0, value, rel_tol, max_nodes, on_leaf)
+    lb, explored, status = _best_first(tree, 0, value, max_nodes, on_leaf)
     solution = None if labels is None else _finish(
         subproblem, [labels[pos] for pos in np.argsort(order)], value, lb, explored)
     if status == "node_limit":
@@ -344,7 +337,7 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox, max_nodes: 
             on_progress(time.perf_counter() - started, found[0] if d == 0 else math.inf, lb, total + explored)
 
         sb[d] = sb[d + 1]  # the root's bound until this entry is known
-        lb, explored, status = _best_first(tree, d, found[0], 0.0, max_nodes - total, on_leaf, deadline,
+        lb, explored, status = _best_first(tree, d, found[0], max_nodes - total, on_leaf, deadline,
                                            None if on_progress is None else on_bound)
         total += explored
         if status != "optimal":
@@ -585,21 +578,22 @@ _BATCH = 256
 _FRONT = 1024
 
 
-def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: int,
+def _best_first(tree: _Tree, start: int, ub: float, max_nodes: int,
                 on_leaf, deadline: float | None = None, on_bound=None):
     """Best-first branch-and-bound over the labels of positions start..n-1.
 
-    ``ub`` is the incumbent's value.  ``on_leaf(labels)`` receives every leaf
-    whose bound is below the incumbent and returns the incumbent's value
-    after it.  ``on_bound(lb, explored)`` is called when the proven bound or
-    the incumbent improves.  Returns ``(lower_bound, explored, status)``,
-    status being "optimal" (gap <= rel_tol proven), "node_limit" or "time".
+    ``ub`` is the incumbent's value (``math.inf`` for none).
+    ``on_leaf(labels)`` receives every leaf whose bound is below the
+    incumbent and returns the incumbent's value after it.
+    ``on_bound(lb, explored)`` is called when the proven bound or the
+    incumbent improves.  Returns ``(lower_bound, explored, status)``, status
+    being "optimal" (the incumbent proven optimal), "node_limit" or "time".
 
     Nodes are popped in ``(bound, tiebreak)`` order, the tiebreak numbering
-    children as they are pushed.  The proven bound is the least bound of any
-    node not yet ruled out: the popped node, the nodes pruned for reaching
-    the stop threshold (``dropped``; with ``rel_tol`` > 0 they may lie below
-    the incumbent) and the incumbent itself.
+    children as they are pushed.  A child whose bound reaches the incumbent
+    is pruned.  The proven bound is the least bound of any node not yet
+    ruled out, capped at the incumbent: the popped node's until one reaches
+    the incumbent, then the incumbent's value itself.
 
     Small searches run one node at a time on Python scalars.  Once the open
     heap holds ``_BATCH_AT`` nodes the search continues in
@@ -612,8 +606,6 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
     n, K, symmetric = len(points), tree.K, tree.symmetric
     add_point, push, pop = tree.add_point, heapq.heappush, heapq.heappop
     tiebreak = 0
-    threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
-    dropped = math.inf
     explored = 0
 
     # Heap entries: (bound, tiebreak, depth, labels, labels used, sum of
@@ -625,30 +617,23 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
         on_bound(best_lb, explored)
     while heap:
         if len(heap) >= _BATCH_AT:
-            return _best_first_batched(tree, start, heap, tiebreak, ub, rel_tol, dropped, best_lb,
+            return _best_first_batched(tree, start, heap, tiebreak, ub, best_lb,
                                        explored, max_nodes, on_leaf, deadline, on_bound)
         bound, _, depth, labels, used, pc_sum, clusters = pop(heap)
-        if bound >= threshold:
-            # Gap <= rel_tol proven.  The optimum is at most the incumbent,
-            # so a larger bound proves no more than the incumbent's value.
-            best_lb = max(best_lb, min(bound, dropped, ub))
+        if bound >= ub:
+            break
+        if bound > best_lb:
+            best_lb = bound
             if on_bound is not None:
                 on_bound(best_lb, explored)
-            return best_lb, explored, "optimal"
-        if min(bound, dropped) > best_lb:
-            best_lb = min(bound, dropped)
+        if depth == n:  # a leaf below the incumbent
+            path = []
+            while labels is not None:
+                k, labels = labels
+                path.append(k)
+            ub = on_leaf(path[::-1])
             if on_bound is not None:
                 on_bound(best_lb, explored)
-        if depth == n:
-            if bound < ub:  # leaf bound is the exact assignment value
-                path = []
-                while labels is not None:
-                    k, labels = labels
-                    path.append(k)
-                ub = on_leaf(path[::-1])
-                threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
-                if on_bound is not None:
-                    on_bound(best_lb, explored)
             continue
         explored += 1
         if explored >= max_nodes:
@@ -661,13 +646,12 @@ def _best_first(tree: _Tree, start: int, ub: float, rel_tol: float, max_nodes: i
             new = add_point(cluster, y, y_sq, coef[k])
             child_sum = pc_sum - cluster[3] + new[3]
             child_bound = child_sum + below
-            if child_bound < threshold:
+            if child_bound < ub:
                 tiebreak += 1
                 push(heap, (child_bound, tiebreak, depth + 1, (k, labels), used if used > k else k + 1,
                             child_sum, clusters[:k] + (new,) + clusters[k + 1:]))
-            elif child_bound < dropped:
-                dropped = child_bound
-    best_lb = max(best_lb, min(dropped, ub))  # search space exhausted
+    # The incumbent is optimal: the open nodes, if any, reach it.
+    best_lb = max(best_lb, ub)
     if on_bound is not None:
         on_bound(best_lb, explored)
     return best_lb, explored, "optimal"
@@ -797,18 +781,17 @@ class _OpenNodes:
         return store
 
 
-def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: float, rel_tol: float,
-                        dropped: float, best_lb: float, explored: int, max_nodes: int,
-                        on_leaf, deadline, on_bound):
+def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: float,
+                        best_lb: float, explored: int, max_nodes: int, on_leaf, deadline, on_bound):
     """Continue :func:`_best_first` from a scalar search's open ``heap``,
     expanding up to ``_BATCH`` nodes per step.
 
     Each step takes the open nodes in ``(bound, tiebreak)`` order until it
-    has ``_BATCH`` of them or their bound reaches the stop threshold.  A leaf
+    has ``_BATCH`` of them or their bound reaches the incumbent.  A leaf
     among them goes to ``on_leaf`` in that order, and the nodes after it that
-    reach the lowered threshold stay open.  The others are expanded
+    reach the lowered incumbent stay open.  The others are expanded
     together: their children's bounds come from :func:`_add_point_batch`,
-    and the children below the threshold are opened with tiebreaks in
+    and the children below the incumbent are opened with tiebreaks in
     (parent, label) order.  The bound proven when a step starts is the least
     open bound, that of its first node.
     """
@@ -816,31 +799,29 @@ def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: 
     Yo, sq, sb = tree.Yo, np.array(tree.sq), np.array(tree.sb)
     labels_k = np.arange(K)
     store = _OpenNodes.from_heap(heap, K, n_y, n)
-    threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
     while True:
         top = store.top(_BATCH)
         bound = store.bound[top]
-        if not len(top) or bound[0] >= threshold:
-            # Gap <= rel_tol proven, or the search space is exhausted.
-            best_lb = max(best_lb, min(float(bound[0]) if len(top) else math.inf, dropped, ub))
+        if not len(top) or bound[0] >= ub:
+            # The incumbent is optimal: the open nodes, if any, reach it.
+            best_lb = max(best_lb, ub)
             if on_bound is not None:
                 on_bound(best_lb, explored)
             return best_lb, explored, "optimal"
-        if min(bound[0], dropped) > best_lb:
-            best_lb = min(float(bound[0]), dropped)
+        if bound[0] > best_lb:
+            best_lb = float(bound[0])
             if on_bound is not None:
                 on_bound(best_lb, explored)
-        taken = int(np.searchsorted(bound, threshold))
+        taken = int(np.searchsorted(bound, ub))
         node = store.node[top]
         leaf = node[:, 0] == n
         removed = np.zeros(len(top), dtype=bool)
         for i in np.flatnonzero(leaf[:taken]).tolist():
             if i >= taken:
                 break
-            removed[i] = True  # a leaf below the threshold is below ub
+            removed[i] = True  # a leaf below the incumbent
             ub = on_leaf(store.labels[top[i], start:].tolist())
-            threshold = ub - rel_tol * max(abs(ub), _GAP_FLOOR)
-            taken = min(taken, int(np.searchsorted(bound, threshold)))
+            taken = min(taken, int(np.searchsorted(bound, ub)))
             if on_bound is not None:
                 on_bound(best_lb, explored)
         expand = np.zeros(len(top), dtype=bool)
@@ -861,14 +842,9 @@ def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: 
         added = _add_point_batch(tree, stats, Yo[depth], sq[depth])
         child_sum = pc_sum[:, None] - stats[:, :, -1] + added[:, :, -1]
         child_bound = child_sum + sb[depth + 1][:, None]
-        below = child_bound < threshold
+        below = child_bound < ub
         if tree.symmetric:
-            valid = labels_k[None, :] <= used[:, None]
-            pruned, below = valid & ~below, valid & below
-        else:
-            pruned = ~below
-        if pruned.any():
-            dropped = min(dropped, float(child_bound[pruned].min()))
+            below &= labels_k[None, :] <= used[:, None]
         rows, ks = np.nonzero(below)
         m = len(rows)
         if not m:

@@ -336,7 +336,7 @@ def test_criterion_10_transport_transparency():
         assert a.numeric_key() == b.numeric_key()
 
     allowed = {
-        "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes", "node_id"},
+        "HELLO": {"K", "n_y", "box", "max_nodes", "node_id"},
         "SOLVE": {"c"},
         "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
         "AVERAGE": {"mean_centroids"},

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fedkmeans.cli import main
+from fedkmeans.coordinator import RunConfig
 from fedkmeans.core import read_instance
 from fedkmeans.net import serve_node
 
@@ -98,13 +99,27 @@ class TestRun:
                      "--csv", str(tmp_path / "out.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--max-nodes", "0"), ("--rel-tol", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--max-nodes", "0")])
     def test_bad_solver_setting_is_argument_error(self, instance_file, tmp_path, capsys, flag, value):
         code = main(["run", "--instance", str(instance_file), flag, value,
                      "--csv", str(tmp_path / "out.csv")])
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "run-remote"])
+    def test_rel_tol_is_not_a_setting(self, instance_file, tmp_path, capsys, command):
+        # Every node solve is exact: the tolerance is a constant of RunConfig,
+        # with no flag and no constructor argument.
+        nodes = ["--nodes", "127.0.0.1:9", "127.0.0.1:9"] if command == "run-remote" else []
+        code = main([command, "--instance", str(instance_file), *nodes, "--rel-tol", "0",
+                     "--csv", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(TypeError):
+            RunConfig(rel_tol=0.1)
+        assert RunConfig.rel_tol == 0.0
 
     @pytest.mark.parametrize("command", ["run", "run-remote"])
     def test_missing_csv_directory_checked_before_solving(self, instance_file, tmp_path, capsys,
@@ -387,7 +402,6 @@ class TestReport:
     ])
     def test_flag_defaults_are_run_config_defaults(self, argv):
         import fedkmeans.cli as climod
-        from fedkmeans.coordinator import RunConfig
 
         args = climod.build_parser().parse_args(argv)
         assert climod._config_from_args(args) == RunConfig()

@@ -222,12 +222,12 @@ class TestRunLoop:
 class TestNodeSession:
     def test_hello_body_round_trip(self):
         instance = two_node_instance(seed=5)
-        config = RunConfig(rel_tol=1e-7, max_nodes=1234)
+        config = RunConfig(max_nodes=1234)
         body = NodeSession.hello_body(instance, config)
-        assert set(body) == {"K", "n_y", "box", "rel_tol", "max_nodes"}
+        assert set(body) == {"K", "n_y", "box", "max_nodes"}
         session = NodeSession.open(instance.nodes[1], json.loads(json.dumps(body)))
         assert session.data is instance.nodes[1]
-        assert (session.K, session.rel_tol, session.max_nodes) == (instance.K, 1e-7, 1234)
+        assert (session.K, session.max_nodes) == (instance.K, 1234)
         np.testing.assert_array_equal(session.box.lo, instance.box.lo)
         np.testing.assert_array_equal(session.box.hi, instance.box.hi)
 
@@ -318,16 +318,6 @@ class TestNodeSession:
         for a, b in zip(*replies):
             assert a.lagrangian_value == b.lagrangian_value
             np.testing.assert_array_equal(a.centroids, b.centroids)
-
-    def test_suffix_bounds_ignore_rel_tol(self):
-        # The suffix searches run to a zero gap whatever the run's rel_tol,
-        # so a loose tolerance cannot push an entry above its suffix optimum
-        # nor change the K-means optimum that the last search proves.
-        instance = two_node_instance(seed=6, K=3)
-        tight, loose = (InProcessBackend(instance, RunConfig(rel_tol=tol)).sessions[0]
-                        for tol in (1e-9, 0.3))
-        np.testing.assert_array_equal(tight.suffix[0], loose.suffix[0])
-        assert tight.suffix[1] == loose.suffix[1]
 
     @pytest.mark.parametrize("cell", [None, "3N2D4K_1"])
     def test_fresh_session_at_zero_duals_explores_no_nodes(self, monkeypatch, tmp_path, cell):

@@ -414,6 +414,34 @@ class TestTrustRegionSolver:
                 assert out == residuals[-1]
         assert max(map(len, scored)) > 1
 
+    @pytest.mark.parametrize("problem", [
+        pytest.param(degenerate_problem(10), id="degenerate-10"),
+        pytest.param(degenerate_problem(185), id="degenerate-185"),
+        pytest.param(flat_problem(33)[0], id="flat-33"),
+    ])
+    def test_polish_evaluates_each_point_once(self, monkeypatch, problem):
+        # The polish is handed the constraints at its starting point and
+        # evaluates them only where it has moved, once per point it reaches.
+        polish, evaluated = master._polish_kkt, []
+
+        def polishing(z, *args):
+            constraints, points = next(a for a in args if callable(a)), []
+            evaluated.append((z.copy(), points))
+
+            def evaluate(x, *out):
+                points.append(x.copy())
+                return constraints(x, *out)
+
+            return polish(z, *(evaluate if a is constraints else a for a in args))
+
+        monkeypatch.setattr(master, "_polish_kkt", polishing)
+        sol = solve_trust_region_qp(problem)
+        assert sol.path == "polish"
+        assert sum(len(points) for _, points in evaluated) > 0
+        for z, points in evaluated:
+            assert not any(np.array_equal(p, z) for p in points)
+            assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
+
     def test_duplicate_filter_matches_pairwise_loop(self):
         def pairwise(G, beta):
             """The filter written with one norm per pair of rows."""

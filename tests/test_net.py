@@ -167,7 +167,7 @@ class TestNetworkedRun:
         # observation table.  (A singleton cluster's centroid can coincide with
         # one observation, so the check is structural, not value-based.)
         allowed_body_keys = {
-            "HELLO": {"K", "n_y", "box", "rel_tol", "max_nodes", "node_id"},
+            "HELLO": {"K", "n_y", "box", "max_nodes", "node_id"},
             "SOLVE": {"c"},
             "SOLUTION": {"centroids", "lagrangian_value", "solve_time"},
             "AVERAGE": {"mean_centroids"},

@@ -418,13 +418,19 @@ class TestSolveSubproblem:
         assert exact.lagrangian_value == pytest.approx(brute.lagrangian_value, abs=1e-9)
 
     def test_node_limit_raises_with_incumbent(self):
-        # A search given a start has an incumbent from the outset.
+        # A search given a start has an incumbent from the outset.  The
+        # all-zeros start is a poor one, far above the optimum, yet the bound
+        # proven when the cap is hit still lies below the optimum, one node
+        # at a time or in batches.
         rng = np.random.default_rng(0)
         sub = random_subproblem(rng, n_pts=8, K=3)
-        with pytest.raises(NodeLimitExceeded) as err:
-            solve_subproblem(sub, max_nodes=3, start=[0] * sub.data.n_points)
-        assert err.value.incumbent is not None
-        assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
+        optimum = brute_force_subproblem(sub).lagrangian_value
+        for constants in (SCALAR, SMALL_BATCHES):
+            with pytest.raises(NodeLimitExceeded) as err:
+                with_constants(constants, lambda: solve_subproblem(sub, max_nodes=3, start=[0] * sub.data.n_points))
+            assert err.value.incumbent is not None
+            assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
+            assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
     def test_node_limit_before_any_leaf_reports_a_proven_bound(self):
         # Without a start a search has no incumbent until its first leaf; a
@@ -455,24 +461,6 @@ class TestSolveSubproblem:
         brute = brute_force_subproblem(sub)
         assert abs(sol.lagrangian_value - brute.lagrangian_value) <= 1e-9 * max(abs(brute.lagrangian_value), 1e-9)
         assert sol.proof_gap == 0.0
-
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
-    def test_loose_tolerance_bound_is_proven(self, seed):
-        # At rel_tol 0.3 the search prunes children whose bound lies between
-        # the stop threshold and the incumbent.  The bound behind proof_gap
-        # must still lie below the optimum, with and without suffix bounds.
-        # The search starts from the all-zeros assignment, a poor incumbent,
-        # so it has children to prune, or from none.
-        rng = np.random.default_rng(seed)
-        sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8)))
-        optimum = brute_force_subproblem(sub).lagrangian_value
-        for bounds, start in itertools.product((None, suffix_lower_bounds(sub.data, sub.K, sub.box)[0]),
-                                               ([0] * sub.data.n_points, None)):
-            sol = solve_subproblem(sub, rel_tol=0.3, suffix_bounds=bounds, start=start)
-            proven = sol.lagrangian_value - sol.proof_gap * max(abs(sol.lagrangian_value), 1e-9)
-            assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
-            assert sol.proof_gap <= 0.3
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
@@ -861,14 +849,9 @@ class TestWarmStart:
         for sb in (None, bounds):
             sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=warm))
             assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
-            assert sol.proof_gap <= 1e-9
+            # The proven bound is capped at the incumbent's value.
+            assert sol.proof_gap == 0.0
             assert sol.lagrangian_value == evaluate_assignment(sub, sol.assignment).lagrangian_value
-            # At a loose tolerance the proven bound must still lie below the optimum.
-            loose = with_constants(constants, lambda: solve_subproblem(sub, rel_tol=0.3, suffix_bounds=sb,
-                                                                       start=warm))
-            proven = loose.lagrangian_value - loose.proof_gap * max(abs(loose.lagrangian_value), 1e-9)
-            assert proven <= optimum + 1e-12 * max(abs(optimum), 1.0)
-            assert loose.proof_gap <= 0.3
 
 
 def exact_value(sub, assignment) -> Fraction:
