@@ -238,11 +238,13 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
 
     The objective is max w.  Stages run in order until one meets
     ``_KKT_TOL``: a primal-dual path-following iteration with a fixed
-    centering weight; a Mehrotra predictor-corrector pass (degenerate bundles
-    with many near-parallel cuts can stall the first); and an SLSQP restart
-    from the best point so far, which identifies the active set at fully
-    degenerate vertices (more active constraints than variables) that can
-    defeat both.  Each stage ends at the same test, a KKT residual within
+    centering weight; a Mehrotra predictor-corrector pass; and an SLSQP
+    restart from the best point so far, which identifies the active set at
+    fully degenerate vertices (more active constraints than variables).  The
+    first stage settles nearly every problem, by itself or through the
+    polish: of the 5,364 BTM and QNDA master problems of the replicate-1
+    cells of the seed-0 grid (t_max 150), the Mehrotra pass settled 23 and
+    SLSQP 2.  Each stage ends at the same test, a KKT residual within
     ``_KKT_TOL``: an interior-point pass stops at its first iterate of least
     merit so far that passes it (:func:`_pdip_core`), and the polish returns
     its first candidate that does.  A stage's point is accepted as it stands
@@ -348,10 +350,10 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 # before any of its new best iterates meets _KKT_TOL.  The wait is long
 # because the merit can stall and then recover.  On the 2,682 master problems
 # of the K=3 replicate-1 cells of the seed-0 grid under BTM and QNDA (t_max
-# 150), the passes took 53,946 fixed-centering and 8,070 Mehrotra Newton
-# iterations, and the stages accepted 2,249 points as "ipm", 238 as "polish",
-# 185 as "mehrotra" and 10 as "sqp".  A wait of 3 on the same problems left
-# 37 of them above _KKT_TOL after all stages, and only 1,074 went to "ipm".
+# 150), the passes took 50,796 fixed-centering and 1,237 Mehrotra Newton
+# iterations, and the stages accepted 2,563 points as "ipm", 100 as "polish",
+# 17 as "mehrotra" and 2 as "sqp".  A wait of 3 on the same problems left
+# 34 of them above _KKT_TOL after all stages, and only 1,055 went to "ipm".
 _PDIP_WAIT = 30
 
 
@@ -365,9 +367,14 @@ def _step_length(x, dx, margin):
 def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
     """One primal-dual path-following pass; returns an iterate (z, lambda).
 
-    ``scheme`` selects the centering rule: "fixed" uses sigma = 0.1 until the
-    complementarity is small, "mehrotra" uses an affine predictor and adaptive
-    sigma with a second-order corrector.
+    ``scheme`` selects the centering rule: "fixed" aims every step at a tenth
+    of the mean complementarity (sigma = 0.1) to the end of the pass,
+    "mehrotra" uses an affine predictor and adaptive sigma with a
+    second-order corrector.  Pure affine steps (sigma = 0) once the
+    complementarity is small jam on the degenerate bundles late in a QNDA
+    run, where nearly every cut is almost active: the slacks of those cuts
+    collapse to 1e-19 and below while the stationarity stalls above
+    ``_KKT_TOL``.
 
     The pass keeps its best iterate, the one of least merit (the largest of
     the stationarity and primal residuals and the mean complementarity).  It
@@ -439,8 +446,7 @@ def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
 
         try:
             if scheme == "fixed":
-                sigma = 0.1 if mu > 1e-10 else 0.0
-                dz, d_state = direction(lam_pd * slack - sigma * mu)
+                dz, d_state = direction(lam_pd * slack - 0.1 * mu)  # sigma = 0.1
                 a_p = a_d = _step_length(state, d_state, 0.995)
             else:
                 # Affine predictor sets the centering weight sigma.

@@ -251,6 +251,21 @@ def record_passes(monkeypatch):
     return passes
 
 
+def cap_fixed_pass(monkeypatch, steps):
+    """Let the fixed-centering pass take at most ``steps`` Newton steps, so
+    that a problem it would solve goes on to the later stages.  With 0 steps
+    the pass returns its starting iterate."""
+    core = master._pdip_core
+
+    def capped(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
+        with monkeypatch.context() as patch:
+            if scheme == "fixed":
+                patch.setattr(master, "_MAX_NEWTON", steps)
+            return core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme)
+
+    monkeypatch.setattr(master, "_pdip_core", capped)
+
+
 def steep_problem():
     """Cuts of a steep concave quadratic: the merit stalls above its 1e-13
     floor after an iterate within kkt_tol."""
@@ -273,6 +288,18 @@ def well_posed_problem(quad):
         cut_offsets=np.abs(rng.normal(size=4)) * 0.1,
         quad=quad, lin=None if quad is None else rng.normal(size=2),
     )
+
+
+# Problems whose fixed-centering point the polish brings within kkt_tol, with
+# the Newton steps the fixed pass is held to (None: not held).  The full pass
+# solves the degenerate ones itself; held to 10 steps it stops near their
+# optimum, and the polish finishes them from caps of 4 to 19 (seed 10) and
+# 7 to 21 (seed 185).
+POLISHED_PROBLEMS = [
+    pytest.param(degenerate_problem(10), 10, id="degenerate-10"),
+    pytest.param(degenerate_problem(185), 10, id="degenerate-185"),
+    pytest.param(flat_problem(33)[0], None, id="flat-33"),
+]
 
 
 class TestTrustRegionSolver:
@@ -338,16 +365,37 @@ class TestTrustRegionSolver:
         assert sol.path == "ipm"
         assert sol.kkt_residual <= 1e-8
 
+    def test_first_pass_solves_degenerate_problems(self):
+        # Pure affine steps (sigma = 0) once the complementarity is small jam
+        # on these problems, as on late QNDA bundles: the slacks fall to
+        # 1e-19 while the stationarity stalls.  A pass that takes them sends
+        # 56 of these seeds on to later stages, and seed 317 fails in all of
+        # them.
+        missed = [seed for seed in range(400)
+                  if solve_trust_region_qp(degenerate_problem(seed)).path != "ipm"]
+        assert missed == []
+
     @pytest.mark.parametrize("seed", [10, 139, 185])
     def test_degenerate_problem_recovered_by_fallback(self, monkeypatch, seed):
-        # The fixed-centering interior point misses kkt_tol on these seeds,
-        # so its pass runs on past the iterate it returns.
+        # The fixed-centering pass returns its starting iterate, which the
+        # polish cannot repair, so the Mehrotra pass runs (seeds 10 and 185
+        # end there) and, on seed 139, the SLSQP restart after it.
+        cap_fixed_pass(monkeypatch, 0)
         passes = record_passes(monkeypatch)
+        polish, polished = master._polish_kkt, []
+
+        def polishing(*args):
+            out = polish(*args)
+            polished.append(out is not None and out[2] <= 1e-8)
+            return out
+
+        monkeypatch.setattr(master, "_polish_kkt", polishing)
         problem = degenerate_problem(seed)
         sol = solve_trust_region_qp(problem)
-        scheme, newton, returned, _ = passes[0]
-        assert scheme == "fixed" and newton > returned
-        assert sol.path in ("polish", "mehrotra", "sqp")
+        (fixed, newton, returned, _), (later, *_) = passes
+        assert (fixed, newton, returned, later) == ("fixed", 0, 0, "mehrotra")
+        assert polished[0] is False
+        assert sol.path == ("sqp" if seed == 139 else "mehrotra")
         assert sol.kkt_residual <= 1e-8
         step = sol.argmax - problem.center
         assert float(step @ step) <= problem.alpha + 1e-8
@@ -377,12 +425,8 @@ class TestTrustRegionSolver:
         assert returned == newton  # the last iterate visited, never stepped from
         assert min(residuals) > 1e-8
 
-    @pytest.mark.parametrize("problem", [
-        pytest.param(degenerate_problem(10), id="degenerate-10"),
-        pytest.param(degenerate_problem(185), id="degenerate-185"),
-        pytest.param(flat_problem(33)[0], id="flat-33"),
-    ])
-    def test_polish_returns_first_candidate_within_tolerance(self, monkeypatch, problem):
+    @pytest.mark.parametrize("problem, fixed_steps", POLISHED_PROBLEMS)
+    def test_polish_returns_first_candidate_within_tolerance(self, monkeypatch, problem, fixed_steps):
         # Per polish call: the residuals it scored, in order, and the one it returned.
         scored, returned, inside = [], [], []
         kkt_residual, polish = master._kkt_residual, master._polish_kkt
@@ -403,6 +447,8 @@ class TestTrustRegionSolver:
             returned.append(None if out is None else out[2])
             return out
 
+        if fixed_steps is not None:
+            cap_fixed_pass(monkeypatch, fixed_steps)
         monkeypatch.setattr(master, "_kkt_residual", scoring)
         monkeypatch.setattr(master, "_polish_kkt", polishing)
         sol = solve_trust_region_qp(problem)
@@ -414,12 +460,8 @@ class TestTrustRegionSolver:
                 assert out == residuals[-1]
         assert max(map(len, scored)) > 1
 
-    @pytest.mark.parametrize("problem", [
-        pytest.param(degenerate_problem(10), id="degenerate-10"),
-        pytest.param(degenerate_problem(185), id="degenerate-185"),
-        pytest.param(flat_problem(33)[0], id="flat-33"),
-    ])
-    def test_polish_evaluates_each_point_once(self, monkeypatch, problem):
+    @pytest.mark.parametrize("problem, fixed_steps", POLISHED_PROBLEMS)
+    def test_polish_evaluates_each_point_once(self, monkeypatch, problem, fixed_steps):
         # The polish is handed the constraints at its starting point and
         # evaluates them only where it has moved, once per point it reaches.
         polish, evaluated = master._polish_kkt, []
@@ -434,6 +476,8 @@ class TestTrustRegionSolver:
 
             return polish(z, *(evaluate if a is constraints else a for a in args))
 
+        if fixed_steps is not None:
+            cap_fixed_pass(monkeypatch, fixed_steps)
         monkeypatch.setattr(master, "_polish_kkt", polishing)
         sol = solve_trust_region_qp(problem)
         assert sol.path == "polish"
