@@ -181,7 +181,7 @@ class MasterSolution:
     argmax: np.ndarray        # the maximizing point (absolute coordinates)
     model_value: float        # model value at the argmax (including const)
     kkt_residual: float
-    path: str                 # accepting solver stage: "ipm", "polish", "mehrotra" or "sqp"
+    path: str                 # accepting solver stage: "ipm", "polish", "recentred" or "sqp"
 
 
 class TrustRegionSolverError(RuntimeError):
@@ -237,24 +237,24 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
       model:  w - 1/2 delta^T B delta - g . delta        (if quad is given)
 
     The objective is max w.  Stages run in order until one meets
-    ``_KKT_TOL``: a primal-dual path-following iteration with a fixed
-    centering weight; a Mehrotra predictor-corrector pass; and an SLSQP
-    restart from the best point so far, which identifies the active set at
-    fully degenerate vertices (more active constraints than variables).  The
-    first stage settles nearly every problem, by itself or through the
+    ``_KKT_TOL``: a primal-dual path-following pass (:func:`_pdip_core`)
+    that aims each step at a tenth of the mean complementarity; the same
+    pass, from the same start, at half of it; and an SLSQP restart from the
+    first pass's iterate, which identifies the active set at fully
+    degenerate vertices (more active constraints than variables).  The
+    first pass settles nearly every problem, by itself or through the
     polish: of the 5,364 BTM and QNDA master problems of the replicate-1
-    cells of the seed-0 grid (t_max 150), the Mehrotra pass settled 23 and
-    SLSQP 2.  Each stage ends at the same test, a KKT residual within
-    ``_KKT_TOL``: an interior-point pass stops at its first iterate of least
-    merit so far that passes it (:func:`_pdip_core`), and the polish returns
-    its first candidate that does.  A stage's point is accepted as it stands
-    when it passes; otherwise it goes through the active-set polish of
-    :func:`_polish_kkt`, and the lower residual of the two is kept (SLSQP
-    returns no multipliers, so its point is always polished).  The
-    solution's ``path`` names the accepting stage: "ipm" for the
-    fixed-centering point, "polish" for that point polished, and "mehrotra"
-    or "sqp" for the later stages, polished or not.  The solver fails loudly
-    if the best residual still exceeds ``_KKT_TOL``.
+    cells of the seed-0 grid (t_max 150), the second pass settled 12 and
+    SLSQP 35.  Each stage ends at the same test, a KKT residual within
+    ``_KKT_TOL``: a pass stops at its first iterate of least merit so far
+    that passes it, and the polish returns its first candidate that does.
+    A stage's point is accepted as it stands when it passes; otherwise it
+    goes through the active-set polish of :func:`_polish_kkt`, and the lower
+    residual of the two is kept (SLSQP returns no multipliers, so its point
+    is always polished).  The solution's ``path`` names the accepting stage:
+    "ipm" for the first pass's point, "polish" for that point polished, and
+    "recentred" or "sqp" for the later stages, polished or not.  The solver
+    fails loudly if the best residual still exceeds ``_KKT_TOL``.
     """
     n = problem.center.shape[0]
     keep = _distinct_cuts(problem.cut_normals, problem.cut_offsets)
@@ -312,20 +312,20 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             return (*polished, "polish" if stage == "ipm" else stage)
         return z, lam, kkt, stage
 
-    result = None
-    for stage in ("ipm", "mehrotra", "sqp"):
+    first = _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, 0.1)
+    result = candidate(*first, "ipm")
+    for stage in ("recentred", "sqp"):
+        if result[2] <= _KKT_TOL:
+            break
         if stage == "sqp":
-            point = _sqp_fallback(result[0], constraints, obj_grad, n_con)
+            point = _sqp_fallback(first[0], constraints, obj_grad, n_con)
             if point is None:
                 break
         else:
-            point = _pdip_core(problem, constraints, add_curvature, obj_grad,
-                               n_con, n, "fixed" if stage == "ipm" else "mehrotra")
+            point = _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, 0.5)
         trial = candidate(*point, stage)
-        if result is None or trial[2] < result[2]:
+        if trial[2] < result[2]:
             result = trial
-        if result[2] <= _KKT_TOL:
-            break
 
     z, lam, kkt, path = result
     if kkt > _KKT_TOL:
@@ -350,31 +350,29 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 # before any of its new best iterates meets _KKT_TOL.  The wait is long
 # because the merit can stall and then recover.  On the 2,682 master problems
 # of the K=3 replicate-1 cells of the seed-0 grid under BTM and QNDA (t_max
-# 150), the passes took 50,796 fixed-centering and 1,237 Mehrotra Newton
-# iterations, and the stages accepted 2,563 points as "ipm", 100 as "polish",
-# 17 as "mehrotra" and 2 as "sqp".  A wait of 3 on the same problems left
-# 34 of them above _KKT_TOL after all stages, and only 1,055 went to "ipm".
+# 150), the first passes took 51,240 Newton iterations and the second 1,042,
+# and the stages accepted 2,534 points as "ipm", 125 as "polish", 9 as
+# "recentred" and 14 as "sqp".  A wait of 3 on the same problems left 34 of
+# them above _KKT_TOL after all stages, and only 1,055 went to "ipm".
 _PDIP_WAIT = 30
 
 
-def _step_length(x, dx, margin):
-    """margin times the step along dx to the boundary of x > 0, at most 1."""
+def _step_length(x, dx):
+    """0.995 times the step along dx to the boundary of x > 0, at most 1."""
     # Where dx < 0, x / dx is minus the step that takes x to 0.
     to_boundary = np.divide(x, dx, out=np.full(x.shape, -np.inf), where=dx < 0)
-    return min(1.0, -margin * float(to_boundary.max()))
+    return min(1.0, -0.995 * float(to_boundary.max()))
 
 
-def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
+def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
     """One primal-dual path-following pass; returns an iterate (z, lambda).
 
-    ``scheme`` selects the centering rule: "fixed" aims every step at a tenth
-    of the mean complementarity (sigma = 0.1) to the end of the pass,
-    "mehrotra" uses an affine predictor and adaptive sigma with a
-    second-order corrector.  Pure affine steps (sigma = 0) once the
-    complementarity is small jam on the degenerate bundles late in a QNDA
-    run, where nearly every cut is almost active: the slacks of those cuts
-    collapse to 1e-19 and below while the stationarity stalls above
-    ``_KKT_TOL``.
+    Every Newton step aims the complementarity at ``sigma`` times its mean,
+    and one step length, 0.995 of the way to the boundary, moves the slacks
+    and the multipliers together.  The centering never stops: pure affine
+    steps (sigma = 0) jam on the degenerate bundles late in a QNDA run, where
+    nearly every cut is almost active, and drive those slacks to 1e-19 and
+    below while the stationarity stalls above ``_KKT_TOL``.
 
     The pass keeps its best iterate, the one of least merit (the largest of
     the stationarity and primal residuals and the mean complementarity).  It
@@ -394,8 +392,8 @@ def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
     z[n] = min(0.0, float(-beta.max())) - 1.0 - abs(float(beta.max()))
     vals, grads = constraints(z)  # rewritten in place at every later iterate
     grads_t = grads.T  # a view, so it follows those writes
-    # Slacks and multipliers side by side, so that a fixed-centering step
-    # finds its one length with one masked division and moves both at once.
+    # Slacks and multipliers side by side, so that a step finds its one
+    # length with one masked division and moves both at once.
     state = np.concatenate((-vals, np.ones(n_con)))
     best = (np.inf, z, state[n_con:])
     stall = 0
@@ -431,41 +429,19 @@ def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
         H = add_curvature(grads_t @ (grads * W[:, None]), lam_pd)
         if not np.isfinite(H).all():
             break
-        weighted_r_prim = W * r_prim
-
-        def direction(r_comp_target):
-            """(dz, (ds, dlam)) for the complementarity target."""
-            comp = r_comp_target / slack
-            dz = np.linalg.solve(H, -r_stat - grads_t @ (weighted_r_prim - comp))
-            moved = grads @ dz + r_prim
-            d_state = np.empty(2 * n_con)
-            np.negative(moved, out=d_state[:n_con])
-            np.multiply(W, moved, out=d_state[n_con:])
-            d_state[n_con:] -= comp
-            return dz, d_state
-
+        comp = (lam_pd * slack - sigma * mu) / slack
         try:
-            if scheme == "fixed":
-                dz, d_state = direction(lam_pd * slack - 0.1 * mu)  # sigma = 0.1
-                a_p = a_d = _step_length(state, d_state, 0.995)
-            else:
-                # Affine predictor sets the centering weight sigma.
-                dz_a, d_a = direction(lam_pd * slack)
-                ds_a, dlam_a = d_a[:n_con], d_a[n_con:]
-                a_p, a_d = _step_length(slack, ds_a, 1.0), _step_length(lam_pd, dlam_a, 1.0)
-                mu_aff = float((lam_pd + a_d * dlam_a) @ (slack + a_p * ds_a)) / n_con
-                sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 0.0), 1.0) if mu > 0 else 0.0
-                # Corrector with centering and the second-order term.
-                dz, d_state = direction(lam_pd * slack + dlam_a * ds_a - sigma * mu)
-                a_p = _step_length(slack, d_state[:n_con], 0.995)
-                a_d = _step_length(lam_pd, d_state[n_con:], 0.995)
+            dz = np.linalg.solve(H, -r_stat - grads_t @ (W * r_prim - comp))
         except np.linalg.LinAlgError:
             break
-        z = z + a_p * dz
-        if a_p == a_d:
-            state = state + a_p * d_state
-        else:
-            state = np.concatenate((slack + a_p * d_state[:n_con], lam_pd + a_d * d_state[n_con:]))
+        moved = grads @ dz + r_prim
+        d_state = np.empty(2 * n_con)  # (ds, dlam)
+        np.negative(moved, out=d_state[:n_con])
+        np.multiply(W, moved, out=d_state[n_con:])
+        d_state[n_con:] -= comp
+        step = _step_length(state, d_state)
+        z = z + step * dz
+        state = state + step * d_state
     return best[1], best[2]
 
 

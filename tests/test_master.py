@@ -189,11 +189,11 @@ class TestBfgsUpdate:
             assert np.max(np.linalg.eigvalsh(B)) < 0
 
 
-def degenerate_problem(seed):
-    """Rank-2 cuts in 3-D, almost all through the center, under a QNDA cap
-    whose curvatures span 14 decades, as late in a QNDA run."""
+def degenerate_problem(seed, n=3, m=10):
+    """m cuts of rank n - 1 in n-D, almost all through the center, under a
+    QNDA cap whose curvatures span 14 decades, as late in a QNDA run."""
     rng = np.random.default_rng(seed)
-    n, rank, m = 3, 2, 10
+    rank = n - 1
     basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:rank]
     G = (rng.normal(size=(m, rank)) + 0.5 * rng.normal(size=rank)) @ basis
     beta = -np.abs(rng.normal(size=m)) * 10 ** rng.uniform(-10, -7, size=m)
@@ -223,14 +223,14 @@ def flat_problem(seed):
 
 
 def record_passes(monkeypatch):
-    """List that receives (scheme, Newton steps, index of the returned iterate,
-    KKT residuals of the iterates stepped from) for each interior-point pass.
+    """List that receives (Newton steps, index of the returned iterate, KKT
+    residuals of the iterates stepped from) for each interior-point pass.
     Iterates are indexed in the order the pass visits them; it evaluates the
     constraints once at each."""
     passes = []
     core = master._pdip_core
 
-    def recording(problem, constraints, add_curvature, obj_grad, n_con, n, scheme, *rest):
+    def recording(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
         points, weights = [], []
 
         def evaluate(z, *out):
@@ -241,10 +241,10 @@ def record_passes(monkeypatch):
             weights.append(w.copy())
             return add_curvature(H, w)
 
-        z, lam = core(problem, evaluate, curvature, obj_grad, n_con, n, scheme, *rest)
+        z, lam = core(problem, evaluate, curvature, obj_grad, n_con, n, sigma)
         returned = next(i for i, p in enumerate(points) if np.array_equal(p, z))
         residuals = [master._kkt_residual(*constraints(p), obj_grad, w) for p, w in zip(points, weights)]
-        passes.append((scheme, len(weights), returned, residuals))
+        passes.append((len(weights), returned, residuals))
         return z, lam
 
     monkeypatch.setattr(master, "_pdip_core", recording)
@@ -252,16 +252,16 @@ def record_passes(monkeypatch):
 
 
 def cap_fixed_pass(monkeypatch, steps):
-    """Let the fixed-centering pass take at most ``steps`` Newton steps, so
-    that a problem it would solve goes on to the later stages.  With 0 steps
-    the pass returns its starting iterate."""
+    """Let the first interior-point pass (sigma = 0.1) take at most ``steps``
+    Newton steps, so that a problem it would solve goes on to the later
+    stages.  With 0 steps the pass returns its starting iterate."""
     core = master._pdip_core
 
-    def capped(problem, constraints, add_curvature, obj_grad, n_con, n, scheme):
+    def capped(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
         with monkeypatch.context() as patch:
-            if scheme == "fixed":
+            if sigma == 0.1:
                 patch.setattr(master, "_MAX_NEWTON", steps)
-            return core(problem, constraints, add_curvature, obj_grad, n_con, n, scheme)
+            return core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma)
 
     monkeypatch.setattr(master, "_pdip_core", capped)
 
@@ -290,8 +290,8 @@ def well_posed_problem(quad):
     )
 
 
-# Problems whose fixed-centering point the polish brings within kkt_tol, with
-# the Newton steps the fixed pass is held to (None: not held).  The full pass
+# Problems whose first-pass point the polish brings within kkt_tol, with the
+# Newton steps the first pass is held to (None: not held).  The full pass
 # solves the degenerate ones itself; held to 10 steps it stops near their
 # optimum, and the polish finishes them from caps of 4 to 19 (seed 10) and
 # 7 to 21 (seed 185).
@@ -355,8 +355,8 @@ class TestTrustRegionSolver:
 
     @pytest.mark.parametrize("quad", [None, -np.diag([1.0, 3.0])])
     def test_well_posed_problem_skips_polish(self, monkeypatch, quad):
-        # The fixed-centering interior point already meets kkt_tol, so it is
-        # accepted as it stands.
+        # The first interior point already meets kkt_tol, so it is accepted
+        # as it stands.
         def no_polish(*args, **kwargs):
             pytest.fail("polish ran on a point that already met kkt_tol")
 
@@ -375,36 +375,56 @@ class TestTrustRegionSolver:
                   if solve_trust_region_qp(degenerate_problem(seed)).path != "ipm"]
         assert missed == []
 
-    @pytest.mark.parametrize("seed", [10, 139, 185])
-    def test_degenerate_problem_recovered_by_fallback(self, monkeypatch, seed):
-        # The fixed-centering pass returns its starting iterate, which the
-        # polish cannot repair, so the Mehrotra pass runs (seeds 10 and 185
-        # end there) and, on seed 139, the SLSQP restart after it.
+    def test_later_stages_solve_degenerate_problems(self, monkeypatch):
+        # The first pass returns its starting iterate, which the polish cannot
+        # repair, so the recentred pass and the SLSQP restart must solve
+        # every problem.  The model is 0 at the center, so the optimum is at
+        # least 0.  By weak duality a point whose KKT residual is within 1e-8
+        # lies at most (n_con + |z - z*|_1) * 1e-8 below the optimum, and
+        # |z - z*|_1 < 1 in a ball of radius 0.2 in 3-D.  Even unheld, the
+        # first pass ends 1e-8 to 1.04e-7 below 0 on 67 of these seeds.
         cap_fixed_pass(monkeypatch, 0)
-        passes = record_passes(monkeypatch)
-        polish, polished = master._polish_kkt, []
+        for seed in range(400):
+            problem = degenerate_problem(seed)
+            sol = solve_trust_region_qp(problem)
+            assert sol.path in ("recentred", "sqp")
+            assert sol.kkt_residual <= 1e-8
+            step = sol.argmax - problem.center
+            assert float(step @ step) <= problem.alpha + 1e-8
+            n_con = problem.cut_normals.shape[0] + 2
+            assert sol.model_value >= -(n_con + 1) * 1e-8
 
-        def polishing(*args):
-            out = polish(*args)
-            polished.append(out is not None and out[2] <= 1e-8)
-            return out
+    def test_sqp_restarts_from_first_pass_iterate(self, monkeypatch):
+        # On this 7-D problem with 43 cuts both interior-point passes end
+        # above a KKT residual of 1e-3, and the polish repairs neither point.
+        core, sqp = master._pdip_core, master._sqp_fallback
+        passes, starts = [], []
 
-        monkeypatch.setattr(master, "_polish_kkt", polishing)
-        problem = degenerate_problem(seed)
+        def recording_core(*args):
+            passes.append(core(*args))
+            return passes[-1]
+
+        def recording_sqp(z0, *args):
+            starts.append(z0.copy())
+            return sqp(z0, *args)
+
+        monkeypatch.setattr(master, "_pdip_core", recording_core)
+        monkeypatch.setattr(master, "_sqp_fallback", recording_sqp)
+        problem = degenerate_problem(2602, n=7, m=43)
         sol = solve_trust_region_qp(problem)
-        (fixed, newton, returned, _), (later, *_) = passes
-        assert (fixed, newton, returned, later) == ("fixed", 0, 0, "mehrotra")
-        assert polished[0] is False
-        assert sol.path == ("sqp" if seed == 139 else "mehrotra")
-        assert sol.kkt_residual <= 1e-8
+        assert sol.path == "sqp" and sol.kkt_residual <= 1e-8
         step = sol.argmax - problem.center
         assert float(step @ step) <= problem.alpha + 1e-8
-        assert sol.model_value >= -1e-8  # the model is 0 at the center
+        (first, _), (second, _) = passes
+        (start,) = starts
+        assert np.array_equal(start, first) and not np.array_equal(start, second)
 
-    @pytest.mark.parametrize("seed", [33, 102])
+    @pytest.mark.parametrize("seed", [33, 102, 1740, 2397])
     def test_flat_model_with_binding_ball(self, seed):
         # The interior point stays far from the ball; the polish must try the
-        # ball in its active set.
+        # ball in its active set.  Seeds 1740 and 2397 go on to the
+        # recentred pass; without it, SLSQP from the first pass's iterate
+        # misses kkt_tol on 1740.
         problem, eps = flat_problem(seed)
         sol = solve_trust_region_qp(problem)
         assert sol.kkt_residual <= 1e-8
@@ -421,7 +441,7 @@ class TestTrustRegionSolver:
         passes = record_passes(monkeypatch)
         sol = solve_trust_region_qp(problem)
         assert sol.path == "ipm" and sol.kkt_residual <= 1e-8
-        ((_, newton, returned, residuals),) = passes
+        ((newton, returned, residuals),) = passes
         assert returned == newton  # the last iterate visited, never stepped from
         assert min(residuals) > 1e-8
 
