@@ -375,6 +375,32 @@ class TestTrustRegionSolver:
                   if solve_trust_region_qp(degenerate_problem(seed)).path != "ipm"]
         assert missed == []
 
+    @pytest.mark.parametrize("seed", [10, 139, 185])
+    def test_degenerate_problem_recovered_by_fallback(self, monkeypatch, seed):
+        # The first pass returns its starting iterate, which the polish cannot
+        # repair, so the recentred pass runs and ends within kkt_tol in 44 to
+        # 46 Newton steps, before the SLSQP restart is needed.
+        cap_fixed_pass(monkeypatch, 0)
+        passes = record_passes(monkeypatch)
+        polish, polished = master._polish_kkt, []
+
+        def polishing(*args):
+            out = polish(*args)
+            polished.append(out is not None and out[2] <= 1e-8)
+            return out
+
+        monkeypatch.setattr(master, "_polish_kkt", polishing)
+        problem = degenerate_problem(seed)
+        sol = solve_trust_region_qp(problem)
+        (newton, returned, _), (later_newton, *_) = passes
+        assert (newton, returned) == (0, 0) and later_newton > 0
+        assert polished[0] is False
+        assert sol.path == "recentred"
+        assert sol.kkt_residual <= 1e-8
+        step = sol.argmax - problem.center
+        assert float(step @ step) <= problem.alpha + 1e-8
+        assert sol.model_value >= -1e-8  # the model is 0 at the center
+
     def test_later_stages_solve_degenerate_problems(self, monkeypatch):
         # The first pass returns its starting iterate, which the polish cannot
         # repair, so the recentred pass and the SLSQP restart must solve
