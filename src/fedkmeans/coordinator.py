@@ -24,7 +24,7 @@ from .core import (BoundingBox, ConsensusTopology, NodeDataset, ProblemInstance,
                    primal_residual)
 from .master import (Bundle, BundleEntry, TrustRegionSolverError, bfgs_update, btm_direction, bundle_push,
                      qnda_update, sg_update, step_size)
-from .subsolver import (DEFAULT_MAX_NODES, LagrangianSubproblem, NodeLimitExceeded,
+from .subsolver import (DEFAULT_MAX_NODES, LagrangianSubproblem, NodeLimitExceeded, SearchTemplate,
                         SubproblemSolution, branching_order, evaluate_assignment, relabel_to_reference,
                         solve_subproblem, suffix_lower_bounds)
 
@@ -174,7 +174,9 @@ class NodeSession:
 
     Between solves a session keeps only what does not depend on the duals:
     its branching order, its suffix bounds and the plain K-means optimum
-    that their precompute proves.  It never sees another node's centroids:
+    that their precompute proves, and the :class:`SearchTemplate` built
+    from them, so that each solve does only the work that the duals
+    change.  It never sees another node's centroids:
     :func:`run` aligns the iteration-1 labels itself.  Both backends open
     sessions from the same :meth:`hello_body` dict (the networked backend
     sends it as the HELLO body), so in-process and networked nodes solve
@@ -223,21 +225,28 @@ class NodeSession:
         first use."""
         return suffix_lower_bounds(self.data, self.K, self.box, max_nodes=self.max_nodes, order=self.order)
 
+    @cached_property
+    def template(self) -> SearchTemplate:
+        """Everything a solve's search needs that does not depend on the
+        duals: :attr:`order`, :attr:`suffix` and the parts of the K-means
+        optimum, as a :class:`SearchTemplate`, built on first use."""
+        bounds, optimum = self.suffix
+        return SearchTemplate(self.data, self.K, self.box, bounds, self.order, optimum)
+
     def solve(self, c) -> NodeSolveReply:
         """Exact subproblem solve under dual term ``c``, which must be finite (ValueError otherwise).
 
-        The first solve also computes :attr:`order` and :attr:`suffix`, and
-        its ``solve_time`` includes that work.  Every solve starts from the
-        session's K-means optimum (see :func:`solve_subproblem`), so a reply
-        depends only on the node's data and ``c``: not on earlier solves,
-        nor on the backend or the run that asks for it.
+        The first solve also computes :attr:`order`, :attr:`suffix` and
+        :attr:`template`, and its ``solve_time`` includes that work.  Every
+        solve starts from the session's K-means optimum (see
+        :func:`solve_subproblem`), so a reply depends only on the node's data
+        and ``c``: not on earlier solves, nor on the backend or the run that
+        asks for it.
         """
         sub = LagrangianSubproblem(data=self.data, K=self.K, box=self.box,
                                    c=np.asarray(c, dtype=float).reshape(self.K, self.data.n_y))
         started = time.perf_counter()
-        bounds, optimum = self.suffix
-        solution = solve_subproblem(sub, max_nodes=self.max_nodes, suffix_bounds=bounds, order=self.order,
-                                    start=optimum)
+        solution = solve_subproblem(sub, max_nodes=self.max_nodes, template=self.template)
         return NodeSolveReply(
             centroids=solution.centroids,
             lagrangian_value=solution.lagrangian_value,

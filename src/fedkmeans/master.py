@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's kernel for one right-hand side
 
 __all__ = [
     "Bundle",
@@ -357,13 +358,16 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 _PDIP_WAIT = 30
 
 
-def _step_length(x, dx):
-    """0.995 times the step along dx to the boundary of x > 0, at most 1."""
+def _step_length(x, dx, to_boundary):
+    """0.995 times the step along dx to the boundary of x > 0, at most 1.
+    ``to_boundary`` is scratch space of x's shape."""
     # Where dx < 0, x / dx is minus the step that takes x to 0.
-    to_boundary = np.divide(x, dx, out=np.full(x.shape, -np.inf), where=dx < 0)
+    to_boundary.fill(-np.inf)
+    np.divide(x, dx, out=to_boundary, where=dx < 0)
     return min(1.0, -0.995 * float(to_boundary.max()))
 
 
+@np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
 def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
     """One primal-dual path-following pass; returns an iterate (z, lambda).
 
@@ -382,9 +386,20 @@ def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
     disagree with its constraint values, and on a flat model with a binding
     ball such an iterate can sit well inside the ball at a model value far
     below the optimum.  Failing that the pass returns its best iterate once
-    the merit falls below 1e-13, the iteration breaks down, the merit has not
-    improved for ``_PDIP_WAIT`` iterations, or ``_MAX_NEWTON`` Newton
-    iterations have run.
+    the merit falls below 1e-13, the iteration breaks down (a singular
+    Newton matrix among the ways), the merit has not improved for
+    ``_PDIP_WAIT`` iterations, or ``_MAX_NEWTON`` Newton iterations have
+    run.
+
+    A Newton step does only the arithmetic of the iterate at hand.  The
+    pass sets numpy's floating-point error state once, ignoring every
+    error, where ``np.linalg.solve`` would set its own at each call.  It
+    solves each Newton system with :data:`_solve1`, the LAPACK kernel that
+    ``np.linalg.solve`` dispatches to, which answers a singular matrix with
+    NaNs where ``np.linalg.solve`` raises.  It writes each direction, and
+    the ratios of each step length, into buffers of its own.  The
+    arithmetic and its order are unchanged, so every iterate is the same
+    bit for bit.
     """
     beta = problem.cut_offsets
     # Strictly feasible start: delta = 0, w below every cut and the model cap.
@@ -395,6 +410,8 @@ def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
     # Slacks and multipliers side by side, so that a step finds its one
     # length with one masked division and moves both at once.
     state = np.concatenate((-vals, np.ones(n_con)))
+    d_state = np.empty(2 * n_con)  # (ds, dlam) of each step
+    to_boundary = np.empty(2 * n_con)
     best = (np.inf, z, state[n_con:])
     stall = 0
     for newton in range(_MAX_NEWTON):
@@ -430,16 +447,14 @@ def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
         if not np.isfinite(H).all():
             break
         comp = (lam_pd * slack - sigma * mu) / slack
-        try:
-            dz = np.linalg.solve(H, -r_stat - grads_t @ (W * r_prim - comp))
-        except np.linalg.LinAlgError:
-            break
+        dz = _solve1(H, -r_stat - grads_t @ (W * r_prim - comp))
+        if math.isnan(dz[0]):
+            break  # LAPACK's answer for a singular matrix: all NaN
         moved = grads @ dz + r_prim
-        d_state = np.empty(2 * n_con)  # (ds, dlam)
         np.negative(moved, out=d_state[:n_con])
         np.multiply(W, moved, out=d_state[n_con:])
         d_state[n_con:] -= comp
-        step = _step_length(state, d_state)
+        step = _step_length(state, d_state, to_boundary)
         z = z + step * dz
         state = state + step * d_state
     return best[1], best[2]

@@ -16,7 +16,10 @@ the unassigned ones.  The suffix bounds do not depend on the dual term, so
 :func:`suffix_lower_bounds` computes them once per dataset, by repetitive
 branch-and-bound over ever longer suffixes.  Its last search proves the plain
 K-means optimum of the whole dataset, which it returns as the start for the
-dataset's solves and as the central optimum of a merged dataset.
+dataset's solves and as the central optimum of a merged dataset.  A
+:class:`SearchTemplate` holds the bounds, the start and everything else a
+search over the dataset needs that no dual term changes, so a caller that
+solves one dataset under many dual terms builds them once.
 
 A search expands one node at a time, keeping per-cluster sums in Python
 scalars and valuing each child with a kernel unrolled for the data's
@@ -34,7 +37,7 @@ import functools
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +47,7 @@ __all__ = [
     "DEFAULT_MAX_NODES",
     "LagrangianSubproblem",
     "NodeLimitExceeded",
+    "SearchTemplate",
     "SubproblemSolution",
     "branching_order",
     "brute_force_subproblem",
@@ -140,30 +144,35 @@ def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> Subprob
     Each centroid is :func:`closed_form_centroid`'s, computed without the
     cluster minimum that this function does not use.
     """
-    assignment = _checked_assignment(subproblem, assignment)
-    Y, c, lo, hi = subproblem.data.observations, subproblem.c, subproblem.box.lo, subproblem.box.hi
-    labels = np.asarray(assignment)
-    parts = [Y[labels == k] for k in range(subproblem.K)]
-    centroids = np.array([_centroid(part, c_k, lo, hi) for part, c_k in zip(parts, c)])
-    return _solution(subproblem, assignment, parts, centroids)
+    assignment = _checked_assignment(assignment, subproblem.data.n_points, subproblem.K)
+    return _solution(subproblem, assignment, _parts(subproblem, assignment))
 
 
-def _checked_assignment(subproblem: LagrangianSubproblem, assignment) -> tuple[int, ...]:
-    """``assignment`` as a tuple of ints; ValueError unless it labels every
-    observation with one of the K clusters."""
+def _checked_assignment(assignment, n_points: int, K: int) -> tuple[int, ...]:
+    """``assignment`` as a tuple of ints; ValueError unless it labels each of
+    ``n_points`` observations with one of the K clusters."""
     assignment = tuple(map(int, assignment))
-    if len(assignment) != subproblem.data.n_points:
+    if len(assignment) != n_points:
         raise ValueError("assignment length must match the number of observations")
-    if assignment and (min(assignment) < 0 or max(assignment) >= subproblem.K):
+    if assignment and (min(assignment) < 0 or max(assignment) >= K):
         raise ValueError("assignment labels out of range")
     return assignment
 
 
-def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], parts, centroids: np.ndarray
-              ) -> SubproblemSolution:
+def _parts(subproblem: LagrangianSubproblem, assignment: tuple[int, ...]) -> list[np.ndarray]:
+    """The observations of each cluster of ``assignment``, in cluster order."""
+    labels = np.asarray(assignment)
+    return [subproblem.data.observations[labels == k] for k in range(subproblem.K)]
+
+
+def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], parts, centroids=None,
+              proof_gap: float = 0.0, explored: int = 0) -> SubproblemSolution:
     """Solution of ``assignment``, whose clusters hold the observations in
-    ``parts`` and have the closed-form centroids ``centroids``, in cluster
-    order."""
+    ``parts``, in cluster order.  ``centroids`` are their closed-form
+    centroids, computed here when None."""
+    if centroids is None:
+        c, lo, hi = subproblem.c, subproblem.box.lo, subproblem.box.hi
+        centroids = np.array([_centroid(part, c_k, lo, hi) for part, c_k in zip(parts, c)])
     cluster_cost = 0.0
     linear_cost = 0.0
     for part, m_k, c_k in zip(parts, centroids, subproblem.c):
@@ -174,8 +183,8 @@ def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], par
         centroids=centroids,
         lagrangian_value=cluster_cost + linear_cost,
         cluster_cost=cluster_cost,
-        proof_gap=0.0,
-        stats={"explored": 0},
+        proof_gap=proof_gap,
+        stats={"explored": explored},
     )
 
 
@@ -218,6 +227,7 @@ def solve_subproblem(
     suffix_bounds=None,
     order=None,
     start=None,
+    template: SearchTemplate | None = None,
 ) -> SubproblemSolution:
     """Proven global optimum of the node Lagrangian by best-first branch-and-bound.
 
@@ -245,22 +255,23 @@ def solve_subproblem(
     it returns, except at an exact tie.  A solve keeps no state between
     calls.
 
+    ``template``, a :class:`SearchTemplate` of the subproblem's data, K and
+    box, takes the place of ``suffix_bounds``, ``order`` and ``start``: a
+    caller that solves the same data under many dual terms builds it once.
+    Without one the solve builds its own, so every solve runs the same
+    search and returns the same bits either way.
+
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.
     """
-    Y = subproblem.data.observations
-    n_pts = Y.shape[0]
-    if suffix_bounds is None:
-        suffix_bounds = [0.0] * (n_pts + 1)
-    elif len(suffix_bounds) != n_pts + 1:
-        raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
-    order = _checked_order(Y, order)
-    tree = _Tree(Y[order], subproblem.K, subproblem.c, subproblem.box, [float(b) for b in suffix_bounds])
-    labels, value = None, math.inf
-    if start is not None:
-        start = _checked_assignment(subproblem, start)
-        new_label = tree.least_cost_relabelling([start[j] for j in order])
-        labels = [new_label[start[j]] for j in order]
-        value = tree.labels_value(0, labels)
+    if template is None:
+        template = SearchTemplate(subproblem.data, subproblem.K, subproblem.box, suffix_bounds, order, start)
+    elif suffix_bounds is not None or order is not None or start is not None:
+        raise ValueError("give a template or its suffix bounds, order and start, not both")
+    elif template.data is not subproblem.data or template.K != subproblem.K or template.box is not subproblem.box:
+        raise ValueError("the template was built for other data, K or box than the subproblem's")
+    tree = _Tree(template, subproblem.c)
+    new_label, value = (None, math.inf) if template.parts is None else tree.relabelled_start()
+    labels = None  # the incumbent's labels in branching order, once a leaf beats the start
 
     def on_leaf(leaf):
         # A leaf's bound, a running sum, may lie a rounding error below its value.
@@ -271,8 +282,12 @@ def solve_subproblem(
         return value
 
     lb, explored, status = _best_first(tree, 0, value, max_nodes, on_leaf)
-    solution = None if labels is None else _finish(
-        subproblem, [labels[pos] for pos in np.argsort(order)], value, lb, explored)
+    if labels is not None:
+        solution = _finish(subproblem, [labels[pos] for pos in template.position], value, lb, explored)
+    elif new_label is not None:
+        solution = template.start_solution(subproblem, new_label, value, lb, explored)
+    else:
+        solution = None
     if status == "node_limit":
         raise NodeLimitExceeded(solution, lb, explored)
     return solution
@@ -312,13 +327,11 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox, max_nodes: 
     lower bound on the optimum of all observations, and ``incumbent_value``
     is ``math.inf`` until the last search starts.
     """
-    Y = data.observations
-    n_pts, n_y = Y.shape
-    order = _checked_order(Y, order)
-    Yo = Y[order]
-    zero = np.zeros((K, n_y))
-    sb = [0.0] * (n_pts + 1)
-    tree = _Tree(Yo, K, zero, box, sb)
+    template = SearchTemplate(data, K, box, order=order)
+    n_pts, Yo, order = len(template.points), template.Yo, template.order
+    sb = template.sb  # the searches read the entries as they are set
+    zero = np.zeros((K, data.n_y))
+    tree = _Tree(template, zero)
     best = ()  # optimal labels of the suffix d+1..n-1
     total = 0
     started = time.perf_counter()
@@ -385,10 +398,68 @@ def _checked_order(Y: np.ndarray, order) -> list[int]:
     return order
 
 
+class SearchTemplate:
+    """What every search over one node's data needs that no dual term
+    changes, built once for the data's solves.
+
+    It holds the observations in branching ``order`` (by default
+    :func:`branching_order`'s) as an array, as tuples and with their squared
+    norms, ``position``, the place of each observation in that order, the
+    ``suffix_bounds`` as floats (all zeros when None), the box as floats and
+    the kernel of the data's dimension (see :func:`_add_point_kernel`).
+
+    Given a ``start`` assignment it also holds the start's ``parts``: for
+    each label, the count, coordinate sums and summed squared norms of the
+    observations it labels, summed in branching order as the kernel sums
+    them, and the observations themselves in observation order.  A solve
+    relabels and values the start, and replies with it when no leaf beats
+    it, from these parts alone.  ``parts`` is None without a start.
+    """
+
+    def __init__(self, data: NodeDataset, K: int, box: BoundingBox, suffix_bounds=None, order=None,
+                 start=None):
+        Y = data.observations
+        n_pts = Y.shape[0]
+        if suffix_bounds is None:
+            suffix_bounds = [0.0] * (n_pts + 1)
+        elif len(suffix_bounds) != n_pts + 1:
+            raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
+        self.data, self.K, self.box = data, K, box
+        self.order = _checked_order(Y, order)
+        self.position = np.argsort(self.order).tolist()
+        self.Yo = Yo = Y[self.order]
+        self.points = [tuple(row) for row in Yo.tolist()]
+        self.sq = np.sum(Yo * Yo, axis=1).tolist()
+        self.sb = [float(b) for b in suffix_bounds]
+        self.lo, self.hi = box.lo.tolist(), box.hi.tolist()
+        self.add_point = _add_point_kernel(Y.shape[1])
+        self.start = self.parts = None
+        if start is not None:
+            self.start = _checked_assignment(start, n_pts, K)
+            labels = np.asarray(self.start)
+            self.parts = []
+            for k in range(K):
+                at = [d for d, j in enumerate(self.order) if self.start[j] == k]
+                sums = [sum(column) for column in zip(*[self.points[d] for d in at])]
+                self.parts.append((len(at), sums, sum([self.sq[d] for d in at]), Y[labels == k]))
+
+    def start_solution(self, subproblem: LagrangianSubproblem, new_label: list[int], value: float, lb: float,
+                       explored: int) -> SubproblemSolution:
+        """:func:`_finish`'s solution of the start with each label k renamed
+        ``new_label[k]``, from the start's parts: the same observations in
+        the same order, so the same bits, without :func:`evaluate_assignment`'s
+        checks and masks."""
+        parts = [None] * self.K
+        for (*_, rows), k in zip(self.parts, new_label):
+            parts[k] = rows
+        return _solution(subproblem, tuple([new_label[k] for k in self.start]), parts,
+                         proof_gap=_relative_gap(value, lb), explored=explored)
+
+
 class _Tree:
-    """Search-tree data: observations in branching order, their squared
-    norms, per-cluster coefficients and suffix bounds, in plain Python floats
-    for the scalar search and as arrays for the batched one.
+    """Search-tree data of one dual term: a :class:`SearchTemplate`'s
+    dual-independent data, and per-cluster coefficients in plain Python
+    floats for the scalar search and as arrays for the batched one.
 
     A scalar node holds one ``(count, sums, sumsq, value)`` tuple per cluster;
     ``add_point`` is the :func:`_add_point_kernel` for the data's dimension,
@@ -396,18 +467,18 @@ class _Tree:
     is the tuple of empty clusters.
     """
 
-    def __init__(self, Yo: np.ndarray, K: int, c: np.ndarray, box: BoundingBox, suffix_bounds):
-        self.points = [tuple(row) for row in Yo.tolist()]
-        self.sq = np.sum(Yo * Yo, axis=1).tolist()
-        self.K = K
-        self.sb = suffix_bounds
+    def __init__(self, template: SearchTemplate, c: np.ndarray):
+        self.template = template
+        self.points, self.sq, self.sb, self.Yo = template.points, template.sq, template.sb, template.Yo
+        self.K, self.add_point, self.lo, self.hi = template.K, template.add_point, template.lo, template.hi
         self.symmetric = bool(np.all(c == c[0]))
-        lo, hi = box.lo.tolist(), box.hi.tolist()
-        self.coef = [tuple(zip([0.5 * v for v in row], row, lo, hi)) for row in c.tolist()]
-        self.add_point = _add_point_kernel(Yo.shape[1])
-        self.root = tuple((0, (0.0,) * Yo.shape[1], 0.0, closed_form_centroid(Yo[:0], c[k], box)[1])
-                          for k in range(K))
-        self.Yo, self.c, self.half_c, self.lo, self.hi = Yo, c, 0.5 * c, box.lo, box.hi
+        self.coef = [tuple(zip([0.5 * v for v in row], row, self.lo, self.hi)) for row in c.tolist()]
+        # closed_form_centroid's empty clusters: each row's box corner, then its value c_k . m_k.
+        box = template.box
+        corner = np.where(c > 0, box.lo, np.where(c < 0, box.hi, 0.5 * (box.lo + box.hi)))
+        empty = (0.0,) * c.shape[1]
+        self.root = tuple((0, empty, 0.0, float(c[k] @ corner[k])) for k in range(self.K))
+        self.c, self.half_c = c, 0.5 * c
 
     def labels_value(self, start: int, labels) -> float:
         """Objective of labelling positions start..n-1 with ``labels``."""
@@ -436,31 +507,28 @@ class _Tree:
         values = [cluster[3] for cluster in rest]
         return [sum(values[:k] + [led[k][3]] + values[k + 1:]) for k in range(self.K)]
 
-    def least_cost_relabelling(self, labels) -> list[int]:
-        """The new label of each old one that gives ``labels`` (one per
-        position) its least objective.
+    def relabelled_start(self) -> tuple[list[int], float]:
+        """The new label of each label of the template's start that gives the
+        start its least objective, and that objective as
+        ``labels_value(0, ...)`` gives it, bit for bit.
 
-        Part p, the positions labelled p, costs ``table[p][k]`` under label
-        k: its closed-form minimum under c_k, from its count, coordinate sums
-        and summed squared norms.  The labels are permuted by the least cost
-        permutation of that K x K table.  When every row of c is equal, every
-        labelling has the same objective and the labels are kept.
+        Part p, the observations labelled p, costs ``table[p][k]`` under
+        label k: its closed-form minimum under c_k from the part's count,
+        sums and summed squared norms, which the kernel would reach by adding
+        the part's observations one by one.  The labels are permuted by the
+        least cost permutation of that K x K table.  When every row of c is
+        equal, every labelling has the same objective and the labels are
+        kept.  The objective sums the picked entries in new label order, as
+        ``labels_value`` sums its clusters.
         """
-        K = self.K
-        if self.symmetric:
-            return list(range(K))
-        parts = [[] for _ in range(K)]
-        for d, k in enumerate(labels):
-            parts[k].append(d)
-        table = []
-        for part in parts:
-            if not part:
-                table.append([cluster[3] for cluster in self.root])
-                continue
-            sums = [sum(column) for column in zip(*[self.points[d] for d in part])]
-            sumsq = sum([self.sq[d] for d in part])
-            table.append([_part_value(len(part), sums, sumsq, coef) for coef in self.coef])
-        return _least_cost_relabelling(table)
+        table = [[cluster[3] for cluster in self.root] if not count else
+                 [_part_value(count, sums, sumsq, coef) for coef in self.coef]
+                 for count, sums, sumsq, _ in self.template.parts]
+        new_label = list(range(self.K)) if self.symmetric else _least_cost_relabelling(table)
+        picked = [0.0] * self.K
+        for row, k in zip(table, new_label):
+            picked[k] = row[k]
+        return new_label, sum(picked)
 
 
 def _part_value(count: int, sums, sumsq: float, coef) -> float:
@@ -568,11 +636,12 @@ def _add_point_batch(tree: _Tree, stats: np.ndarray, y: np.ndarray, y_sq: np.nda
 # nodes, then up to _BATCH nodes per numpy step; _FRONT sizes the sorted front
 # of _OpenNodes.  A step has a fixed numpy cost of a few hundred microseconds,
 # so batching a small search loses.  On the benchmark's seed-0 subproblems
-# (fastest of five or nine passes), batching every search made the 900 K=3
-# solves 0.7 -> 2.6 s and their suffix bounds about 15x slower; with the
-# switch at 128 open nodes those searches never switch, while the 18 K=4
-# solves took 0.03 s and their nine nodes' suffix bounds 0.07 s, against
-# 0.05 s and 0.10 s when no search switches.
+# (in process, fastest of three or five passes, one core of a shared 2-vCPU
+# container), batching every search made the 900 K=3 solves of k3-bundle
+# 0.39 -> 1.53 s and their suffix bounds 0.003 -> 0.034 s; with the switch
+# at 128 open nodes those searches never switch, while the 18 K=4 solves of
+# k4-sg took 0.025 s and their nine nodes' suffix bounds 0.075 s, against
+# 0.040 s and 0.090 s when no search switches.
 _BATCH_AT = 128
 _BATCH = 256
 _FRONT = 1024
@@ -869,8 +938,9 @@ def _finish(subproblem: LagrangianSubproblem, assignment, value: float, lb: floa
             ) -> SubproblemSolution:
     """:func:`evaluate_assignment`'s solution of a search's incumbent, with
     the gap between the search's ``value`` of it and the proven bound ``lb``."""
-    return replace(evaluate_assignment(subproblem, assignment), proof_gap=_relative_gap(value, lb),
-                   stats={"explored": explored})
+    assignment = _checked_assignment(assignment, subproblem.data.n_points, subproblem.K)
+    return _solution(subproblem, assignment, _parts(subproblem, assignment),
+                     proof_gap=_relative_gap(value, lb), explored=explored)
 
 
 def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSolution:

@@ -269,7 +269,8 @@ class TestNodeSession:
 
     def test_suffix_bounds_computed_once(self, monkeypatch):
         # One branching order per session: the suffix bounds and every
-        # solve use it.
+        # solve use it, every solve through the one search template that
+        # the session builds from them.
         import fedkmeans.coordinator as coordinator
 
         calls = {"order": [], "bounds": [], "solve": []}
@@ -297,7 +298,24 @@ class TestNodeSession:
         assert len(calls["order"]) == 1 and len(calls["bounds"]) == 1 and len(calls["solve"]) == 4
         order = calls["order"][0]
         assert calls["bounds"][0]["order"] is order
-        assert all(kwargs["order"] is order for kwargs in calls["solve"])
+        assert all(kwargs["template"] is session.template for kwargs in calls["solve"])
+        assert session.template.order == order
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_solve_matches_enumeration_on_small_nodes(self, seed):
+        # Zero, equal-row and random dual terms on one session, each solve
+        # through the session's search template.
+        rng = np.random.default_rng(seed)
+        K, n_y = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        Y = rng.normal(size=(int(rng.integers(K, 9 if K < 4 else 8)), n_y))
+        box = BoundingBox(Y.min(axis=0) - rng.uniform(0.1, 1.0, n_y), Y.max(axis=0) + rng.uniform(0.1, 1.0, n_y))
+        session = NodeSession(data=NodeDataset(0, Y), K=K, box=box, max_nodes=RunConfig().max_nodes)
+        duals = [np.zeros((K, n_y)), np.tile(rng.normal(size=n_y), (K, 1))]
+        duals += [rng.normal(scale=scale, size=(K, n_y)) for scale in (0.5, 2.0, 5.0)]
+        for c in duals:
+            reply = session.solve(c.ravel())
+            brute = brute_force_subproblem(LagrangianSubproblem(data=session.data, K=K, box=box, c=c))
+            assert reply.lagrangian_value == pytest.approx(brute.lagrangian_value, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("node", [0, 1])
     def test_reply_does_not_depend_on_the_node_id(self, tmp_path, node):

@@ -577,6 +577,78 @@ class TestTrustRegionSolver:
         assert dropped > 0 and close_kept > 0
 
 
+class TestNewtonStep:
+    """The interior-point pass solves its Newton systems with numpy's own
+    LAPACK kernel, without np.linalg.solve's per-call wrappers.  These tests
+    name that numpy internal, so a numpy release that moves it fails here
+    first."""
+
+    def test_kernel_is_numpys(self):
+        from numpy.linalg._umath_linalg import solve1
+        assert master._solve1 is solve1
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10, 1e15])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+    def test_kernel_returns_linalg_solve_bits(self, cond, symmetric):
+        # Random systems with singular values from 1 down to 1/cond; the
+        # Newton matrices are symmetric.
+        rng = np.random.default_rng(int(math.log10(cond)) + 100 * symmetric)
+        for n in (1, 2, 5, 19, 40):
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V = U if symmetric else np.linalg.qr(rng.normal(size=(n, n)))[0]
+            A = U @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ V.T
+            b = rng.normal(size=n)
+            assert master._solve1(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+
+    @pytest.mark.parametrize("singular_at", [1, 4, 9])
+    def test_singular_newton_matrix_ends_pass_at_best_iterate(self, monkeypatch, singular_at):
+        # LAPACK answers a singular matrix with NaNs.  The pass then stops
+        # with its best iterate, as it did when np.linalg.solve raised
+        # LinAlgError: the iterate of a pass held to that many Newton steps.
+        # It takes no step along the NaNs, so it never evaluates a NaN
+        # iterate.  The full first pass takes more than 10 steps here.
+        problem = degenerate_problem(10)
+        solve1 = master._solve1
+
+        def first_pass(held):
+            with monkeypatch.context() as patch:
+                if held:
+                    cap_fixed_pass(patch, singular_at)
+                core, passes = master._pdip_core, []
+
+                def recording(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
+                    def evaluate(z, *out):
+                        if not passes:  # the first pass
+                            assert np.isfinite(z).all()
+                        return constraints(z, *out)
+
+                    z, lam = core(problem, evaluate, add_curvature, obj_grad, n_con, n, sigma)
+                    passes.append((z, lam))
+                    return z, lam
+
+                patch.setattr(master, "_pdip_core", recording)
+                try:
+                    solve_trust_region_qp(problem)
+                except master.TrustRegionSolverError:
+                    pass
+            return passes[0]
+
+        calls, answers = [], []
+
+        def singular_at_call(H, rhs):
+            calls.append(None)
+            dz = solve1(np.zeros_like(H) if len(calls) == singular_at else H, rhs)
+            answers.append(dz)
+            return dz
+
+        monkeypatch.setattr(master, "_solve1", singular_at_call)
+        z, lam = first_pass(held=False)
+        assert np.isnan(answers[singular_at - 1]).all()
+        monkeypatch.setattr(master, "_solve1", solve1)
+        z_held, lam_held = first_pass(held=True)
+        assert z.tobytes() == z_held.tobytes() and lam.tobytes() == lam_held.tobytes()
+
+
 class TestBtmDirection:
     def test_single_cut_direction(self):
         bundle = bundle_push(Bundle(capacity=5),

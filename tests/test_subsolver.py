@@ -3,6 +3,7 @@
 import itertools
 import math
 import types
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedkmeans.bench import BenchmarkSpec, _grid_seed, generate_instance
 from fedkmeans.core import BoundingBox, NodeDataset
 from fedkmeans.subsolver import (
     LagrangianSubproblem,
     NodeLimitExceeded,
+    SearchTemplate,
     branching_order,
     brute_force_subproblem,
     closed_form_centroid,
@@ -51,6 +54,14 @@ def _add_point(cluster, y, y_sq: float, coef):
         sm += s * m
         cm += c * m
     return count, new_sums, sumsq, sumsq + (count * mm - 2.0 * sm + cm)
+
+
+def row_order_tree(sub, c=None, start=None) -> _Tree:
+    """The search tree of ``sub``, or of its data under ``c``, that branches
+    on the observations in their row order, without suffix bounds, and
+    starts from ``start`` when given."""
+    template = SearchTemplate(sub.data, sub.K, sub.box, order=range(sub.data.n_points), start=start)
+    return _Tree(template, sub.c if c is None else c)
 
 
 def subproblem_1d(values, K, c=None, lo=-20.0, hi=20.0):
@@ -200,8 +211,7 @@ def assignment_lower_bound(sub, prefix) -> float:
 def search_prefix_bound(sub, prefix) -> float:
     """The bound that a search without suffix bounds gives the node labelling
     positions 0..len(prefix)-1 of the data's own row order with ``prefix``."""
-    tree = _Tree(sub.data.observations, sub.K, sub.c, sub.box, [0.0] * (sub.data.n_points + 1))
-    return tree.labels_value(0, [int(k) for k in prefix])
+    return row_order_tree(sub).labels_value(0, [int(k) for k in prefix])
 
 
 class TestLowerBound:
@@ -481,8 +491,7 @@ class TestScalarChildBound:
         # rounding: 1e-12 relative on unit-scale data.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=8, K=int(rng.integers(2, 5)), n_y=int(rng.integers(1, 5)))
-        Y = sub.data.observations
-        tree = _Tree(Y, sub.K, sub.c, sub.box, [0.0] * 9)
+        tree = row_order_tree(sub)
         prefix = [int(k) for k in rng.integers(0, sub.K, size=int(rng.integers(1, 9)))]
         clusters = list(tree.root)
         bound = sum(cluster[3] for cluster in clusters)
@@ -554,7 +563,7 @@ class TestAddPointKernel:
         K, n_y, n = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
         sub = random_subproblem(rng, n_pts=n, K=K, n_y=n_y)
         c = np.zeros((K, n_y)) if zero_dual else sub.c
-        tree = _Tree(sub.data.observations, K, c, sub.box, [0.0] * (n + 1))
+        tree = row_order_tree(sub, c)
         start = int(rng.integers(0, n))
         labels = tuple(rng.integers(0, K, size=n - 1 - start).tolist())
         expected = [tree.labels_value(start, (k,) + labels) for k in range(K)]
@@ -707,7 +716,7 @@ class TestBatchedSearch:
         rng = np.random.default_rng(seed)
         K, n_y = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         sub = random_subproblem(rng, n_pts=8, K=K, n_y=n_y)
-        tree = _Tree(sub.data.observations, K, sub.c, sub.box, [0.0] * 9)
+        tree = row_order_tree(sub)
         nodes = []
         for _ in range(5):
             clusters = list(tree.root)
@@ -926,8 +935,7 @@ class TestStartRelabelling:
              "unequal": rng.normal(scale=rng.choice([0.5, 2.0]), size=sub.c.shape)}[dual]
         sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
         start = rng.integers(0, K, size=sub.data.n_points).tolist()
-        tree = _Tree(sub.data.observations, K, sub.c, sub.box, [0.0] * (sub.data.n_points + 1))
-        new_label = tree.least_cost_relabelling(start)
+        new_label, _ = row_order_tree(sub, start=start).relabelled_start()
         assert sorted(new_label) == list(range(K))
         got = evaluate_assignment(sub, [new_label[a] for a in start]).lagrangian_value
         values = [evaluate_assignment(sub, [perm[a] for a in start]).lagrangian_value
@@ -967,6 +975,101 @@ class TestStartRelabelling:
                 first = next(perm for perm, total in zip(itertools.permutations(range(K)), totals)
                              if total == min(totals))
                 assert all(new_label[first[k]] == k for k in range(K))
+
+
+def grid_cell(n_nodes, n_y, K):
+    """Replicate 1 of the seed-0 grid cell with these axes."""
+    return generate_instance(BenchmarkSpec(n_nodes, n_y, K, 1, _grid_seed(0, n_nodes, n_y, K, 1)))
+
+
+def reply_bits(solution):
+    """Every field of a solve's reply, each float by its bits."""
+    return (solution.assignment, bits(solution.centroids.tolist()), bits(solution.lagrangian_value),
+            bits(solution.cluster_cost), bits(solution.proof_gap), solution.stats)
+
+
+class TestSearchTemplate:
+    """A template built once per node gives every solve the bits of a solve
+    that builds its own."""
+
+    @pytest.mark.parametrize("cell", [(3, 3, 3), (2, 2, 4)], ids=["3N3D3K_1", "2N2D4K_1"])
+    def test_same_reply_with_and_without_template(self, cell):
+        # One template serves every dual term of a node in turn: zero, equal
+        # rows and seeded random ones.
+        instance = grid_cell(*cell)
+        K, n_y, box = instance.K, instance.n_y, instance.box
+        for node in instance.nodes:
+            bounds, optimum = suffix_lower_bounds(node, K, box)
+            template = SearchTemplate(node, K, box, bounds, start=optimum)
+            rng = np.random.default_rng(node.node_id)
+            duals = [np.zeros((K, n_y)), np.tile(rng.normal(size=n_y), (K, 1))]
+            duals += [rng.normal(scale=0.5, size=(K, n_y)) for _ in range(3)]
+            for c in duals:
+                sub = LagrangianSubproblem(data=node, K=K, box=box, c=c)
+                fresh = solve_subproblem(sub, suffix_bounds=bounds, start=optimum)
+                assert reply_bits(solve_subproblem(sub, template=template)) == reply_bits(fresh)
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["zero", "equal", "unequal"]))
+    @settings(max_examples=60, deadline=None)
+    def test_start_value_and_reply_match_the_general_path(self, seed, dual):
+        # The relabelled start's value from its cached parts is the kernel's
+        # labels_value bit for bit, and its reply from the cached rows is the
+        # one evaluate_assignment gives.  Few points leave parts empty.
+        rng = np.random.default_rng(seed)
+        K, n_y, n = int(rng.integers(2, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 10))
+        sub = random_subproblem(rng, n_pts=n, K=K, n_y=n_y)
+        c = {"zero": np.zeros((K, n_y)), "equal": np.tile(rng.normal(size=n_y), (K, 1)),
+             "unequal": rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, n_y))}[dual]
+        sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
+        start = rng.integers(0, K, size=n).tolist()
+        order = rng.permutation(n).tolist()
+        template = SearchTemplate(sub.data, K, sub.box, order=order, start=start)
+        tree = _Tree(template, sub.c)
+        new_label, value = tree.relabelled_start()
+        assert bits(value) == bits(tree.labels_value(0, [new_label[start[j]] for j in order]))
+        got = template.start_solution(sub, new_label, value, value, 7)
+        want = evaluate_assignment(sub, [new_label[k] for k in start])
+        assert reply_bits(got) == reply_bits(replace(want, stats={"explored": 7}))
+
+    def test_leaf_that_beats_the_start_gets_the_general_reply(self, monkeypatch):
+        # Under these K=4 duals the node's K-means optimum, relabelled, is
+        # not optimal: a leaf beats it, and the reply is evaluate_assignment's
+        # solution of that leaf.
+        instance = grid_cell(2, 2, 4)
+        node, K, box = instance.nodes[0], instance.K, instance.box
+        bounds, optimum = suffix_lower_bounds(node, K, box)
+        template = SearchTemplate(node, K, box, bounds, start=optimum)
+        c = np.random.default_rng(3).normal(scale=2.0, size=(K, instance.n_y))
+        sub = LagrangianSubproblem(data=node, K=K, box=box, c=c)
+        finished = []
+        finish = subsolver._finish
+        monkeypatch.setattr(subsolver, "_finish", lambda *args: finished.append(args) or finish(*args))
+        solution = solve_subproblem(sub, template=template)
+        assert len(finished) == 1
+        new_label, value = _Tree(template, sub.c).relabelled_start()
+        assert solution.lagrangian_value < value
+        assert solution.proof_gap == 0.0
+        expected = replace(evaluate_assignment(sub, solution.assignment), stats=solution.stats)
+        assert reply_bits(solution) == reply_bits(expected)
+        assert reply_bits(solve_subproblem(sub, suffix_bounds=bounds, start=optimum)) == reply_bits(solution)
+
+    def test_template_checked(self):
+        instance = grid_cell(2, 2, 3)
+        node, other = instance.nodes
+        template = SearchTemplate(node, instance.K, instance.box)
+        c = np.zeros((instance.K, instance.n_y))
+        with pytest.raises(ValueError, match="not both"):
+            solve_subproblem(LagrangianSubproblem(data=node, K=3, box=instance.box, c=c), template=template,
+                             order=branching_order(node.observations))
+        for data, K, box in ((other, 3, instance.box), (node, 2, instance.box),
+                             (node, 3, BoundingBox(instance.box.lo, instance.box.hi))):
+            sub = LagrangianSubproblem(data=data, K=K, box=box, c=np.zeros((K, instance.n_y)))
+            with pytest.raises(ValueError, match="other data, K or box"):
+                solve_subproblem(sub, template=template)
+        with pytest.raises(ValueError, match="suffix_bounds must have"):
+            SearchTemplate(node, 3, instance.box, [0.0])
+        with pytest.raises(ValueError, match="labels out of range"):
+            SearchTemplate(node, 3, instance.box, start=[3] * node.n_points)
 
 
 class TestRelabel:
