@@ -21,23 +21,21 @@ dataset's solves and as the central optimum of a merged dataset.  A
 search over the dataset needs that no dual term changes, so a caller that
 solves one dataset under many dual terms builds them once.
 
-A search expands one node at a time, keeping per-cluster sums in Python
-scalars and valuing each child with a kernel unrolled for the data's
-dimension, until its open heap holds ``_BATCH_AT`` nodes.  It then moves its
-open nodes into numpy arrays, each with a row of its labels, and expands up
-to ``_BATCH`` of them per step, with child bounds bit-identical to the
-scalar ones.  A batched step has a fixed numpy overhead, so batching only pays for
-large searches: small ones, such as the K=3 solves of the benchmark, never
-switch.  A full enumeration oracle is provided for testing.
+The search loop is one small C file, ``_search.c``, built on the first
+search and run through ``ctypes``; it values each child with the operations
+of the Python kernel that values incumbents, so every bound is bit-identical
+to that kernel's.  A full enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
+import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -323,9 +321,11 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox, max_nodes: 
     :func:`solve_subproblem` search as its ``start``.
 
     ``on_progress(elapsed, incumbent_value, bound, explored)`` is called when
-    a search's bound or incumbent improves; ``bound`` is a non-decreasing
-    lower bound on the optimum of all observations, and ``incumbent_value``
-    is ``math.inf`` until the last search starts.
+    each search starts and ends, after each leaf it hands back, and every
+    ``_CHUNK`` expanded nodes in which its bound rose (see
+    :func:`_best_first`); ``bound`` is a non-decreasing lower bound on the
+    optimum of all observations, and ``incumbent_value`` is ``math.inf``
+    until the last search starts.
     """
     template = SearchTemplate(data, K, box, order=order)
     n_pts, Yo, order = len(template.points), template.Yo, template.order
@@ -403,10 +403,12 @@ class SearchTemplate:
     changes, built once for the data's solves.
 
     It holds the observations in branching ``order`` (by default
-    :func:`branching_order`'s) as an array, as tuples and with their squared
-    norms, ``position``, the place of each observation in that order, the
-    ``suffix_bounds`` as floats (all zeros when None), the box as floats and
-    the kernel of the data's dimension (see :func:`_add_point_kernel`).
+    :func:`branching_order`'s) as an array and as tuples, their squared
+    norms as an array and as floats, ``position``, the place of each
+    observation in that order, the ``suffix_bounds`` as an array (all zeros
+    when None), the box as arrays and as floats and the kernel of the data's
+    dimension (see :func:`_add_point_kernel`).  The search loop reads the
+    arrays, at the addresses in ``arrays``; the kernel reads the floats.
 
     Given a ``start`` assignment it also holds the start's ``parts``: for
     each label, the count, coordinate sums and summed squared norms of the
@@ -424,13 +426,18 @@ class SearchTemplate:
             suffix_bounds = [0.0] * (n_pts + 1)
         elif len(suffix_bounds) != n_pts + 1:
             raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
+        if K > 256:
+            raise ValueError(f"the search labels at most 256 clusters, got K = {K}")
         self.data, self.K, self.box = data, K, box
         self.order = _checked_order(Y, order)
         self.position = np.argsort(self.order).tolist()
-        self.Yo = Yo = Y[self.order]
+        self.Yo = Yo = np.ascontiguousarray(Y[self.order], dtype=float)
         self.points = [tuple(row) for row in Yo.tolist()]
-        self.sq = np.sum(Yo * Yo, axis=1).tolist()
-        self.sb = [float(b) for b in suffix_bounds]
+        self.sq_array = np.sum(Yo * Yo, axis=1)
+        self.sq = self.sq_array.tolist()
+        self.sb = np.array(suffix_bounds, dtype=float)
+        self.box_arrays = tuple(np.ascontiguousarray(bound, dtype=float) for bound in (box.lo, box.hi))
+        self.arrays = tuple(array.ctypes.data for array in (Yo, self.sq_array, self.sb, *self.box_arrays))
         self.lo, self.hi = box.lo.tolist(), box.hi.tolist()
         self.add_point = _add_point_kernel(Y.shape[1])
         self.start = self.parts = None
@@ -459,26 +466,38 @@ class SearchTemplate:
 class _Tree:
     """Search-tree data of one dual term: a :class:`SearchTemplate`'s
     dual-independent data, and per-cluster coefficients in plain Python
-    floats for the scalar search and as arrays for the batched one.
+    floats for the kernel and as arrays for the search loop.
 
-    A scalar node holds one ``(count, sums, sumsq, value)`` tuple per cluster;
-    ``add_point`` is the :func:`_add_point_kernel` for the data's dimension,
-    which gives a cluster's tuple after adding one observation, and ``root``
-    is the tuple of empty clusters.
+    A cluster is one ``(count, sums, sumsq, value)`` tuple; ``add_point`` is
+    the :func:`_add_point_kernel` for the data's dimension, which gives a
+    cluster's tuple after adding one observation, ``root`` is the tuple of
+    empty clusters and ``root_sum`` the sum of their values.  ``dual``
+    holds what the search loop reads of the dual term: c / 2, c and the
+    empty clusters, each as count, sums, sumsq and value, row by row;
+    ``leaf`` receives the labels of a leaf.  ``arrays`` holds the addresses
+    of all the arrays that the loop reads, in the order of its state's
+    fields.
     """
 
     def __init__(self, template: SearchTemplate, c: np.ndarray):
         self.template = template
-        self.points, self.sq, self.sb, self.Yo = template.points, template.sq, template.sb, template.Yo
+        self.points, self.sq = template.points, template.sq
         self.K, self.add_point, self.lo, self.hi = template.K, template.add_point, template.lo, template.hi
         self.symmetric = bool(np.all(c == c[0]))
-        self.coef = [tuple(zip([0.5 * v for v in row], row, self.lo, self.hi)) for row in c.tolist()]
+        rows = c.tolist()
+        halves = [[0.5 * v for v in row] for row in rows]
+        self.coef = [tuple(zip(half, row, self.lo, self.hi)) for half, row in zip(halves, rows)]
         # closed_form_centroid's empty clusters: each row's box corner, then its value c_k . m_k.
         box = template.box
         corner = np.where(c > 0, box.lo, np.where(c < 0, box.hi, 0.5 * (box.lo + box.hi)))
         empty = (0.0,) * c.shape[1]
         self.root = tuple((0, empty, 0.0, float(c[k] @ corner[k])) for k in range(self.K))
-        self.c, self.half_c = c, 0.5 * c
+        self.root_sum = sum(cluster[3] for cluster in self.root)
+        blank = [0.0] * (c.shape[1] + 2)
+        self.dual = np.array([v for row in halves + rows for v in row]
+                             + [v for cluster in self.root for v in (*blank, cluster[3])])
+        self.leaf = np.empty(len(self.points), dtype=np.uint8)
+        self.arrays = (*template.arrays, self.dual.ctypes.data, self.leaf.ctypes.data)
 
     def labels_value(self, start: int, labels) -> float:
         """Objective of labelling positions start..n-1 with ``labels``."""
@@ -585,9 +604,10 @@ def _add_point_kernel(n_y: int):
     closed-form minimum, computed as :func:`closed_form_centroid` does but in
     scalars.  ``coef`` holds ``(c_i / 2, c_i, lo_i, hi_i)`` per coordinate.
     The kernel is :data:`_ADD_POINT_SOURCE` with the coordinate loop
-    unrolled, compiled once per ``n_y``: the search calls it once per child,
-    where a loop's iteration and tuple unpacking cost more than its
-    arithmetic.
+    unrolled, compiled once per ``n_y``: incumbents are valued with it one
+    observation at a time, where a loop's iteration and tuple unpacking cost
+    more than its arithmetic.  ``_search.c`` values each child of the search
+    with the same operations in the same order.
     """
     each = range(n_y)
     source = _ADD_POINT_SOURCE.format(
@@ -604,47 +624,79 @@ def _add_point_kernel(n_y: int):
     return namespace["add_point"]
 
 
-def _add_point_batch(tree: _Tree, stats: np.ndarray, y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
-    """The scalar search's ``add_point`` (see :func:`_add_point_kernel`) for
-    every cluster of many nodes at once.
+# The search loop is _search.c, built on the first search with the system C
+# compiler into the package's __pycache__, under a name that hashes the
+# source and the command, and loaded with ctypes.  -ffp-contract=off keeps the
+# compiler from fusing a multiply and an add into one rounding, so the loop's
+# bounds are the Python kernel's bit for bit.
+_SEARCH_SOURCE = Path(__file__).with_name("_search.c")
+_SEARCH_CACHE = Path(__file__).with_name("__pycache__")
+_SEARCH_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# The loop returns to Python after this many expanded nodes, so that a time
+# budget and progress reports see it run.
+_CHUNK = 1 << 14
+_LEAF, _CHUNK_DONE, _NODE_LIMIT = 1, 2, 3
 
-    ``stats`` has shape (m, K, n_y + 3) and holds each cluster's ``count``,
-    ``sums``, ``sumsq`` and ``value`` in that order; ``y`` (m, n_y) and
-    ``y_sq`` (m,) are each node's next observation.  Returns the clusters'
-    stats after adding it, bit-identical to the kernel's: the same
-    operations run in the same order, coordinate by coordinate.  (The clip
-    may change the sign of a zero centroid coordinate; the products it enters
-    are added to sums that start at 0.0, so that changes no result.)
+
+def _compiler() -> list[str]:
+    """The C compiler command: sysconfig's ``CC``, else ``cc``."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@functools.cache
+def _search_library():
+    """The compiled search loop and the ctypes structure of its state.
+
+    The library is built into the cache unless it is there already: to a
+    temporary file, then renamed into place, so that processes that build
+    it at the same time each load a whole library and leave one.
+    RuntimeError, naming the command and its first error line, when the
+    compiler fails.
     """
-    n_y = y.shape[1]
-    new = np.empty_like(stats)
-    count = np.add(stats[:, :, 0], 1.0, out=new[:, :, 0])
-    sums = np.add(stats[:, :, 1:n_y + 1], y[:, None, :], out=new[:, :, 1:n_y + 1])
-    sumsq = np.add(stats[:, :, n_y + 1], y_sq[:, None], out=new[:, :, n_y + 1])
-    mm, sm, cm = np.zeros_like(count), np.zeros_like(count), np.zeros_like(count)
-    for i in range(n_y):
-        s = sums[:, :, i]
-        m = np.minimum(np.maximum((s - tree.half_c[:, i]) / count, tree.lo[i]), tree.hi[i])
-        mm += m * m
-        sm += s * m
-        cm += tree.c[:, i] * m
-    new[:, :, n_y + 2] = sumsq + (count * mm - 2.0 * sm + cm)
-    return new
+    import ctypes
+    import subprocess
+    import tempfile
 
+    command = [*_compiler(), *_SEARCH_FLAGS]
+    source = _SEARCH_SOURCE.read_bytes()
+    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
+    path = _SEARCH_CACHE / f"_search-{key}.so"
+    if not path.exists():
+        _SEARCH_CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.stem}-", suffix=".tmp", dir=_SEARCH_CACHE)
+        os.close(fd)
+        try:
+            try:
+                built = subprocess.run([*command, "-o", tmp, str(_SEARCH_SOURCE)], capture_output=True, text=True)
+                error = (built.stderr.strip() or f"exit status {built.returncode}") if built.returncode else None
+            except OSError as exc:
+                error = str(exc)
+            if error is not None:
+                raise RuntimeError(f"cannot build the node search with `{' '.join(command)}`: "
+                                   f"{error.splitlines()[0]}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
-# A search expands one node at a time until its open heap holds _BATCH_AT
-# nodes, then up to _BATCH nodes per numpy step; _FRONT sizes the sorted front
-# of _OpenNodes.  A step has a fixed numpy cost of a few hundred microseconds,
-# so batching a small search loses.  On the benchmark's seed-0 subproblems
-# (in process, fastest of three or five passes, one core of a shared 2-vCPU
-# container), batching every search made the 900 K=3 solves of k3-bundle
-# 0.39 -> 1.53 s and their suffix bounds 0.003 -> 0.034 s; with the switch
-# at 128 open nodes those searches never switch, while the 18 K=4 solves of
-# k4-sg took 0.025 s and their nine nodes' suffix bounds 0.075 s, against
-# 0.040 s and 0.090 s when no search switches.
-_BATCH_AT = 128
-_BATCH = 256
-_FRONT = 1024
+    class State(ctypes.Structure):
+        # _search.c's struct search, field for field.
+        _fields_ = ([(name, ctypes.c_void_p) for name in
+                     ("points", "sq", "sb", "lo", "hi", "dual", "leaf")]
+                    + [(name, ctypes.c_int64) for name in
+                       ("n", "K", "n_y", "start", "symmetric", "max_nodes", "chunk")]
+                    + [(name, ctypes.c_double) for name in ("root_sum", "ub", "best_lb")]
+                    + [("explored", ctypes.c_int64), ("open", ctypes.c_void_p)])
+
+    library = ctypes.CDLL(str(path))
+    for name in ("fk_search_init", "fk_search_run", "fk_search_free"):
+        function = getattr(library, name)
+        function.argtypes = [ctypes.POINTER(State)]
+        function.restype = ctypes.c_int if name != "fk_search_free" else None
+    return library, State
 
 
 def _best_first(tree: _Tree, start: int, ub: float, max_nodes: int,
@@ -654,284 +706,64 @@ def _best_first(tree: _Tree, start: int, ub: float, max_nodes: int,
     ``ub`` is the incumbent's value (``math.inf`` for none).
     ``on_leaf(labels)`` receives every leaf whose bound is below the
     incumbent and returns the incumbent's value after it.
-    ``on_bound(lb, explored)`` is called when the proven bound or the
-    incumbent improves.  Returns ``(lower_bound, explored, status)``, status
-    being "optimal" (the incumbent proven optimal), "node_limit" or "time".
+    ``on_bound(lb, explored)`` is called at the start and the end, after
+    each leaf and, every ``_CHUNK`` expanded nodes, when the proven bound
+    has risen.  Returns ``(lower_bound, explored, status)``, status being
+    "optimal" (the incumbent proven optimal), "node_limit" or "time"; the
+    ``deadline`` is checked after the first expanded node and every
+    ``_CHUNK`` after it.
 
     Nodes are popped in ``(bound, tiebreak)`` order, the tiebreak numbering
-    children as they are pushed.  A child whose bound reaches the incumbent
-    is pruned.  The proven bound is the least bound of any node not yet
-    ruled out, capped at the incumbent: the popped node's until one reaches
-    the incumbent, then the incumbent's value itself.
-
-    Small searches run one node at a time on Python scalars.  Once the open
-    heap holds ``_BATCH_AT`` nodes the search continues in
-    :func:`_best_first_batched`, which expands up to ``_BATCH`` nodes per
-    step with the same child bounds, bit for bit.  Its batches may expand a
-    few nodes that the one-at-a-time order would have pruned, so ``explored``
-    can be slightly larger; the proven bound and the stop rule are the same.
+    children as they are pushed.  Each child of a node at depth d adds the
+    observation at position d to one cluster, valued as
+    :func:`_add_point_kernel`'s kernel values it; under equal dual rows
+    (``tree.symmetric``) a node has children only in its labels used so far
+    and one new label.  A child whose bound reaches the incumbent is pruned.
+    The proven bound is the least bound of any node not yet ruled out,
+    capped at the incumbent: the popped node's until one reaches the
+    incumbent, then the incumbent's value itself.  The loop runs in
+    ``_search.c``; each open node there holds its clusters and its row of
+    labels, so memory grows with the open nodes alone.
     """
-    points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.sb
-    n, K, symmetric = len(points), tree.K, tree.symmetric
-    add_point, push, pop = tree.add_point, heapq.heappush, heapq.heappop
-    tiebreak = 0
-    explored = 0
-
-    # Heap entries: (bound, tiebreak, depth, labels, labels used, sum of
-    # cluster values, clusters); labels is a linked list (label, parent labels).
-    pc_sum = sum(cluster[3] for cluster in tree.root)
-    heap = [(pc_sum + sb[start], tiebreak, start, None, 0, pc_sum, tree.root)]
-    best_lb = heap[0][0]
-    if on_bound is not None:
-        on_bound(best_lb, explored)
-    while heap:
-        if len(heap) >= _BATCH_AT:
-            return _best_first_batched(tree, start, heap, tiebreak, ub, best_lb,
-                                       explored, max_nodes, on_leaf, deadline, on_bound)
-        bound, _, depth, labels, used, pc_sum, clusters = pop(heap)
-        if bound >= ub:
-            break
-        if bound > best_lb:
-            best_lb = bound
-            if on_bound is not None:
-                on_bound(best_lb, explored)
-        if depth == n:  # a leaf below the incumbent
-            path = []
-            while labels is not None:
-                k, labels = labels
-                path.append(k)
-            ub = on_leaf(path[::-1])
-            if on_bound is not None:
-                on_bound(best_lb, explored)
-            continue
-        explored += 1
-        if explored >= max_nodes:
-            return best_lb, explored, "node_limit"
-        if deadline is not None and time.perf_counter() > deadline:
-            return best_lb, explored, "time"
-        y, y_sq, below = points[depth], sq[depth], sb[depth + 1]
-        for k in range(min(K, used + 1) if symmetric else K):
-            cluster = clusters[k]
-            new = add_point(cluster, y, y_sq, coef[k])
-            child_sum = pc_sum - cluster[3] + new[3]
-            child_bound = child_sum + below
-            if child_bound < ub:
-                tiebreak += 1
-                push(heap, (child_bound, tiebreak, depth + 1, (k, labels), used if used > k else k + 1,
-                            child_sum, clusters[:k] + (new,) + clusters[k + 1:]))
-    # The incumbent is optimal: the open nodes, if any, reach it.
-    best_lb = max(best_lb, ub)
-    if on_bound is not None:
-        on_bound(best_lb, explored)
-    return best_lb, explored, "optimal"
-
-
-class _OpenNodes:
-    """Open nodes of a batched search in arrays, indexed by slot, and their
-    order.
-
-    A slot holds a node's bound and tiebreak, its clusters' stats (see
-    :func:`_add_point_batch`), the sum of its cluster values, its
-    ``(depth, labels used)`` and its labels: one row of ``n`` entries, one
-    per branching position, in the smallest integer dtype that holds K - 1.
-    A node at depth d of a search that starts at position ``start`` has
-    labelled positions start..d-1 of its row; the rest is unused.  Slots of
-    removed nodes are reused.
-
-    The open slots are split at ``cut``: ``front`` holds those with bound
-    <= ``cut``, sorted by ``(bound, tiebreak)``, and ``back`` the rest,
-    unsorted.  When the front runs short, the ``_FRONT`` least bounds of the
-    back move to it; when it grows past ``4 * _FRONT``, its tail moves back.
-    """
-
-    def __init__(self, K: int, n_y: int, n: int, capacity: int):
-        self.bound = np.empty(0)
-        self.tick = np.empty(0, dtype=np.int64)
-        self.stats = np.empty((0, K, n_y + 3))
-        self.pc_sum = np.empty(0)
-        self.node = np.empty((0, 2), dtype=np.intp)
-        self.labels = np.empty((0, n), dtype=np.min_scalar_type(K - 1))
-        self.free_slots = np.empty(0, dtype=np.intp)
-        self.n_free = 0
-        self._grow(capacity)
-        self.front = np.empty(0, dtype=np.intp)
-        self.back = np.empty(capacity, dtype=np.intp)
-        self.n_back = 0
-        self.cut = -math.inf
-
-    def _grow(self, capacity: int) -> None:
-        old = self.bound.shape[0]
-        for name in ("bound", "tick", "stats", "pc_sum", "node", "labels"):
-            array = getattr(self, name)
-            grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
-            grown[:old] = array
-            setattr(self, name, grown)
-        free = np.empty(capacity, dtype=np.intp)
-        free[:self.n_free] = self.free_slots[:self.n_free]
-        free[self.n_free:self.n_free + capacity - old] = np.arange(old, capacity)
-        self.free_slots = free
-        self.n_free += capacity - old
-
-    def alloc(self, m: int) -> np.ndarray:
-        """``m`` free slots."""
-        if m > self.n_free:
-            size = self.bound.shape[0]
-            self._grow(max(2 * size, size + m - self.n_free))
-        self.n_free -= m
-        return self.free_slots[self.n_free:self.n_free + m].copy()
-
-    def release(self, slots: np.ndarray) -> None:
-        m = len(slots)
-        self.free_slots[self.n_free:self.n_free + m] = slots
-        self.n_free += m
-
-    def push(self, slots: np.ndarray) -> None:
-        """Open the nodes in ``slots``, whose tiebreaks exceed every open one's
-        and increase along ``slots``."""
-        bound = self.bound[slots]
-        near = bound <= self.cut
-        self._to_back(slots[~near])
-        if near.any():
-            # Stable sorts by bound keep the tiebreak order among equal bounds.
-            new = slots[near][np.argsort(bound[near], kind="stable")]
-            front = np.concatenate((self.front, new))
-            self.front = front[np.argsort(self.bound[front], kind="stable")]
-            if len(self.front) > 4 * _FRONT:
-                self.cut = self.bound[self.front[_FRONT - 1]]
-                keep = np.searchsorted(self.bound[self.front], self.cut, side="right")
-                self._to_back(self.front[keep:])
-                self.front = self.front[:keep]
-
-    def top(self, m: int) -> np.ndarray:
-        """Up to ``m`` open slots with the least ``(bound, tiebreak)``, in order."""
-        if len(self.front) < m and self.n_back:
-            back = self.back[:self.n_back]
-            bound = self.bound[back]
-            if self.n_back > _FRONT:
-                self.cut = np.partition(bound, _FRONT - 1)[_FRONT - 1]
-                near = bound <= self.cut
+    library, State = _search_library()
+    n, n_y = tree.template.Yo.shape
+    leaf = tree.leaf[:n - start]
+    # With a deadline, the first run returns after one expanded node.  A cap
+    # beyond the loop's 64-bit count is no cap.
+    state = State(*tree.arrays, n, tree.K, n_y, start, tree.symmetric, min(max_nodes, 2 ** 63 - 1),
+                  _CHUNK if deadline is None else 1, tree.root_sum, ub)
+    try:
+        if library.fk_search_init(state) < 0:
+            raise MemoryError("the node search ran out of memory")
+        reported = state.best_lb
+        if on_bound is not None:
+            on_bound(reported, 0)
+        while True:
+            status = library.fk_search_run(state)
+            if on_bound is not None and state.best_lb > reported:
+                reported = state.best_lb
+                on_bound(reported, state.explored)
+            if status == _LEAF:
+                state.ub = ub = on_leaf(leaf.tolist())
+                if on_bound is not None:
+                    on_bound(reported, state.explored)
+            elif status == _CHUNK_DONE:
+                state.chunk = _CHUNK
+                if deadline is not None and time.perf_counter() > deadline:
+                    return state.best_lb, state.explored, "time"
+            elif status == _NODE_LIMIT:
+                return state.best_lb, state.explored, "node_limit"
+            elif status < 0:
+                raise MemoryError("the node search ran out of memory")
             else:
-                self.cut, near = math.inf, np.ones(self.n_back, dtype=bool)
-            front = np.concatenate((self.front, back[near]))
-            rest = back[~near]
-            self.back[:len(rest)] = rest
-            self.n_back = len(rest)
-            self.front = front[np.lexsort((self.tick[front], self.bound[front]))]
-        return self.front[:m]
-
-    def remove_top(self, removed: np.ndarray) -> None:
-        """Take the nodes flagged in ``removed`` off the front's head and free their slots."""
-        head = self.front[:len(removed)]
-        self.release(head[removed])
-        self.front = np.concatenate((head[~removed], self.front[len(removed):]))
-
-    def _to_back(self, slots: np.ndarray) -> None:
-        m = len(slots)
-        if self.n_back + m > len(self.back):
-            self.back = np.resize(self.back, max(2 * len(self.back), self.n_back + m))
-        self.back[self.n_back:self.n_back + m] = slots
-        self.n_back += m
-
-    @classmethod
-    def from_heap(cls, heap: list, K: int, n_y: int, n: int) -> "_OpenNodes":
-        """Store holding the nodes of a scalar search's heap; each entry's
-        linked labels fill positions start..depth-1 of its row."""
-        store = cls(K, n_y, n, max(1024, 4 * len(heap)))
-        slots = store.alloc(len(heap))
-        for slot, (bound, tick, depth, linked, used, pc_sum, clusters) in zip(slots.tolist(), heap):
-            store.bound[slot], store.tick[slot], store.pc_sum[slot] = bound, tick, pc_sum
-            store.stats[slot] = [(count, *sums, sumsq, value) for count, sums, sumsq, value in clusters]
-            store.node[slot] = depth, used
-            pos = depth
-            while linked is not None:  # (label, parent's linked labels), deepest first
-                pos -= 1
-                store.labels[slot, pos], linked = linked
-        store._to_back(slots)
-        return store
-
-
-def _best_first_batched(tree: _Tree, start: int, heap: list, tiebreak: int, ub: float,
-                        best_lb: float, explored: int, max_nodes: int, on_leaf, deadline, on_bound):
-    """Continue :func:`_best_first` from a scalar search's open ``heap``,
-    expanding up to ``_BATCH`` nodes per step.
-
-    Each step takes the open nodes in ``(bound, tiebreak)`` order until it
-    has ``_BATCH`` of them or their bound reaches the incumbent.  A leaf
-    among them goes to ``on_leaf`` in that order, and the nodes after it that
-    reach the lowered incumbent stay open.  The others are expanded
-    together: their children's bounds come from :func:`_add_point_batch`,
-    and the children below the incumbent are opened with tiebreaks in
-    (parent, label) order.  The bound proven when a step starts is the least
-    open bound, that of its first node.
-    """
-    K, (n, n_y) = tree.K, tree.Yo.shape
-    Yo, sq, sb = tree.Yo, np.array(tree.sq), np.array(tree.sb)
-    labels_k = np.arange(K)
-    store = _OpenNodes.from_heap(heap, K, n_y, n)
-    while True:
-        top = store.top(_BATCH)
-        bound = store.bound[top]
-        if not len(top) or bound[0] >= ub:
-            # The incumbent is optimal: the open nodes, if any, reach it.
-            best_lb = max(best_lb, ub)
-            if on_bound is not None:
-                on_bound(best_lb, explored)
-            return best_lb, explored, "optimal"
-        if bound[0] > best_lb:
-            best_lb = float(bound[0])
-            if on_bound is not None:
-                on_bound(best_lb, explored)
-        taken = int(np.searchsorted(bound, ub))
-        node = store.node[top]
-        leaf = node[:, 0] == n
-        removed = np.zeros(len(top), dtype=bool)
-        for i in np.flatnonzero(leaf[:taken]).tolist():
-            if i >= taken:
                 break
-            removed[i] = True  # a leaf below the incumbent
-            ub = on_leaf(store.labels[top[i], start:].tolist())
-            taken = min(taken, int(np.searchsorted(bound, ub)))
-            if on_bound is not None:
-                on_bound(best_lb, explored)
-        expand = np.zeros(len(top), dtype=bool)
-        expand[:taken] = ~leaf[:taken]
-        slots, node = top[expand], node[expand]
-        m = len(slots)
-        if m and explored + m >= max_nodes:
-            return best_lb, max_nodes, "node_limit"
-        explored += m
-        if m and deadline is not None and time.perf_counter() > deadline:
-            return best_lb, explored, "time"
-        stats, pc_sum, labels = store.stats[slots], store.pc_sum[slots], store.labels[slots]
-        store.remove_top(removed | expand)
-        if not m:
-            continue
-
-        depth, used = node[:, 0], node[:, 1]
-        added = _add_point_batch(tree, stats, Yo[depth], sq[depth])
-        child_sum = pc_sum[:, None] - stats[:, :, -1] + added[:, :, -1]
-        child_bound = child_sum + sb[depth + 1][:, None]
-        below = child_bound < ub
-        if tree.symmetric:
-            below &= labels_k[None, :] <= used[:, None]
-        rows, ks = np.nonzero(below)
-        m = len(rows)
-        if not m:
-            continue
-        children = store.alloc(m)
-        at = np.arange(m)
-        child_stats = stats[rows]  # the parent's clusters, with cluster k replaced
-        child_stats[at, ks] = added[rows, ks]
-        store.stats[children] = child_stats
-        child_labels = labels[rows]  # the parent's labels, with label k at its depth
-        child_labels[at, depth[rows]] = ks
-        store.labels[children] = child_labels
-        store.bound[children] = child_bound[rows, ks]
-        store.pc_sum[children] = child_sum[rows, ks]
-        store.tick[children] = np.arange(tiebreak + 1, tiebreak + 1 + m)
-        tiebreak += m
-        store.node[children] = np.stack((depth[rows] + 1, np.maximum(used[rows], ks + 1)), axis=1)
-        store.push(children)
+    finally:
+        library.fk_search_free(state)
+    # The incumbent is optimal: the open nodes, if any, reach it.
+    best_lb = max(state.best_lb, ub)
+    if on_bound is not None:
+        on_bound(best_lb, state.explored)
+    return best_lb, state.explored, "optimal"
 
 
 def _finish(subproblem: LagrangianSubproblem, assignment, value: float, lb: float, explored: int

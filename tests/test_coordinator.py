@@ -31,7 +31,13 @@ from fedkmeans.core import (
     primal_residual,
     read_instance,
 )
-from fedkmeans.subsolver import brute_force_subproblem, LagrangianSubproblem, solve_subproblem, suffix_lower_bounds
+from fedkmeans.subsolver import (
+    brute_force_subproblem,
+    LagrangianSubproblem,
+    NodeLimitExceeded,
+    solve_subproblem,
+    suffix_lower_bounds,
+)
 
 
 def two_node_instance(seed=123, n_y=2, K=2, points=3):
@@ -372,11 +378,11 @@ class TestNodeSession:
 
 
 def record_solves(monkeypatch):
-    """Log each node solve's nodes explored and its Lloyd and batched-switch calls."""
+    """Log each node solve's nodes explored and its Lloyd calls."""
     import fedkmeans.coordinator as coordinator
     import fedkmeans.subsolver as subsolver
 
-    log, counts = [], {"lloyd": 0, "switch": 0}
+    log, counts = [], {"lloyd": 0}
 
     def counted(key, original):
         def wrapper(*args, **kwargs):
@@ -385,7 +391,6 @@ def record_solves(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(subsolver, "lloyd_incumbent", counted("lloyd", subsolver.lloyd_incumbent))
-    monkeypatch.setattr(subsolver, "_best_first_batched", counted("switch", subsolver._best_first_batched))
     original = coordinator.solve_subproblem
 
     def solve(sub, **kwargs):
@@ -402,9 +407,8 @@ class TestLloydStart:
     @pytest.mark.parametrize("cell, t_max", [(None, 5), ("3N2D4K_1", 3)])
     def test_node_solves_run_no_lloyd(self, monkeypatch, tmp_path, cell, t_max):
         # Every node solve starts from the node's K-means optimum, relabelled
-        # under its dual term, whether its search stays scalar, as the small
-        # K=3 searches do, or switches to batches, as some of the K=4 grid
-        # cell's do; none runs a Lloyd descent.
+        # under its dual term, on small K=3 searches and on the larger ones of
+        # a K=4 grid cell; none runs a Lloyd descent.
         if cell is None:
             instance = two_node_instance(seed=6, K=3, points=2)
         else:
@@ -414,16 +418,15 @@ class TestLloydStart:
         run(instance, RunConfig(algorithm="sg", t_max=t_max))
         assert len(log) == t_max * instance.n_nodes
         assert all(entry["lloyd"] == 0 for entry in log)
-        switched = sum(entry["switch"] for entry in log)
-        assert switched == 0 if cell is None else switched > 0
 
 
 class TestSearchSize:
     def test_k4_grid_cells_explore_few_nodes(self, monkeypatch, tmp_path):
         # The K=4 cells of the seed-0 grid, SG for two iterations, explore
-        # 13,148 nodes in all with the farthest-first branching order and
+        # 9,369 nodes in all with the farthest-first branching order and
         # each node's K-means optimum as its start (24,217 from a Lloyd start
-        # alone; 267,303 in decreasing distance from the data mean).  The
+        # alone and 267,303 in decreasing distance from the data mean, both
+        # measured when some of these searches ran in numpy batches).  The
         # counts are deterministic, so this bound, about twice the count,
         # catches a regression in the order, the start or the bounds.
         log = record_solves(monkeypatch)
@@ -431,7 +434,7 @@ class TestSearchSize:
         for cell in ("2N2D4K_1", "3N2D4K_1", "4N2D4K_1"):
             run(read_instance(tmp_path / f"{cell}.json"), RunConfig(algorithm="sg", t_max=2))
         assert len(log) == 18
-        assert sum(entry["explored"] for entry in log) <= 26_000
+        assert sum(entry["explored"] for entry in log) <= 19_000
 
 
 def _digest(value) -> str:
@@ -515,11 +518,12 @@ class TestCentralBaseline:
         assert all(a <= b + 1e-12 for a, b in zip(ubs[1:], ubs))  # ub non-increasing
         assert central.trace[-1][3] <= 1e-7  # final gap closed
 
-    def test_trace_bounds_monotone_in_batched_search(self, monkeypatch):
+    def test_trace_bounds_monotone_in_chunked_search(self, monkeypatch):
+        # The search loop returns to Python after every expanded node, so
+        # the trace gets a row whenever the proven bound rises.
         import fedkmeans.subsolver as subsolver
 
-        for name, value in (("_BATCH_AT", 1), ("_BATCH", 3), ("_FRONT", 4)):
-            monkeypatch.setattr(subsolver, name, value)
+        monkeypatch.setattr(subsolver, "_CHUNK", 1)
         instance = two_node_instance(seed=12, K=3, points=4)
         central = central_solve(instance)
         lbs = [lb for _, _, lb, _ in central.trace]
@@ -528,6 +532,13 @@ class TestCentralBaseline:
         assert all(b <= a + 1e-12 for a, b in zip(lbs[1:], lbs))
         assert all(a <= b + 1e-12 for a, b in zip(ubs[1:], ubs))
         assert central.trace[-1][3] <= 1e-7
+
+    def test_zero_time_budget_stops_with_a_proven_bound(self, seed0_grid):
+        instance = read_instance(seed0_grid / "3N2D4K_1.json")
+        with pytest.raises(NodeLimitExceeded, match="time budget of 0 s reached after") as err:
+            central_solve(instance, time_budget=0)
+        assert err.value.lower_bound < 5.0023  # the optimum is 5.00227259
+        assert err.value.trace
 
     @pytest.mark.parametrize("cell", ["2N2D3K_1", "2N3D3K_1", "2N4D3K_1", "3N3D3K_1"])
     def test_weak_duality_on_grid_cells(self, seed0_grid, cell):

@@ -1,5 +1,6 @@
 """Tests for the exact node subproblem solver and its supporting pieces."""
 
+import heapq
 import itertools
 import math
 import types
@@ -27,7 +28,7 @@ from fedkmeans.subsolver import (
     suffix_lower_bounds,
 )
 import fedkmeans.subsolver as subsolver
-from fedkmeans.subsolver import _add_point_batch, _add_point_kernel, _Tree, _least_cost_relabelling
+from fedkmeans.subsolver import _add_point_kernel, _Tree, _least_cost_relabelling
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -430,17 +431,15 @@ class TestSolveSubproblem:
     def test_node_limit_raises_with_incumbent(self):
         # A search given a start has an incumbent from the outset.  The
         # all-zeros start is a poor one, far above the optimum, yet the bound
-        # proven when the cap is hit still lies below the optimum, one node
-        # at a time or in batches.
+        # proven when the cap is hit still lies below the optimum.
         rng = np.random.default_rng(0)
         sub = random_subproblem(rng, n_pts=8, K=3)
         optimum = brute_force_subproblem(sub).lagrangian_value
-        for constants in (SCALAR, SMALL_BATCHES):
-            with pytest.raises(NodeLimitExceeded) as err:
-                with_constants(constants, lambda: solve_subproblem(sub, max_nodes=3, start=[0] * sub.data.n_points))
-            assert err.value.incumbent is not None
-            assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
-            assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
+        with pytest.raises(NodeLimitExceeded) as err:
+            solve_subproblem(sub, max_nodes=3, start=[0] * sub.data.n_points)
+        assert err.value.incumbent is not None
+        assert err.value.lower_bound <= err.value.incumbent.lagrangian_value + 1e-9
+        assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
     def test_node_limit_before_any_leaf_reports_a_proven_bound(self):
         # Without a start a search has no incumbent until its first leaf; a
@@ -453,12 +452,11 @@ class TestSolveSubproblem:
         assert err.value.incumbent is None
         assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
 
-    @given(st.integers(0, 10 ** 6), st.booleans())
+    @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
-    def test_no_start_runs_no_lloyd(self, seed, batched):
+    def test_no_start_runs_no_lloyd(self, seed):
         # A search given no start has no incumbent until its first leaf and
-        # runs no Lloyd descent; it still proves the optimum with a zero gap,
-        # one node at a time or in batches.
+        # runs no Lloyd descent; it still proves the optimum with a zero gap.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(3, 8)), K=int(rng.integers(2, 4)))
         sub = LagrangianSubproblem(data=sub.data, K=sub.K, box=sub.box, c=rng.normal(size=sub.c.shape))
@@ -466,11 +464,19 @@ class TestSolveSubproblem:
         def no_lloyd(*args):
             raise AssertionError("a search ran a Lloyd descent")
 
-        constants = {**(SMALL_BATCHES if batched else {}), "lloyd_incumbent": no_lloyd}
-        sol = with_constants(constants, lambda: solve_subproblem(sub))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subsolver, "lloyd_incumbent", no_lloyd)
+            sol = solve_subproblem(sub)
         brute = brute_force_subproblem(sub)
         assert abs(sol.lagrangian_value - brute.lagrangian_value) <= 1e-9 * max(abs(brute.lagrangian_value), 1e-9)
         assert sol.proof_gap == 0.0
+
+    def test_node_cap_beyond_64_bits_is_no_cap(self):
+        # The compiled loop counts nodes in 64 bits; a larger cap must not
+        # wrap around to a small one.
+        sub = random_subproblem(np.random.default_rng(1), n_pts=7, K=3)
+        for cap in (2 ** 64 + 2, 10 ** 30):
+            assert reply_bits(solve_subproblem(sub, max_nodes=cap)) == reply_bits(solve_subproblem(sub))
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
@@ -640,7 +646,6 @@ class TestSuffixLowerBounds:
         assert exact.proof_gap <= 1e-9
 
     @given(st.integers(0, 10 ** 6))
-    @example(seed=380994)  # batched: 229 nodes with suffix bounds, 227 without
     @settings(max_examples=15, deadline=None)
     def test_same_answer_fewer_nodes(self, seed):
         rng = np.random.default_rng(seed)
@@ -652,12 +657,6 @@ class TestSuffixLowerBounds:
         without = solve_subproblem(sub)
         assert with_bounds.assignment == without.assignment
         assert with_bounds.lagrangian_value == without.lagrangian_value
-        # A batched step may expand nodes that the one-at-a-time order would
-        # prune, so fewer nodes are promised only for the one-at-a-time search.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subsolver, "_BATCH_AT", math.inf)
-            with_bounds = solve_subproblem(sub, suffix_bounds=sb)
-            without = solve_subproblem(sub)
         assert with_bounds.stats["explored"] <= without.stats["explored"]
 
     def test_node_limit_raises(self):
@@ -690,157 +689,166 @@ class TestSuffixLowerBounds:
             suffix_lower_bounds(sub.data, sub.K, sub.box, max_nodes=total)
         assert err.value.explored == total
 
+    def test_time_budget_stop_is_proven(self, monkeypatch):
+        # A clock that advances one second per reading, read every 3
+        # expanded nodes, stops the precompute in the middle of one of its
+        # searches; the bound it names lies below the K-means optimum of all
+        # observations.
+        rng = np.random.default_rng(4)
+        sub = random_subproblem(rng, n_pts=9, K=3)
+        optimum = brute_force_subproblem(replace(sub, c=np.zeros(sub.c.shape))).lagrangian_value
+        progress = []
+        suffix_lower_bounds(sub.data, 3, sub.box, on_progress=lambda *row: progress.append(row))
+        ticks = itertools.count()
+        monkeypatch.setattr(subsolver, "time", types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        monkeypatch.setattr(subsolver, "_CHUNK", 3)
+        with pytest.raises(NodeLimitExceeded, match="time budget of 4.5 s reached after") as err:
+            suffix_lower_bounds(sub.data, 3, sub.box, time_budget=4.5)
+        assert 0 < err.value.explored < progress[-1][3]
+        assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
+
     def test_length_checked(self):
         sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
         with pytest.raises(ValueError, match="4 entries"):
             solve_subproblem(sub, suffix_bounds=[0.0, 0.0, 0.0])
 
 
-SCALAR = {"_BATCH_AT": 10 ** 9}                          # never switch
-BATCHED = {"_BATCH_AT": 1}                               # switch before the root is expanded
-SMALL_BATCHES = {"_BATCH_AT": 1, "_BATCH": 3, "_FRONT": 4}  # many steps, front refills and trims
+def reference_best_first(tree, start: int, ub: float, max_nodes: int, on_leaf):
+    """The search that ``_search.c`` runs, one node at a time in Python
+    scalars: :func:`fedkmeans.subsolver._best_first` without its deadline and
+    progress reports.  Returns ``(lower_bound, explored, status)``."""
+    points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.template.sb.tolist()
+    n, K, symmetric, add_point = len(points), tree.K, tree.symmetric, tree.add_point
+    tiebreak = explored = 0
+    # Heap entries: (bound, tiebreak, depth, labels, labels used, sum of
+    # cluster values, clusters); labels is a linked list (label, parent labels).
+    pc_sum = sum(cluster[3] for cluster in tree.root)
+    heap = [(pc_sum + sb[start], tiebreak, start, None, 0, pc_sum, tree.root)]
+    best_lb = heap[0][0]
+    while heap:
+        bound, _, depth, labels, used, pc_sum, clusters = heapq.heappop(heap)
+        if bound >= ub:
+            break
+        if bound > best_lb:
+            best_lb = bound
+        if depth == n:  # a leaf below the incumbent
+            path = []
+            while labels is not None:
+                k, labels = labels
+                path.append(k)
+            ub = on_leaf(path[::-1])
+            continue
+        explored += 1
+        if explored >= max_nodes:
+            return best_lb, explored, "node_limit"
+        y, y_sq, below = points[depth], sq[depth], sb[depth + 1]
+        for k in range(min(K, used + 1) if symmetric else K):
+            cluster = clusters[k]
+            new = add_point(cluster, y, y_sq, coef[k])
+            child_sum = pc_sum - cluster[3] + new[3]
+            child_bound = child_sum + below
+            if child_bound < ub:
+                tiebreak += 1
+                heapq.heappush(heap, (child_bound, tiebreak, depth + 1, (k, labels), used if used > k else k + 1,
+                                      child_sum, clusters[:k] + (new,) + clusters[k + 1:]))
+    return max(best_lb, ub), explored, "optimal"
 
 
-def with_constants(constants, solve):
-    """``solve()`` with the module attributes in ``constants`` replaced."""
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in constants.items():
-            patch.setattr(subsolver, name, value)
-        return solve()
-
-
-class TestBatchedSearch:
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
-    def test_child_stats_match_scalar_bitwise(self, seed):
+class TestCompiledSearch:
+    @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.integers(1, 4), st.sampled_from(["equal", "distinct"]),
+           st.booleans(), st.booleans(), st.booleans(), st.sampled_from([1, 7, subsolver._CHUNK]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_search_bitwise(self, seed, K, n_y, dual, small_integers, with_bounds,
+                                              with_incumbent, chunk):
+        # The same proven bound, node count and status, and the same leaves
+        # in the same order, for searches from suffix start d >= 0, with and
+        # without suffix bounds and an incumbent, run to the end and stopped
+        # by a node cap part way.  Equal dual rows make the search skip
+        # symmetric labels.  Small integers for the data and the dual term
+        # make many bounds tie exactly, so that the tiebreak decides the
+        # order.  The loop returns to Python every `chunk` nodes.
         rng = np.random.default_rng(seed)
-        K, n_y = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-        sub = random_subproblem(rng, n_pts=8, K=K, n_y=n_y)
-        tree = row_order_tree(sub)
-        nodes = []
-        for _ in range(5):
-            clusters = list(tree.root)
-            depth = int(rng.integers(0, 8))
-            for d, k in enumerate(rng.integers(0, K, size=depth).tolist()):
-                clusters[k] = _add_point(clusters[k], tree.points[d], tree.sq[d], tree.coef[k])
-            nodes.append((depth, clusters))
-        stats = np.array([[(count, *sums, sumsq, value) for count, sums, sumsq, value in clusters]
-                          for _, clusters in nodes])
-        depth = np.array([d for d, _ in nodes])
-        added = _add_point_batch(tree, stats, tree.Yo[depth], np.array(tree.sq)[depth])
-        for row, (d, clusters) in enumerate(nodes):
-            for k in range(K):
-                count, sums, sumsq, value = _add_point(clusters[k], tree.points[d], tree.sq[d], tree.coef[k])
-                assert added[row, k].tolist() == [count, *sums, sumsq, value]
+        n = int(rng.integers(1, 9 if K < 5 else 7))
+        sub = random_subproblem(rng, n_pts=n, K=K, n_y=n_y)
+        draw = ((lambda size: rng.integers(-2, 3, size=size).astype(float)) if small_integers
+                else (lambda size: rng.normal(scale=rng.choice([0.5, 2.0]), size=size)))
+        if small_integers:
+            sub = replace(sub, data=NodeDataset(0, draw((n, n_y))),
+                          box=BoundingBox(np.full(n_y, -3.0), np.full(n_y, 3.0)))
+        c = np.tile(draw(n_y), (K, 1)) if dual == "equal" else draw((K, n_y))
+        bounds = suffix_lower_bounds(sub.data, K, sub.box)[0] if with_bounds else None
+        tree = _Tree(SearchTemplate(sub.data, K, sub.box, bounds), c)
+        start = int(rng.integers(0, n))
+        ub = tree.labels_value(start, rng.integers(0, K, size=n - start).tolist()) if with_incumbent else math.inf
 
-    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.sampled_from([2, 3]), st.booleans())
-    @settings(max_examples=30, deadline=None)
-    def test_paths_agree_with_enumeration(self, seed, K, n_y, zero_dual):
-        # Zero duals make the labels interchangeable, so the searches skip
-        # symmetric branches.  A proven bound may differ between the paths
-        # by rounding (a leaf's bound and its evaluated value differ in the
-        # last bits), so bounds are compared to 1e-12.
-        rng = np.random.default_rng(seed)
-        sub = random_subproblem(rng, n_pts=int(rng.integers(6, 9 if K == 4 else 11)), K=K, n_y=n_y)
-        c = np.zeros((K, n_y)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, n_y))
-        sub = LagrangianSubproblem(data=sub.data, K=K, box=sub.box, c=c)
-        brute = brute_force_subproblem(sub)
-        scale = max(abs(brute.lagrangian_value), 1.0)
+        def search(best_first, max_nodes):
+            leaves, value = [], ub
 
-        def solve():
-            bounds, _ = suffix_lower_bounds(sub.data, K, sub.box)
-            return bounds, solve_subproblem(sub, suffix_bounds=bounds), solve_subproblem(sub)
+            def on_leaf(labels):
+                nonlocal value
+                leaves.append(tuple(labels))
+                value = min(value, tree.labels_value(start, labels))
+                return value
 
-        ref_bounds, *ref = with_constants(SCALAR, solve)
-        for constants in (BATCHED, SMALL_BATCHES):
-            bounds, *sols = with_constants(constants, solve)
-            np.testing.assert_allclose(bounds, ref_bounds, rtol=0, atol=1e-12 * scale)
-            for sol, want in zip(sols, ref):
-                assert sol.assignment == want.assignment
-                assert sol.lagrangian_value == want.lagrangian_value
-                assert abs(sol.proof_gap - want.proof_gap) <= 1e-12
-                assert abs(sol.lagrangian_value - brute.lagrangian_value) <= 1e-9 * scale
-                assert sol.proof_gap <= 1e-9
+            return bits(best_first(tree, start, ub, max_nodes, on_leaf)), leaves
 
-    def test_switch_mid_search_agrees(self):
-        # Large enough that the default search switches after ~128 open
-        # nodes, carrying the scalar heap's label lists into the arrays.
-        rng = np.random.default_rng(5)
-        sub = random_subproblem(rng, n_pts=22, K=4, n_y=2)
-        sub = LagrangianSubproblem(data=sub.data, K=4, box=sub.box, c=rng.normal(size=(4, 2)))
-        bounds, _ = suffix_lower_bounds(sub.data, 4, sub.box)
-        scalar = with_constants(SCALAR, lambda: solve_subproblem(sub, suffix_bounds=bounds))
-        assert scalar.stats["explored"] > 10 * subsolver._BATCH_AT
-        switched = solve_subproblem(sub, suffix_bounds=bounds)
-        assert switched.assignment == scalar.assignment
-        assert switched.lagrangian_value == scalar.lagrangian_value
-        assert switched.proof_gap <= 1e-9
-        assert switched.stats["explored"] <= 1.1 * scalar.stats["explored"]
+        want = search(reference_best_first, 20_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subsolver, "_CHUNK", chunk)
+            assert search(subsolver._best_first, 20_000) == want
+            explored = want[0][1]
+            if explored > 1:
+                cap = int(rng.integers(1, explored))
+                got = search(subsolver._best_first, cap)
+                assert got == search(reference_best_first, cap)
+                assert got[0][1:] == (cap, "node_limit")
 
-    def test_suffix_searches_switch_mid_search(self, monkeypatch):
-        # The suffix search over positions d..n-1 starts at depth d, so a
-        # switch there carries non-empty label lists into rows whose first d
-        # entries are unused.
-        rng = np.random.default_rng(5)
-        sub = random_subproblem(rng, n_pts=22, K=4, n_y=2)
-        scalar = with_constants(SCALAR, lambda: suffix_lower_bounds(sub.data, 4, sub.box)[0])
-        switches = []
-        original = subsolver._best_first_batched
 
-        def recording(tree, start, heap, *args):
-            switches.append((start, len(heap)))
-            return original(tree, start, heap, *args)
+class TestSearchBuild:
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch, tmp_path):
+        """A library cache in ``tmp_path``, with nothing loaded yet."""
+        monkeypatch.setattr(subsolver, "_SEARCH_CACHE", tmp_path)
+        subsolver._search_library.cache_clear()
+        yield tmp_path
+        subsolver._search_library.cache_clear()
 
-        monkeypatch.setattr(subsolver, "_best_first_batched", recording)
-        switched = suffix_lower_bounds(sub.data, 4, sub.box)[0]
-        assert any(start > 0 and size >= subsolver._BATCH_AT for start, size in switches)
-        np.testing.assert_allclose(switched, scalar, rtol=0, atol=1e-12 * max(abs(scalar[0]), 1.0))
+    def test_builds_one_library_into_the_cache(self, fresh_cache):
+        sub = subproblem_1d([0.0, 1.0, 5.0, 6.0], K=2)
+        solve_subproblem(sub)
+        assert [path.suffix for path in fresh_cache.iterdir()] == [".so"]
+        subsolver._search_library.cache_clear()
+        library = next(fresh_cache.iterdir())
+        mtime = library.stat().st_mtime_ns
+        assert solve_subproblem(sub).lagrangian_value == brute_force_subproblem(sub).lagrangian_value
+        assert list(fresh_cache.iterdir()) == [library] and library.stat().st_mtime_ns == mtime
 
-    def test_node_limit_mid_batch(self):
-        rng = np.random.default_rng(2)
-        sub = random_subproblem(rng, n_pts=9, K=3)
-        sub = LagrangianSubproblem(data=sub.data, K=3, box=sub.box, c=rng.normal(size=(3, 2)))
-        optimum = brute_force_subproblem(sub).lagrangian_value
-        full = with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub))
-        assert full.stats["explored"] > 20
-        for limit in (1, 2, 13, full.stats["explored"] - 1):
-            with pytest.raises(NodeLimitExceeded) as err:
-                with_constants(SMALL_BATCHES, lambda: solve_subproblem(sub, max_nodes=limit))
-            assert err.value.explored == limit
-            assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
+    def test_missing_compiler_is_one_clear_error(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(subsolver, "_compiler", lambda: ["fedkmeans-no-such-cc"])
+        with pytest.raises(RuntimeError, match=r"cannot build the node search with `fedkmeans-no-such-cc -O2 "
+                                               r"-ffp-contract=off.*`: .*No such file or directory"):
+            solve_subproblem(subproblem_1d([0.0, 1.0, 5.0], K=2))
+        assert list(fresh_cache.iterdir()) == []
 
-    def test_time_budget_stop_is_proven(self, monkeypatch):
-        # A clock that advances one second per reading stops the suffix
-        # precompute after a few batched steps, in the middle of one of its
-        # searches; the bound it names lies below the K-means optimum of
-        # all observations.
-        rng = np.random.default_rng(4)
-        sub = random_subproblem(rng, n_pts=9, K=3)
-        optimum = brute_force_subproblem(sub).lagrangian_value
-        progress = []
-        with_constants(SMALL_BATCHES, lambda: suffix_lower_bounds(
-            sub.data, 3, sub.box, on_progress=lambda *row: progress.append(row)))
-        ticks = itertools.count()
-        monkeypatch.setattr(subsolver, "time", types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
-        with pytest.raises(NodeLimitExceeded, match="time budget of 4.5 s reached after") as err:
-            with_constants(SMALL_BATCHES, lambda: suffix_lower_bounds(sub.data, 3, sub.box, time_budget=4.5))
-        assert 0 < err.value.explored < progress[-1][3]
-        assert err.value.lower_bound <= optimum + 1e-12 * max(abs(optimum), 1.0)
+    def test_compile_error_names_its_first_line(self, fresh_cache, monkeypatch):
+        compiler = subsolver._compiler()
+        monkeypatch.setattr(subsolver, "_compiler", lambda: [*compiler, "-fno-such-flag"])
+        with pytest.raises(RuntimeError, match=r"cannot build the node search with `.*-fno-such-flag.*`: .+"):
+            solve_subproblem(subproblem_1d([0.0, 1.0, 5.0], K=2))
+        assert list(fresh_cache.iterdir()) == []
 
 
 class TestWarmStart:
     """Searches that start from a given incumbent."""
 
     @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.booleans(),
-           st.sampled_from(["random", "worst"]),
-           st.sampled_from([{}, {"_BATCH_AT": 8}, BATCHED, SMALL_BATCHES]))
+           st.sampled_from(["random", "worst"]))
     @settings(max_examples=80, deadline=None)
-    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind, constants):
+    def test_any_warm_start_reaches_the_optimum(self, seed, K, zero_dual, kind):
         # "worst" is the costliest of the one-cluster assignments and the
         # optimum's partition under every relabelling: under nonzero duals a
         # relabelled optimum can be far from optimal.  The search relabels
-        # the start under nonzero duals and then starts from it.  A lowered
-        # _BATCH_AT switches the search to batches early.
+        # the start under nonzero duals and then starts from it.
         rng = np.random.default_rng(seed)
         sub = random_subproblem(rng, n_pts=int(rng.integers(4, 8 if K == 4 else 10)), K=K)
         c = np.zeros((K, 2)) if zero_dual else rng.normal(scale=rng.choice([0.5, 2.0]), size=(K, 2))
@@ -856,7 +864,7 @@ class TestWarmStart:
         optimum = brute.lagrangian_value
         scale = max(abs(optimum), 1e-9)
         for sb in (None, bounds):
-            sol = with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=warm))
+            sol = solve_subproblem(sub, suffix_bounds=sb, start=warm)
             assert abs(sol.lagrangian_value - optimum) <= 1e-9 * scale
             # The proven bound is capped at the incumbent's value.
             assert sol.proof_gap == 0.0
@@ -884,11 +892,10 @@ def exact_value(sub, assignment) -> Fraction:
 
 
 class TestIncumbentIndependence:
-    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]),
-           st.sampled_from([SCALAR, {"_BATCH_AT": 8}, SMALL_BATCHES]))
+    @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]))
     @settings(max_examples=60, deadline=None)
-    @example(seed=267776, K=4, constants=SCALAR)
-    def test_every_start_gives_the_same_answer(self, seed, K, constants):
+    @example(seed=267776, K=4)
+    def test_every_start_gives_the_same_answer(self, seed, K):
         # At the default tolerance a search proves its optimum exactly, so
         # the start changes what it prunes, not what it returns: the same
         # assignment, hence the same value bit for bit, from the optimum, a
@@ -910,8 +917,7 @@ class TestIncumbentIndependence:
                   max(([k] * n for k in range(K)), key=lambda a: evaluate_assignment(sub, a).lagrangian_value),
                   None]
         bounds, _ = suffix_lower_bounds(sub.data, K, sub.box)
-        sols = [with_constants(constants, lambda: solve_subproblem(sub, suffix_bounds=sb, start=start))
-                for sb in (None, bounds) for start in starts]
+        sols = [solve_subproblem(sub, suffix_bounds=sb, start=start) for sb in (None, bounds) for start in starts]
         for sol in sols:
             assert sol.proof_gap == 0.0
             if sol.assignment == sols[0].assignment:
