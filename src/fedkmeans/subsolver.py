@@ -21,10 +21,12 @@ dataset's solves and as the central optimum of a merged dataset.  A
 search over the dataset needs that no dual term changes, so a caller that
 solves one dataset under many dual terms builds them once.
 
-The search loop is one small C file, ``_search.c``, built on the first
-search and run through ``ctypes``; it values each child with the operations
-of the Python kernel that values incumbents, so every bound is bit-identical
-to that kernel's.  A full enumeration oracle is provided for testing.
+A solve is one call into a small C file, ``_search.c``, built on the
+first search and run through ``ctypes``: the search's set-up from the dual
+term, the start's relabelling, the search with its leaves, and the reply.
+The same file values the precompute's searches and every assignment that
+:func:`evaluate_assignment` values.  A full enumeration oracle is provided
+for testing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import functools
 import hashlib
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +66,8 @@ class LagrangianSubproblem:
     """One node's clustering problem plus the dual linear term.
 
     ``c`` is a finite (K, n_y) array; cluster k's objective contribution is
-    sum_{j in C_k} ||y_j - m_k||^2 + c_k . m_k with m_k constrained to the box.
+    sum_{j in C_k} ||y_j - m_k||^2 + c_k . m_k with m_k constrained to the box,
+    which has the data's n_y coordinates.
     """
 
     data: NodeDataset
@@ -75,8 +79,15 @@ class LagrangianSubproblem:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (self.K, self.data.n_y) or not np.isfinite(c).all():
             raise ValueError(f"c must be a finite ({self.K}, {self.data.n_y}) array")
+        _check_box(self.box, self.data)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+
+
+def _check_box(box: BoundingBox, data: NodeDataset):
+    """ValueError unless ``box`` has the coordinates of ``data``'s observations."""
+    if box.n_y != data.n_y:
+        raise ValueError(f"the box has {box.n_y} coordinates, the observations {data.n_y}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +150,13 @@ def _centroid(points: np.ndarray, c_k: np.ndarray, lo: np.ndarray, hi: np.ndarra
 def evaluate_assignment(subproblem: LagrangianSubproblem, assignment) -> SubproblemSolution:
     """Exact solution value of a complete assignment via closed-form centroids.
 
-    Each centroid is :func:`closed_form_centroid`'s, computed without the
-    cluster minimum that this function does not use.
+    Each centroid is :func:`closed_form_centroid`'s, bit for bit, computed
+    without the cluster minimum that this function does not use; each
+    cluster's cost is ``np.sum((part - m_k) ** 2)``'s, and the value adds
+    ``c_k @ m_k`` for each cluster.
     """
     assignment = _checked_assignment(assignment, subproblem.data.n_points, subproblem.K)
-    return _solution(subproblem, assignment, _parts(subproblem, assignment))
+    return _solution(subproblem, assignment)
 
 
 def _checked_assignment(assignment, n_points: int, K: int) -> tuple[int, ...]:
@@ -157,25 +170,32 @@ def _checked_assignment(assignment, n_points: int, K: int) -> tuple[int, ...]:
     return assignment
 
 
-def _parts(subproblem: LagrangianSubproblem, assignment: tuple[int, ...]) -> list[np.ndarray]:
-    """The observations of each cluster of ``assignment``, in cluster order."""
-    labels = np.asarray(assignment)
-    return [subproblem.data.observations[labels == k] for k in range(subproblem.K)]
+def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], proof_gap: float = 0.0,
+              explored: int = 0) -> SubproblemSolution:
+    """Solution of ``assignment``: its centroids and cluster cost from
+    ``_search.c``'s reply, which reproduces numpy's arithmetic bit for bit
+    (see :func:`evaluate_assignment`)."""
+    lib = _search_library()
+    Y = np.ascontiguousarray(subproblem.data.observations)
+    K, (n, n_y) = subproblem.K, Y.shape
+    box = [np.ascontiguousarray(bound) for bound in (subproblem.box.lo, subproblem.box.hi)]
+    centroids = np.empty((K, n_y))
+    cluster_cost = lib.ctypes.c_double()
+    if lib.evaluate(Y.ctypes.data, n, n_y, K, subproblem.c.tobytes(), box[0].ctypes.data, box[1].ctypes.data,
+                    (lib.ctypes.c_int64 * n)(*assignment), centroids.ctypes.data,
+                    lib.ctypes.byref(cluster_cost)) < 0:
+        raise MemoryError("the node search ran out of memory")
+    return _finish(subproblem, assignment, centroids, cluster_cost.value, proof_gap, explored)
 
 
-def _solution(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], parts, centroids=None,
-              proof_gap: float = 0.0, explored: int = 0) -> SubproblemSolution:
-    """Solution of ``assignment``, whose clusters hold the observations in
-    ``parts``, in cluster order.  ``centroids`` are their closed-form
-    centroids, computed here when None."""
-    if centroids is None:
-        c, lo, hi = subproblem.c, subproblem.box.lo, subproblem.box.hi
-        centroids = np.array([_centroid(part, c_k, lo, hi) for part, c_k in zip(parts, c)])
-    cluster_cost = 0.0
+def _finish(subproblem: LagrangianSubproblem, assignment: tuple[int, ...], centroids: np.ndarray,
+            cluster_cost: float, proof_gap: float, explored: int) -> SubproblemSolution:
+    """The solution of ``assignment``, whose closed-form ``centroids`` and
+    summed cluster cost ``_search.c`` computed: its value adds each
+    cluster's ``c_k @ m_k`` (see :func:`_row_dots`)."""
     linear_cost = 0.0
-    for part, m_k, c_k in zip(parts, centroids, subproblem.c):
-        cluster_cost += float(np.sum((part - m_k) ** 2))  # 0.0 for an empty cluster
-        linear_cost += float(c_k @ m_k)
+    for dot in _row_dots(subproblem.c, centroids).tolist():
+        linear_cost += dot
     return SubproblemSolution(
         assignment=assignment,
         centroids=centroids,
@@ -193,8 +213,7 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
     (``order[k % n]`` when n < K).  The assignment step uses pure squared
     distances, since the dual term does not depend on the assignment; the
     centroid step uses :func:`closed_form_centroid`'s clipped centroid.  The
-    result is valued bit for bit as :func:`evaluate_assignment` values its
-    labels.
+    result is :func:`evaluate_assignment`'s solution of its labels.
     """
     Y = subproblem.data.observations
     K, c, lo, hi = subproblem.K, subproblem.c, subproblem.box.lo, subproblem.box.hi
@@ -206,10 +225,18 @@ def lloyd_incumbent(subproblem: LagrangianSubproblem, order) -> SubproblemSoluti
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        parts = [Y[labels == k] for k in range(K)]
         for k in range(K):
-            centroids[k] = _centroid(parts[k], c[k], lo, hi)
-    return _solution(subproblem, tuple(labels.tolist()), parts, centroids)
+            centroids[k] = _centroid(Y[labels == k], c[k], lo, hi)
+    return _solution(subproblem, tuple(labels.tolist()))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k] @ b[k]`` for each row k, bit for bit, in one call: a stack of
+    vector products, each of which numpy computes with the BLAS dot of a
+    1-D ``@``.  That dot's order of operations is the BLAS library's own
+    (fused multiply-adds on some processors), so no C loop here reproduces
+    it."""
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel()
 
 
 _GAP_FLOOR = 1e-9  # denominator floor so a zero-cost optimum still yields gap 0
@@ -245,19 +272,21 @@ def solve_subproblem(
     plain K-means optimum that :func:`suffix_lower_bounds` returns,
     relabelled to its least value under ``c`` when its rows differ (its
     parts keep their observations); without one it has no incumbent until
-    its first leaf.  Incumbents are valued by :meth:`_Tree.labels_value`,
-    the kernel of the bounds; the reply is :func:`evaluate_assignment`'s
-    solution of the last one, with the gap between its kernel value and the
-    proven bound as ``proof_gap``, which is 0 for a finished search.  The
-    optimum is exact, so the start changes what the search prunes, not what
-    it returns, except at an exact tie.  A solve keeps no state between
-    calls.
+    its first leaf.  The start and every leaf that reaches the incumbent
+    are valued afresh in the search's own arithmetic, the one of its
+    bounds, and a leaf replaces the incumbent only when its value is lower.
+    The reply is :func:`evaluate_assignment`'s solution of the incumbent,
+    with the gap between its search value and the proven bound as
+    ``proof_gap``, which is 0 for a finished search.  The optimum is exact,
+    so the start changes what the search prunes, not what it returns,
+    except at an exact tie.  A solve keeps no state between calls.
 
     ``template``, a :class:`SearchTemplate` of the subproblem's data, K and
     box, takes the place of ``suffix_bounds``, ``order`` and ``start``: a
     caller that solves the same data under many dual terms builds it once.
     Without one the solve builds its own, so every solve runs the same
-    search and returns the same bits either way.
+    search and returns the same bits either way.  The solve is one call
+    into ``_search.c``.
 
     Raises :class:`NodeLimitExceeded` when ``max_nodes`` is hit.
     """
@@ -267,27 +296,22 @@ def solve_subproblem(
         raise ValueError("give a template or its suffix bounds, order and start, not both")
     elif template.data is not subproblem.data or template.K != subproblem.K or template.box is not subproblem.box:
         raise ValueError("the template was built for other data, K or box than the subproblem's")
-    tree = _Tree(template, subproblem.c)
-    new_label, value = (None, math.inf) if template.parts is None else tree.relabelled_start()
-    labels = None  # the incumbent's labels in branching order, once a leaf beats the start
-
-    def on_leaf(leaf):
-        # A leaf's bound, a running sum, may lie a rounding error below its value.
-        nonlocal labels, value
-        leaf_value = tree.labels_value(0, leaf)
-        if leaf_value < value:
-            labels, value = leaf, leaf_value
-        return value
-
-    lb, explored, status = _best_first(tree, 0, value, max_nodes, on_leaf)
-    if labels is not None:
-        solution = _finish(subproblem, [labels[pos] for pos in template.position], value, lb, explored)
-    elif new_label is not None:
-        solution = template.start_solution(subproblem, new_label, value, lb, explored)
-    else:
-        solution = None
-    if status == "node_limit":
-        raise NodeLimitExceeded(solution, lb, explored)
+    lib = _search_library()
+    K, (n, n_y) = template.K, template.Yo.shape
+    labels = (lib.ctypes.c_int64 * n)()
+    centroids = np.empty((K, n_y))
+    result = lib.Result()
+    # A cap beyond the search's 64-bit count is no cap.
+    status = lib.solve(template.node, *template.dual_term(subproblem.c), min(max_nodes, 2 ** 63 - 1), labels,
+                       centroids.ctypes.data, lib.ctypes.byref(result))
+    if status < 0:
+        raise MemoryError("the node search ran out of memory")
+    solution = None
+    if result.value < math.inf:
+        solution = _finish(subproblem, tuple(labels[:]), centroids, result.cluster_cost,
+                           _relative_gap(result.value, result.lb), result.explored)
+    if status == _NODE_LIMIT:
+        raise NodeLimitExceeded(solution, result.lb, result.explored)
     return solution
 
 
@@ -308,11 +332,13 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox, max_nodes: 
     Entries are computed from the last position back to the first by
     repetitive branch-and-bound (Brusco 2006; Koontz, Narendra & Fukunaga
     1975): the search over suffix d bounds its nodes with the entries already
-    computed.  Each search runs to a zero gap, so a child is pruned only when
-    its bound reaches the incumbent and the search's proven bound is the
-    suffix optimum.  The searches share one ``max_nodes`` budget and one
-    ``time_budget`` in seconds; :class:`NodeLimitExceeded` is raised with the
-    bound proven so far when either runs out.
+    computed, and it starts from the best of the K extensions of the optimum
+    of suffix d + 1 by a label for d.  Each search runs to a zero gap, so a
+    child is pruned only when its bound reaches the incumbent and the
+    search's proven bound is the suffix optimum; every leaf it reaches
+    becomes its incumbent.  The searches share one ``max_nodes`` budget and
+    one ``time_budget`` in seconds; :class:`NodeLimitExceeded` is raised
+    with the bound proven so far when either runs out.
 
     The search over the whole order (d = 0) proves the K-means optimum of
     all observations.  It is returned as a complete assignment, observation
@@ -321,48 +347,41 @@ def suffix_lower_bounds(data: NodeDataset, K: int, box: BoundingBox, max_nodes: 
     :func:`solve_subproblem` search as its ``start``.
 
     ``on_progress(elapsed, incumbent_value, bound, explored)`` is called when
-    each search starts and ends, after each leaf it hands back, and every
+    each search starts and ends, after each leaf it reaches, and every
     ``_CHUNK`` expanded nodes in which its bound rose (see
     :func:`_best_first`); ``bound`` is a non-decreasing lower bound on the
     optimum of all observations, and ``incumbent_value`` is ``math.inf``
     until the last search starts.
     """
     template = SearchTemplate(data, K, box, order=order)
-    n_pts, Yo, order = len(template.points), template.Yo, template.order
-    sb = template.sb  # the searches read the entries as they are set
-    zero = np.zeros((K, data.n_y))
-    tree = _Tree(template, zero)
-    best = ()  # optimal labels of the suffix d+1..n-1
+    lib = _search_library()
+    (n_pts, n_y), Yo, sb = template.Yo.shape, template.Yo, template.sb  # the searches read sb as it is set
+    zero = np.zeros((K, n_y))
+    empty = np.frombuffer(template.dual_term(zero)[1])
+    best = (lib.ctypes.c_ubyte * n_pts)()  # the incumbent's labels by position
+    search = lib.Search(lib.ctypes.pointer(template.node), zero.ctypes.data, empty.ctypes.data,
+                        lib.ctypes.addressof(best), take_every_leaf=1)
     total = 0
     started = time.perf_counter()
     deadline = None if time_budget is None else started + time_budget
     for d in range(n_pts - 1, -1, -1):
-        # Incumbent: that assignment, extended by the cheapest label for d.
-        values = tree.extension_values(d, best)
-        found = min((values[k], (k,) + best) for k in range(K))
-
-        def on_leaf(labels):
-            nonlocal found
-            found = (tree.labels_value(d, labels), tuple(labels))
-            return found[0]
 
         def on_bound(lb, explored):
-            on_progress(time.perf_counter() - started, found[0] if d == 0 else math.inf, lb, total + explored)
+            on_progress(time.perf_counter() - started, search.ub if d == 0 else math.inf, lb, total + explored)
 
         sb[d] = sb[d + 1]  # the root's bound until this entry is known
-        lb, explored, status = _best_first(tree, d, found[0], max_nodes - total, on_leaf, deadline,
+        lb, explored, status = _best_first(search, d, max_nodes - total, deadline,
                                            None if on_progress is None else on_bound)
         total += explored
         if status != "optimal":
             suffix = LagrangianSubproblem(data=NodeDataset(data.node_id, Yo[d:]), K=K, box=box, c=zero)
-            raise NodeLimitExceeded(_finish(suffix, found[1], found[0], lb, total), lb, total,
-                                    where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}",
+            raise NodeLimitExceeded(_solution(suffix, tuple(best[d:]), _relative_gap(search.ub, lb), total), lb,
+                                    total, where=f" while bounding the K-means cost of positions {d}..{n_pts - 1}",
                                     limit=f"time budget of {time_budget:g} s" if status == "time" else "node limit")
         sb[d] = max(sb[d + 1], lb)
-        best = found[1]
     optimum = [0] * n_pts
     first_seen: dict[int, int] = {}
-    for pos, k in zip(order, best):
+    for pos, k in zip(template.order, best):
         optimum[pos] = first_seen.setdefault(k, len(first_seen))
     return np.array(sb), tuple(optimum)
 
@@ -403,24 +422,17 @@ class SearchTemplate:
     changes, built once for the data's solves.
 
     It holds the observations in branching ``order`` (by default
-    :func:`branching_order`'s) as an array and as tuples, their squared
-    norms as an array and as floats, ``position``, the place of each
-    observation in that order, the ``suffix_bounds`` as an array (all zeros
-    when None), the box as arrays and as floats and the kernel of the data's
-    dimension (see :func:`_add_point_kernel`).  The search loop reads the
-    arrays, at the addresses in ``arrays``; the kernel reads the floats.
-
-    Given a ``start`` assignment it also holds the start's ``parts``: for
-    each label, the count, coordinate sums and summed squared norms of the
-    observations it labels, summed in branching order as the kernel sums
-    them, and the observations themselves in observation order.  A solve
-    relabels and values the start, and replies with it when no leaf beats
-    it, from these parts alone.  ``parts`` is None without a start.
+    :func:`branching_order`'s) as ``Yo`` and their squared norms as ``sq``,
+    the ``suffix_bounds`` as ``sb`` (all zeros when None), the box and its
+    midpoint, and the ``start`` assignment, if any, whose labels a solve
+    permutes to their least value under its dual term.  ``node`` is the
+    structure of all of them that ``_search.c`` reads; it also reads the
+    observations in their own order for the reply.
     """
 
     def __init__(self, data: NodeDataset, K: int, box: BoundingBox, suffix_bounds=None, order=None,
                  start=None):
-        Y = data.observations
+        Y = np.ascontiguousarray(data.observations)
         n_pts = Y.shape[0]
         if suffix_bounds is None:
             suffix_bounds = [0.0] * (n_pts + 1)
@@ -428,214 +440,52 @@ class SearchTemplate:
             raise ValueError(f"suffix_bounds must have {n_pts + 1} entries, got {len(suffix_bounds)}")
         if K > 256:
             raise ValueError(f"the search labels at most 256 clusters, got K = {K}")
+        _check_box(box, data)
         self.data, self.K, self.box = data, K, box
         self.order = _checked_order(Y, order)
-        self.position = np.argsort(self.order).tolist()
-        self.Yo = Yo = np.ascontiguousarray(Y[self.order], dtype=float)
-        self.points = [tuple(row) for row in Yo.tolist()]
-        self.sq_array = np.sum(Yo * Yo, axis=1)
-        self.sq = self.sq_array.tolist()
+        self.start = None if start is None else _checked_assignment(start, n_pts, K)
+        self.Yo = Yo = np.ascontiguousarray(Y[self.order])
+        self.sq = np.sum(Yo * Yo, axis=1)
         self.sb = np.array(suffix_bounds, dtype=float)
-        self.box_arrays = tuple(np.ascontiguousarray(bound, dtype=float) for bound in (box.lo, box.hi))
-        self.arrays = tuple(array.ctypes.data for array in (Yo, self.sq_array, self.sb, *self.box_arrays))
-        self.lo, self.hi = box.lo.tolist(), box.hi.tolist()
-        self.add_point = _add_point_kernel(Y.shape[1])
-        self.start = self.parts = None
-        if start is not None:
-            self.start = _checked_assignment(start, n_pts, K)
-            labels = np.asarray(self.start)
-            self.parts = []
-            for k in range(K):
-                at = [d for d, j in enumerate(self.order) if self.start[j] == k]
-                sums = [sum(column) for column in zip(*[self.points[d] for d in at])]
-                self.parts.append((len(at), sums, sum([self.sq[d] for d in at]), Y[labels == k]))
+        self.lo, self.hi = (np.ascontiguousarray(bound) for bound in (box.lo, box.hi))
+        self.mid = 0.5 * (box.lo + box.hi)
+        # The arrays the node structure points to, kept alive with it.
+        self._arrays = (Yo, self.sq, self.sb, self.lo, self.hi, Y, np.array(self.order, dtype=np.int64),
+                        None if start is None else np.array(self.start, dtype=np.int64))
+        Node = _search_types()[0]
+        self.node = Node(*(None if array is None else array.ctypes.data for array in self._arrays),
+                         n_pts, K, Y.shape[1], _COMPENSATED_SUM)
+
+    def dual_term(self, c: np.ndarray):
+        """``c`` as ``_search.c`` reads it: its bytes, and the bytes of the
+        value of each empty cluster, ``c_k @ m_k`` at
+        :func:`closed_form_centroid`'s box corner m_k (see
+        :func:`_row_dots`)."""
+        corner = np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.mid))
+        return c.tobytes(), _row_dots(c, corner).tobytes()
 
     def start_solution(self, subproblem: LagrangianSubproblem, new_label: list[int], value: float, lb: float,
                        explored: int) -> SubproblemSolution:
-        """:func:`_finish`'s solution of the start with each label k renamed
-        ``new_label[k]``, from the start's parts: the same observations in
-        the same order, so the same bits, without :func:`evaluate_assignment`'s
-        checks and masks."""
-        parts = [None] * self.K
-        for (*_, rows), k in zip(self.parts, new_label):
-            parts[k] = rows
-        return _solution(subproblem, tuple([new_label[k] for k in self.start]), parts,
-                         proof_gap=_relative_gap(value, lb), explored=explored)
+        """:func:`evaluate_assignment`'s solution of the start with each
+        label k renamed ``new_label[k]``, with the gap between its search
+        ``value`` and the proven bound ``lb``."""
+        return _solution(subproblem, tuple([new_label[k] for k in self.start]), _relative_gap(value, lb), explored)
 
 
-class _Tree:
-    """Search-tree data of one dual term: a :class:`SearchTemplate`'s
-    dual-independent data, and per-cluster coefficients in plain Python
-    floats for the kernel and as arrays for the search loop.
-
-    A cluster is one ``(count, sums, sumsq, value)`` tuple; ``add_point`` is
-    the :func:`_add_point_kernel` for the data's dimension, which gives a
-    cluster's tuple after adding one observation, ``root`` is the tuple of
-    empty clusters and ``root_sum`` the sum of their values.  ``dual``
-    holds what the search loop reads of the dual term: c / 2, c and the
-    empty clusters, each as count, sums, sumsq and value, row by row;
-    ``leaf`` receives the labels of a leaf.  ``arrays`` holds the addresses
-    of all the arrays that the loop reads, in the order of its state's
-    fields.
-    """
-
-    def __init__(self, template: SearchTemplate, c: np.ndarray):
-        self.template = template
-        self.points, self.sq = template.points, template.sq
-        self.K, self.add_point, self.lo, self.hi = template.K, template.add_point, template.lo, template.hi
-        self.symmetric = bool(np.all(c == c[0]))
-        rows = c.tolist()
-        halves = [[0.5 * v for v in row] for row in rows]
-        self.coef = [tuple(zip(half, row, self.lo, self.hi)) for half, row in zip(halves, rows)]
-        # closed_form_centroid's empty clusters: each row's box corner, then its value c_k . m_k.
-        box = template.box
-        corner = np.where(c > 0, box.lo, np.where(c < 0, box.hi, 0.5 * (box.lo + box.hi)))
-        empty = (0.0,) * c.shape[1]
-        self.root = tuple((0, empty, 0.0, float(c[k] @ corner[k])) for k in range(self.K))
-        self.root_sum = sum(cluster[3] for cluster in self.root)
-        blank = [0.0] * (c.shape[1] + 2)
-        self.dual = np.array([v for row in halves + rows for v in row]
-                             + [v for cluster in self.root for v in (*blank, cluster[3])])
-        self.leaf = np.empty(len(self.points), dtype=np.uint8)
-        self.arrays = (*template.arrays, self.dual.ctypes.data, self.leaf.ctypes.data)
-
-    def labels_value(self, start: int, labels) -> float:
-        """Objective of labelling positions start..n-1 with ``labels``."""
-        add_point, points, sq, coef = self.add_point, self.points, self.sq, self.coef
-        clusters = list(self.root)
-        for d, k in enumerate(labels, start):
-            clusters[k] = add_point(clusters[k], points[d], sq[d], coef[k])
-        return sum(cluster[3] for cluster in clusters)
-
-    def extension_values(self, start: int, labels) -> list[float]:
-        """``labels_value(start, (k,) + labels)`` for each label k, bit for
-        bit, from one pass over positions start+1..n-1.
-
-        A cluster's value depends only on the sequence of observations added
-        to it, and label k changes only cluster k's sequence: position
-        ``start`` comes first.  So the pass keeps two tuples per cluster,
-        without and with that observation, and the value of extension k sums
-        the first of every cluster but k and the second of k.
-        """
-        add_point, points, sq, coef = self.add_point, self.points, self.sq, self.coef
-        rest = list(self.root)
-        led = [add_point(cluster, points[start], sq[start], coef[k]) for k, cluster in enumerate(self.root)]
-        for d, k in enumerate(labels, start + 1):
-            rest[k] = add_point(rest[k], points[d], sq[d], coef[k])
-            led[k] = add_point(led[k], points[d], sq[d], coef[k])
-        values = [cluster[3] for cluster in rest]
-        return [sum(values[:k] + [led[k][3]] + values[k + 1:]) for k in range(self.K)]
-
-    def relabelled_start(self) -> tuple[list[int], float]:
-        """The new label of each label of the template's start that gives the
-        start its least objective, and that objective as
-        ``labels_value(0, ...)`` gives it, bit for bit.
-
-        Part p, the observations labelled p, costs ``table[p][k]`` under
-        label k: its closed-form minimum under c_k from the part's count,
-        sums and summed squared norms, which the kernel would reach by adding
-        the part's observations one by one.  The labels are permuted by the
-        least cost permutation of that K x K table.  When every row of c is
-        equal, every labelling has the same objective and the labels are
-        kept.  The objective sums the picked entries in new label order, as
-        ``labels_value`` sums its clusters.
-        """
-        table = [[cluster[3] for cluster in self.root] if not count else
-                 [_part_value(count, sums, sumsq, coef) for coef in self.coef]
-                 for count, sums, sumsq, _ in self.template.parts]
-        new_label = list(range(self.K)) if self.symmetric else _least_cost_relabelling(table)
-        picked = [0.0] * self.K
-        for row, k in zip(table, new_label):
-            picked[k] = row[k]
-        return new_label, sum(picked)
-
-
-def _part_value(count: int, sums, sumsq: float, coef) -> float:
-    """Closed-form minimum of a non-empty cluster from its ``count``,
-    coordinate ``sums`` and summed squared norms ``sumsq``, with the
-    operations, coordinate by coordinate, that :func:`_add_point_kernel`'s
-    kernels unroll after adding an observation."""
-    mm = sm = cm = 0.0
-    for s, (h, c, lo, hi) in zip(sums, coef):
-        m = (s - h) / count
-        if m < lo:
-            m = lo
-        elif m > hi:
-            m = hi
-        mm += m * m
-        sm += s * m
-        cm += c * m
-    return sumsq + (count * mm - 2.0 * sm + cm)
-
-
-# Source of the kernels of _add_point_kernel: the function's frame, and the
-# lines it repeats for coordinate {i}.  mm, sm and cm add their terms to 0.0
-# in coordinate order, as a loop over the coordinates would.
-_ADD_POINT_SOURCE = """\
-def add_point(cluster, y, y_sq, coef):
-    count, ({sums}), sumsq, _ = cluster
-    {ys} = y
-    {coefs} = coef
-    count += 1
-    sumsq += y_sq
-{coordinates}\
-    mm = 0.0{mm}
-    sm = 0.0{sm}
-    cm = 0.0{cm}
-    return count, ({sums}), sumsq, sumsq + (count * mm - 2.0 * sm + cm)
-"""
-_ADD_POINT_COORDINATE = """\
-    s{i} += y{i}
-    m{i} = (s{i} - h{i}) / count
-    if m{i} < lo{i}:
-        m{i} = lo{i}
-    elif m{i} > hi{i}:
-        m{i} = hi{i}
-"""
-
-
-@functools.cache
-def _add_point_kernel(n_y: int):
-    """``add_point(cluster, y, y_sq, coef)``: cluster ``(count, sums, sumsq,
-    value)`` after adding observation ``y``, for ``n_y`` coordinates.
-
-    ``count``, ``sums`` and ``sumsq`` are the number, coordinate sums and
-    summed squared norms of the cluster's observations; ``value`` is its
-    closed-form minimum, computed as :func:`closed_form_centroid` does but in
-    scalars.  ``coef`` holds ``(c_i / 2, c_i, lo_i, hi_i)`` per coordinate.
-    The kernel is :data:`_ADD_POINT_SOURCE` with the coordinate loop
-    unrolled, compiled once per ``n_y``: incumbents are valued with it one
-    observation at a time, where a loop's iteration and tuple unpacking cost
-    more than its arithmetic.  ``_search.c`` values each child of the search
-    with the same operations in the same order.
-    """
-    each = range(n_y)
-    source = _ADD_POINT_SOURCE.format(
-        sums="".join(f"s{i}, " for i in each),
-        ys="".join(f"y{i}, " for i in each),
-        coefs="".join(f"(h{i}, c{i}, lo{i}, hi{i}), " for i in each),
-        coordinates="".join(_ADD_POINT_COORDINATE.format(i=i) for i in each),
-        mm="".join(f" + m{i} * m{i}" for i in each),
-        sm="".join(f" + s{i} * m{i}" for i in each),
-        cm="".join(f" + c{i} * m{i}" for i in each),
-    )
-    namespace = {}
-    exec(compile(source, f"<_add_point_kernel({n_y})>", "exec"), namespace)
-    return namespace["add_point"]
-
-
-# The search loop is _search.c, built on the first search with the system C
-# compiler into the package's __pycache__, under a name that hashes the
-# source and the command, and loaded with ctypes.  -ffp-contract=off keeps the
-# compiler from fusing a multiply and an add into one rounding, so the loop's
-# bounds are the Python kernel's bit for bit.
+# _search.c is built on the first search with the system C compiler into
+# the package's __pycache__, under a name that hashes the source and the
+# command, and loaded with ctypes.  -ffp-contract=off keeps the compiler from
+# fusing a multiply and an add into one rounding.
 _SEARCH_SOURCE = Path(__file__).with_name("_search.c")
 _SEARCH_CACHE = Path(__file__).with_name("__pycache__")
 _SEARCH_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# The loop returns to Python after this many expanded nodes, so that a time
-# budget and progress reports see it run.
+# A precompute search returns to Python after this many expanded nodes, so
+# that a time budget and progress reports see it run.
 _CHUNK = 1 << 14
 _LEAF, _CHUNK_DONE, _NODE_LIMIT = 1, 2, 3
+# The search sums its cluster values as the builtin sum of the running
+# Python does: left to right before 3.12, compensated from 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 def _compiler() -> list[str]:
@@ -647,26 +497,59 @@ def _compiler() -> list[str]:
 
 
 @functools.cache
+def _search_types():
+    """The ctypes structures of ``_search.c``, defined once per process so
+    that a template's structure fits every load of the library."""
+    import ctypes
+
+    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+    class Node(ctypes.Structure):
+        # _search.c's struct node, field for field.
+        _fields_ = ([(name, pointer) for name in ("points", "sq", "sb", "lo", "hi", "Y", "order", "start")]
+                    + [(name, i64) for name in ("n", "K", "n_y", "compensated")])
+
+    class Search(ctypes.Structure):
+        # _search.c's struct search.
+        _fields_ = ([("node", ctypes.POINTER(Node))] + [(name, pointer) for name in ("c", "empty", "best")]
+                    + [(name, i64) for name in ("start", "max_nodes", "chunk", "take_every_leaf")]
+                    + [(name, f64) for name in ("ub", "best_lb")]
+                    + [(name, i64) for name in ("explored", "leaves")] + [("work", pointer)])
+
+    class Result(ctypes.Structure):
+        # _search.c's struct result.
+        _fields_ = [(name, f64) for name in ("value", "lb", "cluster_cost")] + [("explored", i64)]
+
+    return Node, Search, Result
+
+
+@functools.cache
 def _search_library():
-    """The compiled search loop and the ctypes structure of its state.
+    """``_search.c``'s functions and the ctypes structures they read, with
+    the ``ctypes`` module.
 
     The library is built into the cache unless it is there already: to a
     temporary file, then renamed into place, so that processes that build
     it at the same time each load a whole library and leave one.
     RuntimeError, naming the command and its first error line, when the
-    compiler fails.
+    compiler fails, and the cache directory when it cannot be written.
     """
     import ctypes
     import subprocess
     import tempfile
+    from types import SimpleNamespace
 
     command = [*_compiler(), *_SEARCH_FLAGS]
     source = _SEARCH_SOURCE.read_bytes()
     key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
     path = _SEARCH_CACHE / f"_search-{key}.so"
     if not path.exists():
-        _SEARCH_CACHE.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.stem}-", suffix=".tmp", dir=_SEARCH_CACHE)
+        failed = f"cannot build the node search with `{' '.join(command)}`: "
+        try:
+            _SEARCH_CACHE.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f".{path.stem}-", suffix=".tmp", dir=_SEARCH_CACHE)
+        except OSError as exc:
+            raise RuntimeError(f"{failed}cannot write to its cache directory {_SEARCH_CACHE}: {exc}") from None
         os.close(fd)
         try:
             try:
@@ -675,104 +558,92 @@ def _search_library():
             except OSError as exc:
                 error = str(exc)
             if error is not None:
-                raise RuntimeError(f"cannot build the node search with `{' '.join(command)}`: "
-                                   f"{error.splitlines()[0]}")
+                raise RuntimeError(failed + error.splitlines()[0])
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    class State(ctypes.Structure):
-        # _search.c's struct search, field for field.
-        _fields_ = ([(name, ctypes.c_void_p) for name in
-                     ("points", "sq", "sb", "lo", "hi", "dual", "leaf")]
-                    + [(name, ctypes.c_int64) for name in
-                       ("n", "K", "n_y", "start", "symmetric", "max_nodes", "chunk")]
-                    + [(name, ctypes.c_double) for name in ("root_sum", "ub", "best_lb")]
-                    + [("explored", ctypes.c_int64), ("open", ctypes.c_void_p)])
-
+    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    Node, Search, Result = _search_types()
     library = ctypes.CDLL(str(path))
-    for name in ("fk_search_init", "fk_search_run", "fk_search_free"):
-        function = getattr(library, name)
-        function.argtypes = [ctypes.POINTER(State)]
-        function.restype = ctypes.c_int if name != "fk_search_free" else None
-    return library, State
+    signatures = {
+        "solve": (ctypes.c_int, [ctypes.POINTER(Node), pointer, pointer, i64, pointer, pointer,
+                                 ctypes.POINTER(Result)]),
+        "search_init": (ctypes.c_int, [ctypes.POINTER(Search)]),
+        "search_run": (ctypes.c_int, [ctypes.POINTER(Search)]),
+        "search_free": (None, [ctypes.POINTER(Search)]),
+        "evaluate": (ctypes.c_int, [pointer, i64, i64, i64, pointer, pointer, pointer, pointer, pointer,
+                                    ctypes.POINTER(f64)]),
+        "relabel": (ctypes.c_int, [pointer, i64, pointer]),
+        "sum": (f64, [pointer, i64, i64]),
+    }
+    functions = {}
+    for name, (restype, argtypes) in signatures.items():
+        functions[name] = function = getattr(library, f"fk_{name}")
+        function.restype, function.argtypes = restype, argtypes
+    return SimpleNamespace(ctypes=ctypes, Node=Node, Search=Search, Result=Result, **functions)
 
 
-def _best_first(tree: _Tree, start: int, ub: float, max_nodes: int,
-                on_leaf, deadline: float | None = None, on_bound=None):
-    """Best-first branch-and-bound over the labels of positions start..n-1.
+def _best_first(search, start: int, max_nodes: int, deadline: float | None = None, on_bound=None):
+    """One search of :func:`suffix_lower_bounds`: best-first branch-and-bound
+    over the labels of positions start..n-1, whose incumbent starts as the
+    best extension of ``search.best[start + 1:]`` by a label for ``start``.
 
-    ``ub`` is the incumbent's value (``math.inf`` for none).
-    ``on_leaf(labels)`` receives every leaf whose bound is below the
-    incumbent and returns the incumbent's value after it.
     ``on_bound(lb, explored)`` is called at the start and the end, after
     each leaf and, every ``_CHUNK`` expanded nodes, when the proven bound
     has risen.  Returns ``(lower_bound, explored, status)``, status being
-    "optimal" (the incumbent proven optimal), "node_limit" or "time"; the
+    "optimal" (the incumbent, ``search.best[start:]`` valued
+    ``search.ub``, proven optimal), "node_limit" or "time"; the
     ``deadline`` is checked after the first expanded node and every
     ``_CHUNK`` after it.
 
     Nodes are popped in ``(bound, tiebreak)`` order, the tiebreak numbering
     children as they are pushed.  Each child of a node at depth d adds the
-    observation at position d to one cluster, valued as
-    :func:`_add_point_kernel`'s kernel values it; under equal dual rows
-    (``tree.symmetric``) a node has children only in its labels used so far
-    and one new label.  A child whose bound reaches the incumbent is pruned.
-    The proven bound is the least bound of any node not yet ruled out,
-    capped at the incumbent: the popped node's until one reaches the
-    incumbent, then the incumbent's value itself.  The loop runs in
-    ``_search.c``; each open node there holds its clusters and its row of
-    labels, so memory grows with the open nodes alone.
+    observation at position d to one cluster; under equal dual rows a node
+    has children only in its labels used so far and one new label.  A
+    child whose bound reaches the incumbent is pruned.  The proven bound is
+    the least bound of any node not yet ruled out, capped at the incumbent:
+    the popped node's until one reaches the incumbent, then the incumbent's
+    value itself.  The loop runs in ``_search.c``; each open node there
+    holds its clusters and its row of labels, so memory grows with the
+    open nodes alone.
     """
-    library, State = _search_library()
-    n, n_y = tree.template.Yo.shape
-    leaf = tree.leaf[:n - start]
-    # With a deadline, the first run returns after one expanded node.  A cap
-    # beyond the loop's 64-bit count is no cap.
-    state = State(*tree.arrays, n, tree.K, n_y, start, tree.symmetric, min(max_nodes, 2 ** 63 - 1),
-                  _CHUNK if deadline is None else 1, tree.root_sum, ub)
+    lib = _search_library()
+    search.start, search.max_nodes = start, min(max_nodes, 2 ** 63 - 1)
+    # With a deadline, the first run returns after one expanded node.
+    search.chunk = _CHUNK if deadline is None else 1
     try:
-        if library.fk_search_init(state) < 0:
+        if lib.search_init(search) < 0:
             raise MemoryError("the node search ran out of memory")
-        reported = state.best_lb
+        reported = search.best_lb
         if on_bound is not None:
             on_bound(reported, 0)
         while True:
-            status = library.fk_search_run(state)
-            if on_bound is not None and state.best_lb > reported:
-                reported = state.best_lb
-                on_bound(reported, state.explored)
+            status = lib.search_run(search)
+            if on_bound is not None and search.best_lb > reported:
+                reported = search.best_lb
+                on_bound(reported, search.explored)
             if status == _LEAF:
-                state.ub = ub = on_leaf(leaf.tolist())
                 if on_bound is not None:
-                    on_bound(reported, state.explored)
+                    on_bound(reported, search.explored)
             elif status == _CHUNK_DONE:
-                state.chunk = _CHUNK
+                search.chunk = _CHUNK
                 if deadline is not None and time.perf_counter() > deadline:
-                    return state.best_lb, state.explored, "time"
+                    return search.best_lb, search.explored, "time"
             elif status == _NODE_LIMIT:
-                return state.best_lb, state.explored, "node_limit"
+                return search.best_lb, search.explored, "node_limit"
             elif status < 0:
                 raise MemoryError("the node search ran out of memory")
             else:
                 break
     finally:
-        library.fk_search_free(state)
+        lib.search_free(search)
     # The incumbent is optimal: the open nodes, if any, reach it.
-    best_lb = max(state.best_lb, ub)
+    best_lb = max(search.best_lb, search.ub)
     if on_bound is not None:
-        on_bound(best_lb, state.explored)
-    return best_lb, state.explored, "optimal"
-
-
-def _finish(subproblem: LagrangianSubproblem, assignment, value: float, lb: float, explored: int
-            ) -> SubproblemSolution:
-    """:func:`evaluate_assignment`'s solution of a search's incumbent, with
-    the gap between the search's ``value`` of it and the proven bound ``lb``."""
-    assignment = _checked_assignment(assignment, subproblem.data.n_points, subproblem.K)
-    return _solution(subproblem, assignment, _parts(subproblem, assignment),
-                     proof_gap=_relative_gap(value, lb), explored=explored)
+        on_bound(best_lb, search.explored)
+    return best_lb, search.explored, "optimal"
 
 
 def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSolution:
@@ -809,10 +680,11 @@ def brute_force_subproblem(subproblem: LagrangianSubproblem) -> SubproblemSoluti
 def relabel_to_reference(centroids: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """The rows of ``centroids`` permuted to best match ``reference``.
 
-    The permutation minimizes the total squared row-to-reference distance
-    (see :func:`_least_cost_relabelling`).  A permuted optimum is the same
-    partition with the same value only when every cluster has the same dual
-    term, as at zero duals; the caller must ensure that.
+    The permutation minimizes the total squared row-to-reference distance,
+    by the dynamic programme that relabels a search's start (see
+    :func:`_relabelling`).  A permuted optimum is the same partition with
+    the same value only when every cluster has the same dual term, as at
+    zero duals; the caller must ensure that.
     """
     centroids = np.asarray(centroids, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -820,28 +692,21 @@ def relabel_to_reference(centroids: np.ndarray, reference: np.ndarray) -> np.nda
         raise ValueError("reference must have the shape of the centroids")
     d2 = np.sum((centroids[:, None, :] - reference[None, :, :]) ** 2, axis=2)
     aligned = np.empty_like(centroids)
-    aligned[_least_cost_relabelling(d2.tolist())] = centroids
+    aligned[_relabelling(d2)] = centroids
     return aligned
 
 
-def _least_cost_relabelling(cost: list[list[float]]) -> list[int]:
+def _relabelling(cost) -> list[int]:
     """The new label of each old label k that minimizes the sum of
-    ``cost[k][new label]``, by dynamic programming over sets of old labels.
-
-    ``rest[used]`` is the least cost of giving new labels |used|..K-1 to the
-    other old labels.  Each new label in turn goes to the first old label
-    whose least completion is within 1e-15 of ``rest[used]``, so near-ties
-    go to the permutation that comes first in lexicographic order.
-    """
-    K = len(cost)
-    rest = [0.0] * (1 << K)
-    for used in range((1 << K) - 2, -1, -1):
-        k = bin(used).count("1")
-        rest[used] = min([cost[p][k] + rest[used | 1 << p] for p in range(K) if not used >> p & 1])
-    new_label, used = [0] * K, 0
-    for k in range(K):
-        p = next(p for p in range(K)
-                 if not used >> p & 1 and cost[p][k] + rest[used | 1 << p] <= rest[used] + 1e-15)
-        new_label[p] = k
-        used |= 1 << p
-    return new_label
+    ``cost[k][new label]`` over a K x K table, from ``_search.c``: the least
+    sum by dynamic programming over sets of old labels, and each new label
+    in turn to the first old label whose least completion is within 1e-15
+    of the least sum left, so near-ties go to the permutation that comes
+    first in lexicographic order."""
+    lib = _search_library()
+    cost = np.ascontiguousarray(cost, dtype=float)
+    K = cost.shape[0]
+    new_label = (lib.ctypes.c_int64 * K)()
+    if lib.relabel(cost.tobytes(), K, new_label) < 0:
+        raise MemoryError(f"cannot relabel {K} clusters")
+    return new_label[:]

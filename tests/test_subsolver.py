@@ -1,8 +1,13 @@
-"""Tests for the exact node subproblem solver and its supporting pieces."""
+"""Tests for the exact node subproblem solver and its supporting pieces.
 
-import heapq
+The compiled solve is compared bit for bit with the Python oracle in
+``search_reference.py``; ``TestAddPointKernel``, ``TestScalarChildBound`` and
+``TestLowerBound`` check that oracle's kernel."""
+
 import itertools
 import math
+import re
+import sys
 import types
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +33,9 @@ from fedkmeans.subsolver import (
     suffix_lower_bounds,
 )
 import fedkmeans.subsolver as subsolver
-from fedkmeans.subsolver import _add_point_kernel, _Tree, _least_cost_relabelling
+from fedkmeans.subsolver import _relabelling
+from search_reference import (_add_point_kernel, _least_cost_relabelling, _Tree, reference_solution,
+                              reference_solve, reference_suffix_lower_bounds)
 
 BOX2 = BoundingBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -163,6 +170,17 @@ class TestEvaluateAssignment:
         with pytest.raises(ValueError, match="finite"):
             subproblem_1d([0.0, 1.0, 2.0], K=2, c=[[0.0], [bad]])
 
+    def test_box_of_other_dimension_rejected(self):
+        # The compiled search and reply read n_y box coordinates.
+        sub = subproblem_1d([0.0, 1.0, 2.0], K=2)
+        box = BoundingBox(np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="the box has 2 coordinates, the observations 1"):
+            replace(sub, box=box)
+        with pytest.raises(ValueError, match="the box has 2 coordinates"):
+            SearchTemplate(sub.data, 2, box)
+        with pytest.raises(ValueError, match="the box has 2 coordinates"):
+            suffix_lower_bounds(sub.data, 2, box)
+
     def test_label_permutation_invariance(self):
         sub = subproblem_1d([0, 1, 2, 8, 9], K=3)
         base = evaluate_assignment(sub, [0, 0, 1, 2, 2])
@@ -198,6 +216,27 @@ class TestEvaluateAssignment:
             linear_cost += float(sub.c[k] @ m_k)
         assert sol.cluster_cost == cluster_cost
         assert sol.lagrangian_value == cluster_cost + linear_cost
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 300), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_reference_bitwise(self, seed, K, n_y, n, zeros):
+        # The compiled reply against numpy's: clusters of up to 300 rows, so
+        # that numpy sums them pairwise in blocks of 8 and halves above 128
+        # (a cluster's sums when n_y = 1, its cost always).  With `zeros`,
+        # rows, duals and box edges are signed zeros and ones, so that the
+        # clip meets its edges at -0.0 and 0.0.
+        rng = np.random.default_rng(seed)
+        if zeros:
+            pick = lambda values, size: rng.choice(np.array(values), size=size)
+            Y, c = pick([0.0, -0.0, 1.0, -1.0], (n, n_y)), pick([0.0, -0.0, 1.0, -1.0], (K, n_y))
+            box = BoundingBox(pick([0.0, -0.0, -1.0], n_y), pick([0.0, -0.0, 1.0], n_y))
+        else:
+            Y = rng.normal(size=(n, n_y)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            c = rng.normal(scale=rng.choice([0.5, 20.0]), size=(K, n_y))
+            box = BoundingBox(Y.min(axis=0) - rng.uniform(0, 1, n_y), Y.max(axis=0) + rng.uniform(0, 1, n_y))
+        sub = LagrangianSubproblem(data=NodeDataset(0, Y), K=K, box=box, c=c)
+        labels = rng.integers(0, K, size=n)
+        assert reply_bits(evaluate_assignment(sub, labels)) == reply_bits(reference_solution(sub, labels))
 
 
 def assignment_lower_bound(sub, prefix) -> float:
@@ -713,95 +752,153 @@ class TestSuffixLowerBounds:
             solve_subproblem(sub, suffix_bounds=[0.0, 0.0, 0.0])
 
 
-def reference_best_first(tree, start: int, ub: float, max_nodes: int, on_leaf):
-    """The search that ``_search.c`` runs, one node at a time in Python
-    scalars: :func:`fedkmeans.subsolver._best_first` without its deadline and
-    progress reports.  Returns ``(lower_bound, explored, status)``."""
-    points, sq, coef, sb = tree.points, tree.sq, tree.coef, tree.template.sb.tolist()
-    n, K, symmetric, add_point = len(points), tree.K, tree.symmetric, tree.add_point
-    tiebreak = explored = 0
-    # Heap entries: (bound, tiebreak, depth, labels, labels used, sum of
-    # cluster values, clusters); labels is a linked list (label, parent labels).
-    pc_sum = sum(cluster[3] for cluster in tree.root)
-    heap = [(pc_sum + sb[start], tiebreak, start, None, 0, pc_sum, tree.root)]
-    best_lb = heap[0][0]
-    while heap:
-        bound, _, depth, labels, used, pc_sum, clusters = heapq.heappop(heap)
-        if bound >= ub:
-            break
-        if bound > best_lb:
-            best_lb = bound
-        if depth == n:  # a leaf below the incumbent
-            path = []
-            while labels is not None:
-                k, labels = labels
-                path.append(k)
-            ub = on_leaf(path[::-1])
-            continue
-        explored += 1
-        if explored >= max_nodes:
-            return best_lb, explored, "node_limit"
-        y, y_sq, below = points[depth], sq[depth], sb[depth + 1]
-        for k in range(min(K, used + 1) if symmetric else K):
-            cluster = clusters[k]
-            new = add_point(cluster, y, y_sq, coef[k])
-            child_sum = pc_sum - cluster[3] + new[3]
-            child_bound = child_sum + below
-            if child_bound < ub:
-                tiebreak += 1
-                heapq.heappush(heap, (child_bound, tiebreak, depth + 1, (k, labels), used if used > k else k + 1,
-                                      child_sum, clusters[:k] + (new,) + clusters[k + 1:]))
-    return max(best_lb, ub), explored, "optimal"
+def oracle_subproblem(rng, K: int, n_y: int, dual: str, small_integers: bool) -> LagrangianSubproblem:
+    """A subproblem of up to 8 observations (6 for K = 5) under equal or
+    distinct dual rows.  Small integers for the data and the dual term make
+    many bounds and values tie exactly, so that tiebreaks decide."""
+    n = int(rng.integers(1, 9 if K < 5 else 7))
+    sub = random_subproblem(rng, n_pts=n, K=K, n_y=n_y)
+    draw = ((lambda size: rng.integers(-2, 3, size=size).astype(float)) if small_integers
+            else (lambda size: rng.normal(scale=rng.choice([0.5, 2.0]), size=size)))
+    if small_integers:
+        sub = replace(sub, data=NodeDataset(0, draw((n, n_y))), box=BoundingBox(np.full(n_y, -3.0), np.full(n_y, 3.0)))
+    return replace(sub, c=np.tile(draw(n_y), (K, 1)) if dual == "equal" else draw((K, n_y)))
+
+
+def limit_bits(error: NodeLimitExceeded):
+    """What a node cap's error reports, each float by its bits."""
+    incumbent = None if error.incumbent is None else reply_bits(error.incumbent)
+    return bits(error.lower_bound), error.explored, incumbent, str(error)
 
 
 class TestCompiledSearch:
+    """The compiled solve against the Python oracle: whole replies, bit for bit."""
+
     @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.integers(1, 4), st.sampled_from(["equal", "distinct"]),
-           st.booleans(), st.booleans(), st.booleans(), st.sampled_from([1, 7, subsolver._CHUNK]))
+           st.booleans(), st.booleans(), st.sampled_from(["none", "optimum", "random"]))
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference_search_bitwise(self, seed, K, n_y, dual, small_integers, with_bounds,
-                                              with_incumbent, chunk):
-        # The same proven bound, node count and status, and the same leaves
-        # in the same order, for searches from suffix start d >= 0, with and
-        # without suffix bounds and an incumbent, run to the end and stopped
-        # by a node cap part way.  Equal dual rows make the search skip
-        # symmetric labels.  Small integers for the data and the dual term
-        # make many bounds tie exactly, so that the tiebreak decides the
-        # order.  The loop returns to Python every `chunk` nodes.
+    def test_matches_reference_search_bitwise(self, seed, K, n_y, dual, small_integers, with_bounds, start):
+        # Assignment, centroids, value, cluster cost, proof gap and nodes
+        # explored, with and without suffix bounds, from no start, the
+        # K-means optimum or a random assignment, which a leaf usually beats.
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 9 if K < 5 else 7))
-        sub = random_subproblem(rng, n_pts=n, K=K, n_y=n_y)
-        draw = ((lambda size: rng.integers(-2, 3, size=size).astype(float)) if small_integers
-                else (lambda size: rng.normal(scale=rng.choice([0.5, 2.0]), size=size)))
-        if small_integers:
-            sub = replace(sub, data=NodeDataset(0, draw((n, n_y))),
-                          box=BoundingBox(np.full(n_y, -3.0), np.full(n_y, 3.0)))
-        c = np.tile(draw(n_y), (K, 1)) if dual == "equal" else draw((K, n_y))
-        bounds = suffix_lower_bounds(sub.data, K, sub.box)[0] if with_bounds else None
-        tree = _Tree(SearchTemplate(sub.data, K, sub.box, bounds), c)
-        start = int(rng.integers(0, n))
-        ub = tree.labels_value(start, rng.integers(0, K, size=n - start).tolist()) if with_incumbent else math.inf
+        sub = oracle_subproblem(rng, K, n_y, dual, small_integers)
+        bounds, optimum = suffix_lower_bounds(sub.data, K, sub.box)
+        start = {"none": None, "optimum": optimum,
+                 "random": rng.integers(0, K, size=sub.data.n_points).tolist()}[start]
+        sb = bounds if with_bounds else None
+        got = solve_subproblem(sub, suffix_bounds=sb, start=start)
+        assert reply_bits(got) == reply_bits(reference_solve(sub, suffix_bounds=sb, start=start))
 
-        def search(best_first, max_nodes):
-            leaves, value = [], ub
+    def test_leaf_that_beats_the_start_matches_the_reference(self):
+        # A start of one cluster is far from optimal: leaves replace it.
+        sub = random_subproblem(np.random.default_rng(5), n_pts=8, K=3)
+        start = [0] * sub.data.n_points
+        got = solve_subproblem(sub, start=start)
+        assert got.assignment != tuple(start)
+        assert reply_bits(got) == reply_bits(reference_solve(sub, start=start))
 
-            def on_leaf(labels):
-                nonlocal value
-                leaves.append(tuple(labels))
-                value = min(value, tree.labels_value(start, labels))
-                return value
+    @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.integers(1, 4), st.sampled_from(["equal", "distinct"]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_node_limit_matches_reference(self, seed, K, n_y, dual, small_integers, with_start):
+        # A cap hit mid-search: the same proven bound, node count and
+        # incumbent (or none), with and without a start.
+        rng = np.random.default_rng(seed)
+        sub = oracle_subproblem(rng, K, n_y, dual, small_integers)
+        start = rng.integers(0, K, size=sub.data.n_points).tolist() if with_start else None
+        explored = reference_solve(sub, start=start).stats["explored"]
+        if explored < 2:
+            return
+        cap = int(rng.integers(1, explored))
+        with pytest.raises(NodeLimitExceeded) as got:
+            solve_subproblem(sub, max_nodes=cap, start=start)
+        with pytest.raises(NodeLimitExceeded) as want:
+            reference_solve(sub, max_nodes=cap, start=start)
+        assert limit_bits(got.value) == limit_bits(want.value)
+        assert got.value.explored == cap
 
-            return bits(best_first(tree, start, ub, max_nodes, on_leaf)), leaves
-
-        want = search(reference_best_first, 20_000)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 4), st.integers(1, 4), st.booleans(),
+           st.sampled_from([1, 7, subsolver._CHUNK]))
+    @settings(max_examples=80, deadline=None)
+    def test_suffix_precompute_matches_reference(self, seed, K, n_y, small_integers, chunk):
+        # The same bounds and K-means optimum, with the loop returning to
+        # Python every `chunk` nodes; then a shared node cap hit part way:
+        # the same error, incumbent and bound.
+        rng = np.random.default_rng(seed)
+        sub = oracle_subproblem(rng, K, n_y, "equal", small_integers)
+        data, box = sub.data, sub.box
+        progress = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(subsolver, "_CHUNK", chunk)
-            assert search(subsolver._best_first, 20_000) == want
-            explored = want[0][1]
-            if explored > 1:
-                cap = int(rng.integers(1, explored))
-                got = search(subsolver._best_first, cap)
-                assert got == search(reference_best_first, cap)
-                assert got[0][1:] == (cap, "node_limit")
+            bounds, optimum = suffix_lower_bounds(data, K, box, on_progress=lambda *row: progress.append(row))
+        want_bounds, want_optimum = reference_suffix_lower_bounds(data, K, box)
+        assert (bits(bounds.tolist()), optimum) == (bits(want_bounds.tolist()), want_optimum)
+        total = progress[-1][3]
+        if total < 2:
+            return
+        cap = int(rng.integers(1, total))
+        with pytest.raises(NodeLimitExceeded) as got:
+            suffix_lower_bounds(data, K, box, max_nodes=cap)
+        with pytest.raises(NodeLimitExceeded) as want:
+            reference_suffix_lower_bounds(data, K, box, max_nodes=cap)
+        assert limit_bits(got.value) == limit_bits(want.value)
+
+
+def left_to_right_sum(values) -> float:
+    """0.0 plus each value in turn: Python's sum of floats before 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def neumaier_sum(values) -> float:
+    """CPython 3.12's builtin sum of a non-empty list of floats
+    (Python/bltinmodule.c): int 0 plus the first, then Neumaier's
+    compensated sum of the rest, the compensation added at the end unless
+    it is zero or not finite."""
+    total, compensation = 0 + values[0], 0.0
+    for value in values[1:]:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+# Floats of every magnitude, both zeros among them; large ones overflow.
+SUMMANDS = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6),
+                              st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-300, 307))),
+                    min_size=1, max_size=12)
+
+
+class TestPythonSum:
+    """``_search.c`` sums a leaf's, the start's and the root's cluster values
+    as the running Python's builtin sum does."""
+
+    @staticmethod
+    def c_sum(values, compensated: bool) -> float:
+        return subsolver._search_library().sum(np.array(values).tobytes(), len(values), compensated)
+
+    @given(SUMMANDS)
+    @example([1.0, 1e100, 1.0, -1e100])  # compensation recovers 2.0; left to right gives 0.0
+    @example([-0.0])
+    @example([1e308, 1e308, -1e308])  # overflow: the compensation is not finite
+    @settings(max_examples=300, deadline=None)
+    def test_both_modes_bitwise(self, values):
+        assert self.c_sum(values, False).hex() == left_to_right_sum(values).hex()
+        assert self.c_sum(values, True).hex() == neumaier_sum(values).hex()
+
+    @given(SUMMANDS)
+    @settings(max_examples=300, deadline=None)
+    def test_running_interpreter_mode_is_builtin_sum(self, values):
+        assert subsolver._COMPENSATED_SUM == (sys.version_info >= (3, 12))
+        assert self.c_sum(values, subsolver._COMPENSATED_SUM).hex() == sum(values).hex()
 
 
 class TestSearchBuild:
@@ -836,6 +933,17 @@ class TestSearchBuild:
         with pytest.raises(RuntimeError, match=r"cannot build the node search with `.*-fno-such-flag.*`: .+"):
             solve_subproblem(subproblem_1d([0.0, 1.0, 5.0], K=2))
         assert list(fresh_cache.iterdir()) == []
+
+    def test_unwritable_cache_is_one_clear_error(self, fresh_cache, monkeypatch):
+        # A cache directory that cannot be made, as under a regular file or
+        # in a read-only site-packages, is named in the build error.
+        blocker = fresh_cache / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(subsolver, "_SEARCH_CACHE", blocker / "cache")
+        with pytest.raises(RuntimeError, match=r"cannot build the node search with `.*`: cannot write to its cache "
+                                               rf"directory {re.escape(str(blocker / 'cache'))}: .*Not a directory"):
+            solve_subproblem(subproblem_1d([0.0, 1.0, 5.0], K=2))
+        assert list(fresh_cache.iterdir()) == [blocker]
 
 
 class TestWarmStart:
@@ -953,15 +1061,17 @@ class TestStartRelabelling:
 
     def test_permutation_tie_rule(self):
         # The least sum wins, and sums within 1e-15 of it tie: the first
-        # permutation in lexicographic order among them wins.  K has no limit.
-        assert _least_cost_relabelling([[1.0, 0.0], [0.0, 1.0]]) == [1, 0]
-        assert _least_cost_relabelling([[0.0, 0.0], [0.0, 0.0]]) == [0, 1]
-        assert _least_cost_relabelling([[0.0, 1e-16], [1e-16, 0.0]]) == [0, 1]
-        assert _least_cost_relabelling([[1e-16, 0.0], [0.0, 0.0]]) == [0, 1]
-        assert _least_cost_relabelling([[1e-14, 0.0], [0.0, 0.0]]) == [1, 0]
-        assert _least_cost_relabelling([[0.0] * 9] * 9) == list(range(9))
+        # permutation in lexicographic order among them wins; compiled and
+        # reference alike.
         shifted = [[float((old - new) % 9 != 1) for new in range(9)] for old in range(9)]
-        assert _least_cost_relabelling(shifted) == [(old - 1) % 9 for old in range(9)]
+        for relabelling in (_relabelling, _least_cost_relabelling):
+            assert relabelling([[1.0, 0.0], [0.0, 1.0]]) == [1, 0]
+            assert relabelling([[0.0, 0.0], [0.0, 0.0]]) == [0, 1]
+            assert relabelling([[0.0, 1e-16], [1e-16, 0.0]]) == [0, 1]
+            assert relabelling([[1e-16, 0.0], [0.0, 0.0]]) == [0, 1]
+            assert relabelling([[1e-14, 0.0], [0.0, 0.0]]) == [1, 0]
+            assert relabelling([[0.0] * 9] * 9) == list(range(9))
+            assert relabelling(shifted) == [(old - 1) % 9 for old in range(9)]
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
@@ -973,7 +1083,8 @@ class TestStartRelabelling:
         K = int(rng.integers(1, 7))
         for cost, tol in ((rng.normal(size=(K, K)).tolist(), 1e-12),
                           (rng.choice([0.0, 0.5, 1.0, 2.0], size=(K, K)).tolist(), 0.0)):
-            new_label = _least_cost_relabelling(cost)
+            new_label = _relabelling(cost)
+            assert new_label == _least_cost_relabelling(cost)
             got = sum(cost[p][new_label[p]] for p in range(K))
             totals = [sum(cost[perm[k]][k] for k in range(K)) for perm in itertools.permutations(range(K))]
             assert got <= min(totals) + tol
