@@ -10,17 +10,20 @@ an epigraph variable w:
               w <= g_l . (x - center) - beta_l   for all l (bundle cuts)
               w <= 1/2 (x-center)^T B (x-center) + g . (x-center)   (QNDA only)
 
-which :func:`solve_trust_region_qp` handles with a log-barrier interior-point
-method (tiny problems: dimension <= ~50, <= ~50 cuts).
+which :func:`solve_trust_region_qp` handles with a primal-dual interior-point
+method, compiled in ``_master.c`` (tiny problems: dimension <= ~50, <= ~50
+cuts).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's kernel for one right-hand side
+
+from .subsolver import _search_library
 
 __all__ = [
     "Bundle",
@@ -173,8 +176,12 @@ class TrustRegionProblem:
         if (self.quad is None) != (self.lin is None):
             raise ValueError("quad and lin must be given together")
         if self.quad is not None:
-            object.__setattr__(self, "quad", np.asarray(self.quad, dtype=float))
-            object.__setattr__(self, "lin", np.asarray(self.lin, dtype=float).ravel())
+            quad = np.ascontiguousarray(self.quad, dtype=float)
+            lin = np.ascontiguousarray(self.lin, dtype=float).ravel()
+            if quad.shape != (center.shape[0],) * 2 or lin.shape != center.shape:
+                raise ValueError("quad and lin must match the center's dimension")
+            object.__setattr__(self, "quad", quad)
+            object.__setattr__(self, "lin", lin)
 
 
 @dataclass(frozen=True)
@@ -238,24 +245,27 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
       model:  w - 1/2 delta^T B delta - g . delta        (if quad is given)
 
     The objective is max w.  Stages run in order until one meets
-    ``_KKT_TOL``: a primal-dual path-following pass (:func:`_pdip_core`)
-    that aims each step at a tenth of the mean complementarity; the same
-    pass, from the same start, at half of it; and an SLSQP restart from the
-    first pass's iterate, which identifies the active set at fully
-    degenerate vertices (more active constraints than variables).  The
-    first pass settles nearly every problem, by itself or through the
-    polish: of the 5,364 BTM and QNDA master problems of the replicate-1
-    cells of the seed-0 grid (t_max 150), the second pass settled 12 and
-    SLSQP 35.  Each stage ends at the same test, a KKT residual within
-    ``_KKT_TOL``: a pass stops at its first iterate of least merit so far
-    that passes it, and the polish returns its first candidate that does.
-    A stage's point is accepted as it stands when it passes; otherwise it
-    goes through the active-set polish of :func:`_polish_kkt`, and the lower
-    residual of the two is kept (SLSQP returns no multipliers, so its point
-    is always polished).  The solution's ``path`` names the accepting stage:
-    "ipm" for the first pass's point, "polish" for that point polished, and
-    "recentred" or "sqp" for the later stages, polished or not.  The solver
-    fails loudly if the best residual still exceeds ``_KKT_TOL``.
+    ``_KKT_TOL``: a primal-dual path-following pass
+    (:func:`_interior_point_pass`) that aims each step at a tenth of the
+    mean complementarity; the same pass, from the same start, at half of
+    it; and an SLSQP restart from the first pass's iterate, which
+    identifies the active set at fully degenerate vertices (more active
+    constraints than variables).  The first pass settles nearly every
+    problem, by itself or through the polish: of the 5,364 BTM and QNDA
+    master problems of the replicate-1 cells of the seed-0 grid (t_max
+    150), the first pass settled 5,173 as it stood and 137 polished, the
+    second pass 25 and SLSQP 29.  Each stage ends at the same test, a KKT
+    residual within ``_KKT_TOL``: a pass stops at its first new best
+    iterate that passes it with a small duality gap as well (see
+    :func:`_interior_point_pass`), and the polish returns its first
+    candidate that passes it.  A stage's point is accepted as it stands
+    when it passes; otherwise it goes through the active-set polish of
+    :func:`_polish_kkt`, and the lower residual of the two is kept (SLSQP
+    returns no multipliers, so its point is always polished).
+    The solution's ``path`` names the accepting stage: "ipm" for the first
+    pass's point, "polish" for that point polished, and "recentred" or
+    "sqp" for the later stages, polished or not.  The solver fails loudly
+    if the best residual still exceeds ``_KKT_TOL``.
     """
     n = problem.center.shape[0]
     keep = _distinct_cuts(problem.cut_normals, problem.cut_offsets)
@@ -265,19 +275,16 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
     has_model = problem.quad is not None
 
     n_con = 1 + m_cuts + (1 if has_model else 0)
-    # The cut rows of the Jacobian and the Hessians of the ball and the model
-    # cap do not depend on z; only the ball and model rows of the Jacobian do.
+    # The cut rows of the Jacobian do not depend on z; only the ball and
+    # model rows do.
     jacobian = np.zeros((n_con, n + 1))
     jacobian[1:1 + m_cuts, :n] = -G
     jacobian[1:, n] = 1.0
-    model_hessian = -problem.quad if has_model else None
 
-    def constraints(z, vals=None, grads=None):
-        """Values and gradients of all f_i at z, written over the arrays of an
-        earlier call when they are given."""
+    def constraints(z):
+        """Values and gradients of all f_i at z."""
         delta, w = z[:n], z[n]
-        if vals is None:
-            vals, grads = np.empty(n_con), jacobian.copy()
+        vals, grads = np.empty(n_con), jacobian.copy()
         vals[0] = float(delta @ delta) - problem.alpha
         vals[1:1 + m_cuts] = w - G @ delta + beta
         grads[0, :n] = 2.0 * delta
@@ -286,18 +293,6 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             vals[-1] = w - 0.5 * float(delta @ Bd) - float(problem.lin @ delta)
             grads[-1, :n] = -Bd - problem.lin
         return vals, grads
-
-    def add_curvature(H, weights):
-        """H + sum_i weights_i * Hess f_i, written into H.  Only the ball, whose
-        Hessian is 2 on the diagonal of the delta block, and the model cap are
-        curved."""
-        if has_model:
-            curved = weights[-1] * model_hessian
-            curved.reshape(-1)[::n + 1] += 2.0 * weights[0]
-            H[:n, :n] += curved
-        else:
-            H.reshape(-1)[:n * (n + 2):n + 2] += 2.0 * weights[0]
-        return H
 
     obj_grad = np.zeros(n + 1)
     obj_grad[n] = -1.0  # minimizing -w
@@ -313,8 +308,8 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             return (*polished, "polish" if stage == "ipm" else stage)
         return z, lam, kkt, stage
 
-    first = _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, 0.1)
-    result = candidate(*first, "ipm")
+    first = _interior_point_pass(problem, G, beta, 0.1)
+    result = candidate(*first[:2], "ipm")
     for stage in ("recentred", "sqp"):
         if result[2] <= _KKT_TOL:
             break
@@ -323,7 +318,7 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             if point is None:
                 break
         else:
-            point = _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, 0.5)
+            point = _interior_point_pass(problem, G, beta, 0.5)[:2]
         trial = candidate(*point, stage)
         if trial[2] < result[2]:
             result = trial
@@ -348,7 +343,7 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 
 
 # Iterations without a merit improvement that end an interior-point pass
-# before any of its new best iterates meets _KKT_TOL.  The wait is long
+# before any of its new best iterates passes its test.  The wait is long
 # because the merit can stall and then recover.  On the 2,682 master problems
 # of the K=3 replicate-1 cells of the seed-0 grid under BTM and QNDA (t_max
 # 150), the first passes took 51,240 Newton iterations and the second 1,042,
@@ -357,111 +352,91 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 # them above _KKT_TOL after all stages, and only 1,055 went to "ipm".
 _PDIP_WAIT = 30
 
+# Duality gap sum_i lam_i |f_i| within which, relative to max(1, |w|), an
+# interior-point iterate within _KKT_TOL ends its pass.  Without it a pass
+# stopped at its first iterate within _KKT_TOL, up to about n_con * 1e-8
+# below the optimum: on k3-bundle's 347 master problems at seed 0 the gap
+# there reached 3.6e-7 (median 1.8e-8), and the passes took 17.2 Newton
+# steps on average; with it, 19.0.
+_GAP_TOL = 1e-10
 
-def _step_length(x, dx, to_boundary):
-    """0.995 times the step along dx to the boundary of x > 0, at most 1.
-    ``to_boundary`` is scratch space of x's shape."""
-    # Where dx < 0, x / dx is minus the step that takes x to 0.
-    to_boundary.fill(-np.inf)
-    np.divide(x, dx, out=to_boundary, where=dx < 0)
-    return min(1.0, -0.995 * float(to_boundary.max()))
+# Why an interior-point pass stopped, by _master.c's stop codes: at an
+# iterate that passes its test, at a merit below 1e-13, after _PDIP_WAIT
+# steps without a gain, after _MAX_NEWTON steps, at a slack underflow or a
+# multiplier blow-up, at a non-finite Newton matrix, or at one singular to
+# working precision.
+_PASS_STOPS = ("kkt", "merit", "stall", "max_newton", "boundary", "nonfinite", "singular")
 
 
-@np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
-def _pdip_core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
-    """One primal-dual path-following pass; returns an iterate (z, lambda).
+class _PassReport(NamedTuple):
+    """What an interior-point pass reports besides its iterate."""
 
+    steps: int      # Newton steps taken
+    returned: int   # index of the returned iterate: the start is 0, each step's iterate the next
+    stop: str       # why the pass stopped, one of _PASS_STOPS
+
+
+def _interior_point_pass(problem: TrustRegionProblem, G: np.ndarray, beta: np.ndarray, sigma: float):
+    """One primal-dual path-following pass over ``problem`` with the cuts
+    (G, beta); returns an iterate (z, lambda) and its :class:`_PassReport`.
+
+    The pass is one call into the package's C library, ``_master.c``.
     Every Newton step aims the complementarity at ``sigma`` times its mean,
     and one step length, 0.995 of the way to the boundary, moves the slacks
     and the multipliers together.  The centering never stops: pure affine
-    steps (sigma = 0) jam on the degenerate bundles late in a QNDA run, where
-    nearly every cut is almost active, and drive those slacks to 1e-19 and
-    below while the stationarity stalls above ``_KKT_TOL``.
+    steps (sigma = 0) jam on the degenerate bundles late in a QNDA run,
+    where nearly every cut is almost active, and drive those slacks to
+    1e-19 and below while the stationarity stalls above ``_KKT_TOL``.
 
     The pass keeps its best iterate, the one of least merit (the largest of
     the stationarity and primal residuals and the mean complementarity).  It
     returns the first new best iterate whose KKT residual, as
-    :func:`_kkt_residual` scores it, meets ``_KKT_TOL``.  An iterate that
-    passes without improving the merit is not returned: its slacks still
-    disagree with its constraint values, and on a flat model with a binding
-    ball such an iterate can sit well inside the ball at a model value far
-    below the optimum.  Failing that the pass returns its best iterate once
-    the merit falls below 1e-13, the iteration breaks down (a singular
-    Newton matrix among the ways), the merit has not improved for
-    ``_PDIP_WAIT`` iterations, or ``_MAX_NEWTON`` Newton iterations have
-    run.
+    :func:`_kkt_residual` scores it, meets ``_KKT_TOL`` and whose duality
+    gap sum_i lambda_i |f_i| is within ``_GAP_TOL * max(1, |w|)``.  An
+    iterate that passes without improving the merit is not returned: its
+    slacks still disagree with its constraint values, and on a flat model
+    with a binding ball such an iterate can sit well inside the ball at a
+    model value far below the optimum.  Failing that the pass stops once
+    the merit falls below 1e-13, the iteration breaks down, the merit has
+    not improved for ``_PDIP_WAIT`` iterations, or ``_MAX_NEWTON`` Newton
+    iterations have run (the three tolerances and both limits are read at
+    each call).  It then returns its first new best iterate within
+    ``_KKT_TOL``, the iterate a pass without the gap test would have
+    returned, or failing that its best iterate.
 
-    A Newton step does only the arithmetic of the iterate at hand.  The
-    pass sets numpy's floating-point error state once, ignoring every
-    error, where ``np.linalg.solve`` would set its own at each call.  It
-    solves each Newton system with :data:`_solve1`, the LAPACK kernel that
-    ``np.linalg.solve`` dispatches to, which answers a singular matrix with
-    NaNs where ``np.linalg.solve`` raises.  It writes each direction, and
-    the ratios of each step length, into buffers of its own.  The
-    arithmetic and its order are unchanged, so every iterate is the same
-    bit for bit.
+    The Newton system is solved by LU with partial pivoting.  A matrix
+    singular to working precision breaks the iteration down: a pivot that
+    is not finite or no larger than the rounding error of its column's
+    diagonal entry.  On a flat model with a binding ball the Newton
+    matrices lose the flat directions to rounding this way; a pass that
+    stepped on along them would drift along the ball to a point within
+    ``_KKT_TOL`` up to 1e-10 below the optimum, where the polish from an
+    earlier iterate finds it to 1e-16.
     """
-    beta = problem.cut_offsets
-    # Strictly feasible start: delta = 0, w below every cut and the model cap.
-    z = np.zeros(n + 1)
-    z[n] = min(0.0, float(-beta.max())) - 1.0 - abs(float(beta.max()))
-    vals, grads = constraints(z)  # rewritten in place at every later iterate
-    grads_t = grads.T  # a view, so it follows those writes
-    # Slacks and multipliers side by side, so that a step finds its one
-    # length with one masked division and moves both at once.
-    state = np.concatenate((-vals, np.ones(n_con)))
-    d_state = np.empty(2 * n_con)  # (ds, dlam) of each step
-    to_boundary = np.empty(2 * n_con)
-    best = (np.inf, z, state[n_con:])
-    stall = 0
-    for newton in range(_MAX_NEWTON):
-        slack, lam_pd = state[:n_con], state[n_con:]
-        if newton:
-            constraints(z, vals, grads)
-        r_stat = obj_grad + grads_t @ lam_pd
-        stationarity = float(abs(r_stat).max())
-        r_prim = vals + slack
-        mu = float(lam_pd @ slack) / n_con
-        merit = max(stationarity, float(abs(r_prim).max()), mu)
-        # Late iterations can degrade once slacks underflow; keep the best
-        # iterate seen and stop when the merit stops improving.  Iterates are
-        # never written in place, so the best one needs no copy.
-        if merit < best[0]:
-            # _kkt_residual's test on the residuals at hand, cheapest term
-            # first; the tolerance is positive, so the violation needs no
-            # clipping at 0.
-            if (stationarity <= _KKT_TOL and float(vals.max()) <= _KKT_TOL
-                    and float((lam_pd * abs(vals)).max()) <= _KKT_TOL):
-                return z, lam_pd
-            best = (merit, z, lam_pd)
-            stall = 0
-        else:
-            stall += 1
-        if merit < 1e-13 or stall >= _PDIP_WAIT:
-            break
-        if slack.min() <= 0 or lam_pd.min() < 0 or lam_pd.max() > 1e12:
-            break  # slack underflow or multiplier blow-up; keep the best iterate
-        # Condensed Newton system in (dz, dlam); ds eliminated.
-        W = lam_pd / slack
-        H = add_curvature(grads_t @ (grads * W[:, None]), lam_pd)
-        if not np.isfinite(H).all():
-            break
-        comp = (lam_pd * slack - sigma * mu) / slack
-        dz = _solve1(H, -r_stat - grads_t @ (W * r_prim - comp))
-        if math.isnan(dz[0]):
-            break  # LAPACK's answer for a singular matrix: all NaN
-        moved = grads @ dz + r_prim
-        np.negative(moved, out=d_state[:n_con])
-        np.multiply(W, moved, out=d_state[n_con:])
-        d_state[n_con:] -= comp
-        step = _step_length(state, d_state, to_boundary)
-        z = z + step * dz
-        state = state + step * d_state
-    return best[1], best[2]
+    n, m = problem.center.shape[0], G.shape[0]
+    has_model = problem.quad is not None
+    z, lam = np.empty(n + 1), np.empty(1 + m + has_model)
+    report = np.empty(3, dtype=np.int64)
+    lib = _search_library()
+    if lib.pdip(n, m, G.ctypes.data, beta.ctypes.data, problem.alpha,
+                problem.quad.ctypes.data if has_model else None, problem.lin.ctypes.data if has_model else None,
+                sigma, _KKT_TOL, _GAP_TOL, _MAX_NEWTON, _PDIP_WAIT, z.ctypes.data, lam.ctypes.data,
+                report.ctypes.data) < 0:
+        raise MemoryError("the master's interior-point pass ran out of memory")
+    steps, returned, stop = report.tolist()
+    return z, lam, _PassReport(steps, returned, _PASS_STOPS[stop])
+
+
+# Times SLSQP starts again from its own point after a failed line search.
+_SQP_RESTARTS = 2
 
 
 def _sqp_fallback(z0, constraints, obj_grad, n_con):
-    """SQP restart from a near-optimal iterate; returns (z, lambda) or None."""
+    """SQP restart from a near-optimal iterate; returns (z, lambda) or None.
+
+    SLSQP that stops at a failed line search (its status 8, "positive
+    directional derivative") is started again from its point, with a fresh
+    Hessian approximation, up to ``_SQP_RESTARTS`` times."""
     from scipy.optimize import minimize
 
     def f_ineq(x):
@@ -472,14 +447,19 @@ def _sqp_fallback(z0, constraints, obj_grad, n_con):
         _, grads = constraints(x)
         return -grads
 
-    result = minimize(
-        lambda x: float(obj_grad @ x), z0, jac=lambda x: obj_grad,
-        constraints=[{"type": "ineq", "fun": f_ineq, "jac": jac_ineq}],
-        method="SLSQP", options={"maxiter": 500, "ftol": 1e-16},
-    )
-    if not np.all(np.isfinite(result.x)):
-        return None
-    return result.x, np.zeros(n_con)
+    x = z0
+    for _ in range(1 + _SQP_RESTARTS):
+        result = minimize(
+            lambda x: float(obj_grad @ x), x, jac=lambda x: obj_grad,
+            constraints=[{"type": "ineq", "fun": f_ineq, "jac": jac_ineq}],
+            method="SLSQP", options={"maxiter": 500, "ftol": 1e-16},
+        )
+        if not np.all(np.isfinite(result.x)):
+            return None
+        x = result.x
+        if result.status != 8:
+            break
+    return x, np.zeros(n_con)
 
 
 def _polish_kkt(z, z_vals, z_grads, constraints, obj_grad, n_con):

@@ -21,12 +21,12 @@ dataset's solves and as the central optimum of a merged dataset.  A
 search over the dataset needs that no dual term changes, so a caller that
 solves one dataset under many dual terms builds them once.
 
-A solve is one call into a small C file, ``_search.c``, built on the
-first search and run through ``ctypes``: the search's set-up from the dual
-term, the start's relabelling, the search with its leaves, and the reply.
-The same file values the precompute's searches and every assignment that
-:func:`evaluate_assignment` values.  A full enumeration oracle is provided
-for testing.
+A solve is one call into a small C file, ``_search.c``, built on first
+use (with the master's ``_master.c``) and run through ``ctypes``: the
+search's set-up from the dual term, the start's relabelling, the search
+with its leaves, and the reply.  The same file values the precompute's
+searches and every assignment that :func:`evaluate_assignment` values.  A
+full enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -472,11 +472,12 @@ class SearchTemplate:
         return _solution(subproblem, tuple([new_label[k] for k in self.start]), _relative_gap(value, lb), explored)
 
 
-# _search.c is built on the first search with the system C compiler into
-# the package's __pycache__, under a name that hashes the source and the
-# command, and loaded with ctypes.  -ffp-contract=off keeps the compiler from
-# fusing a multiply and an add into one rounding.
-_SEARCH_SOURCE = Path(__file__).with_name("_search.c")
+# The package's C sources, _search.c and the master's interior-point pass in
+# _master.c, are built together into one library on first use, with the
+# system C compiler, into the package's __pycache__ under a name that hashes
+# the sources and the command, and loaded with ctypes.  -ffp-contract=off
+# keeps the compiler from fusing a multiply and an add into one rounding.
+_C_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_search.c", "_master.c"))
 _SEARCH_CACHE = Path(__file__).with_name("__pycache__")
 _SEARCH_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # A precompute search returns to Python after this many expanded nodes, so
@@ -525,8 +526,9 @@ def _search_types():
 
 @functools.cache
 def _search_library():
-    """``_search.c``'s functions and the ctypes structures they read, with
-    the ``ctypes`` module.
+    """The functions of the package's C library (``_search.c`` and
+    ``_master.c``) and the ctypes structures they read, with the ``ctypes``
+    module.
 
     The library is built into the cache unless it is there already: to a
     temporary file, then renamed into place, so that processes that build
@@ -540,8 +542,8 @@ def _search_library():
     from types import SimpleNamespace
 
     command = [*_compiler(), *_SEARCH_FLAGS]
-    source = _SEARCH_SOURCE.read_bytes()
-    key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
+    sources = b"".join(hashlib.sha256(source.read_bytes()).digest() for source in _C_SOURCES)
+    key = hashlib.sha256(sources + "\0".join(command).encode()).hexdigest()[:16]
     path = _SEARCH_CACHE / f"_search-{key}.so"
     if not path.exists():
         failed = f"cannot build the node search with `{' '.join(command)}`: "
@@ -553,7 +555,7 @@ def _search_library():
         os.close(fd)
         try:
             try:
-                built = subprocess.run([*command, "-o", tmp, str(_SEARCH_SOURCE)], capture_output=True, text=True)
+                built = subprocess.run([*command, "-o", tmp, *map(str, _C_SOURCES)], capture_output=True, text=True)
                 error = (built.stderr.strip() or f"exit status {built.returncode}") if built.returncode else None
             except OSError as exc:
                 error = str(exc)
@@ -577,6 +579,8 @@ def _search_library():
                                     ctypes.POINTER(f64)]),
         "relabel": (ctypes.c_int, [pointer, i64, pointer]),
         "sum": (f64, [pointer, i64, i64]),
+        "pdip": (ctypes.c_int, [i64, i64, pointer, pointer, f64, pointer, pointer, f64, f64, f64, i64, i64,
+                                pointer, pointer, pointer]),
     }
     functions = {}
     for name, (restype, argtypes) in signatures.items():

@@ -22,6 +22,8 @@ from fedkmeans.master import (
     solve_trust_region_qp,
     step_size,
 )
+import master_reference
+from master_reference import kkt_residual, reference_pass
 
 
 class TestStepSize:
@@ -223,31 +225,18 @@ def flat_problem(seed):
 
 
 def record_passes(monkeypatch):
-    """List that receives (Newton steps, index of the returned iterate, KKT
-    residuals of the iterates stepped from) for each interior-point pass.
-    Iterates are indexed in the order the pass visits them; it evaluates the
-    constraints once at each."""
+    """List that receives the report of each interior-point pass, in order:
+    (Newton steps, index of the returned iterate, why the pass stopped).
+    The start is iterate 0 and each step's iterate the next."""
     passes = []
-    core = master._pdip_core
+    run_pass = master._interior_point_pass
 
-    def recording(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
-        points, weights = [], []
+    def recording(*args):
+        z, lam, report = run_pass(*args)
+        passes.append(report)
+        return z, lam, report
 
-        def evaluate(z, *out):
-            points.append(z.copy())
-            return constraints(z, *out)
-
-        def curvature(H, w):  # one call per Newton step, with that step's multipliers
-            weights.append(w.copy())
-            return add_curvature(H, w)
-
-        z, lam = core(problem, evaluate, curvature, obj_grad, n_con, n, sigma)
-        returned = next(i for i, p in enumerate(points) if np.array_equal(p, z))
-        residuals = [master._kkt_residual(*constraints(p), obj_grad, w) for p, w in zip(points, weights)]
-        passes.append((len(weights), returned, residuals))
-        return z, lam
-
-    monkeypatch.setattr(master, "_pdip_core", recording)
+    monkeypatch.setattr(master, "_interior_point_pass", recording)
     return passes
 
 
@@ -255,15 +244,21 @@ def cap_fixed_pass(monkeypatch, steps):
     """Let the first interior-point pass (sigma = 0.1) take at most ``steps``
     Newton steps, so that a problem it would solve goes on to the later
     stages.  With 0 steps the pass returns its starting iterate."""
-    core = master._pdip_core
+    run_pass = master._interior_point_pass
 
-    def capped(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
+    def capped(problem, G, beta, sigma):
         with monkeypatch.context() as patch:
             if sigma == 0.1:
                 patch.setattr(master, "_MAX_NEWTON", steps)
-            return core(problem, constraints, add_curvature, obj_grad, n_con, n, sigma)
+            return run_pass(problem, G, beta, sigma)
 
-    monkeypatch.setattr(master, "_pdip_core", capped)
+    monkeypatch.setattr(master, "_interior_point_pass", capped)
+
+
+def distinct_cuts(problem):
+    """The cuts (G, beta) that the solver hands its interior-point passes."""
+    keep = master._distinct_cuts(problem.cut_normals, problem.cut_offsets)
+    return problem.cut_normals[keep], problem.cut_offsets[keep]
 
 
 def steep_problem():
@@ -279,6 +274,9 @@ def steep_problem():
     beta = np.array([0.5 * (center @ H @ center - x @ H @ x) - g @ (center - x)
                      for x, g in zip(points, G)])
     return TrustRegionProblem(center=center, alpha=0.05, cut_normals=G, cut_offsets=beta)
+
+
+STEEP = steep_problem()
 
 
 def well_posed_problem(quad):
@@ -423,25 +421,25 @@ class TestTrustRegionSolver:
     def test_sqp_restarts_from_first_pass_iterate(self, monkeypatch):
         # On this 7-D problem with 43 cuts both interior-point passes end
         # above a KKT residual of 1e-3, and the polish repairs neither point.
-        core, sqp = master._pdip_core, master._sqp_fallback
+        run_pass, sqp = master._interior_point_pass, master._sqp_fallback
         passes, starts = [], []
 
-        def recording_core(*args):
-            passes.append(core(*args))
+        def recording_pass(*args):
+            passes.append(run_pass(*args))
             return passes[-1]
 
         def recording_sqp(z0, *args):
             starts.append(z0.copy())
             return sqp(z0, *args)
 
-        monkeypatch.setattr(master, "_pdip_core", recording_core)
+        monkeypatch.setattr(master, "_interior_point_pass", recording_pass)
         monkeypatch.setattr(master, "_sqp_fallback", recording_sqp)
         problem = degenerate_problem(2602, n=7, m=43)
         sol = solve_trust_region_qp(problem)
         assert sol.path == "sqp" and sol.kkt_residual <= 1e-8
         step = sol.argmax - problem.center
         assert float(step @ step) <= problem.alpha + 1e-8
-        (first, _), (second, _) = passes
+        (first, *_), (second, *_) = passes
         (start,) = starts
         assert np.array_equal(start, first) and not np.array_equal(start, second)
 
@@ -457,19 +455,58 @@ class TestTrustRegionSolver:
         assert sol.model_value == pytest.approx(eps * math.sqrt(problem.alpha), abs=1e-12)
 
     @pytest.mark.parametrize("problem", [
-        pytest.param(steep_problem(), id="steep"),
+        pytest.param(STEEP, id="steep"),
         pytest.param(well_posed_problem(None), id="cuts"),
         pytest.param(well_posed_problem(-np.diag([1.0, 3.0])), id="model"),
     ])
     def test_pass_returns_its_first_iterate_within_tolerance(self, monkeypatch, problem):
-        # On the steep problem the merit goes on falling for a few iterations
-        # after the first iterate within kkt_tol.
+        # The pass returns the last iterate it visits, never stepped from.
+        # Held to that many Newton steps it never visits it, and none of the
+        # iterates it visits passes its test.  On the steep problem the merit
+        # goes on falling for a few iterations after the first iterate that
+        # passes, so a pass that ignored the tolerances would go on.
         passes = record_passes(monkeypatch)
         sol = solve_trust_region_qp(problem)
         assert sol.path == "ipm" and sol.kkt_residual <= 1e-8
-        ((newton, returned, residuals),) = passes
-        assert returned == newton  # the last iterate visited, never stepped from
-        assert min(residuals) > 1e-8
+        ((steps, returned, stop),) = passes
+        assert (returned, stop) == (steps, "kkt")
+        G, beta = distinct_cuts(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(master, "_MAX_NEWTON", steps)
+            *_, held = master._interior_point_pass(problem, G, beta, 0.1)
+        assert held.stop == "max_newton" and held.returned < steps
+        if problem is STEEP:
+            with monkeypatch.context() as patch:
+                patch.setattr(master, "_KKT_TOL", 0.0)
+                *_, untolerated = master._interior_point_pass(problem, G, beta, 0.1)
+            assert untolerated.returned > steps
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param(STEEP, id="steep"),
+        pytest.param(degenerate_problem(0), id="degenerate-0"),
+    ])
+    def test_pass_closes_the_duality_gap(self, monkeypatch, problem):
+        # An iterate within kkt_tol can still sit up to about n_con * 1e-8
+        # below the optimum; the pass goes on until the duality gap
+        # sum_i lam_i |f_i| is within _GAP_TOL * max(1, |w|) as well.  A
+        # pass that stops before it gets there returns its first new best
+        # iterate within kkt_tol, as a pass without the gap test would.
+        G, beta = distinct_cuts(problem)
+        z, lam, report = master._interior_point_pass(problem, G, beta, 0.1)
+        assert report.stop == "kkt" and kkt_residual(problem, G, beta, z, lam) <= 1e-8
+        vals, _ = master_reference.constraint_values(problem, G, beta, z)
+        assert float(lam @ abs(vals)) <= master._GAP_TOL * max(1.0, abs(z[-1]))
+        with monkeypatch.context() as patch:
+            patch.setattr(master, "_GAP_TOL", math.inf)
+            z_kkt, lam_kkt, first = master._interior_point_pass(problem, G, beta, 0.1)
+        assert first.stop == "kkt" and first.returned < report.returned
+        vals, _ = master_reference.constraint_values(problem, G, beta, z_kkt)
+        assert float(lam_kkt @ abs(vals)) > master._GAP_TOL * max(1.0, abs(z_kkt[-1]))
+        with monkeypatch.context() as patch:
+            patch.setattr(master, "_MAX_NEWTON", report.steps)
+            z_held, lam_held, held = master._interior_point_pass(problem, G, beta, 0.1)
+        assert (held.returned, held.stop) == (first.returned, "max_newton")
+        assert z_held.tobytes() == z_kkt.tobytes() and lam_held.tobytes() == lam_kkt.tobytes()
 
     @pytest.mark.parametrize("problem, fixed_steps", POLISHED_PROBLEMS)
     def test_polish_returns_first_candidate_within_tolerance(self, monkeypatch, problem, fixed_steps):
@@ -578,14 +615,15 @@ class TestTrustRegionSolver:
 
 
 class TestNewtonStep:
-    """The interior-point pass solves its Newton systems with numpy's own
-    LAPACK kernel, without np.linalg.solve's per-call wrappers.  These tests
-    name that numpy internal, so a numpy release that moves it fails here
-    first."""
+    """The compiled pass solves each Newton system by LU with partial
+    pivoting.  The oracle in master_reference.py solves them with numpy's
+    own LAPACK kernel, without np.linalg.solve's per-call wrappers; the
+    kernel tests name that numpy internal, so a numpy release that moves it
+    fails here first."""
 
     def test_kernel_is_numpys(self):
         from numpy.linalg._umath_linalg import solve1
-        assert master._solve1 is solve1
+        assert master_reference._solve1 is solve1
 
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10, 1e15])
     @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
@@ -598,55 +636,103 @@ class TestNewtonStep:
             V = U if symmetric else np.linalg.qr(rng.normal(size=(n, n)))[0]
             A = U @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ V.T
             b = rng.normal(size=n)
-            assert master._solve1(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+            assert master_reference._solve1(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
 
     @pytest.mark.parametrize("singular_at", [1, 4, 9])
     def test_singular_newton_matrix_ends_pass_at_best_iterate(self, monkeypatch, singular_at):
-        # LAPACK answers a singular matrix with NaNs.  The pass then stops
-        # with its best iterate, as it did when np.linalg.solve raised
-        # LinAlgError: the iterate of a pass held to that many Newton steps.
-        # It takes no step along the NaNs, so it never evaluates a NaN
-        # iterate.  The full first pass takes more than 10 steps here.
-        problem = degenerate_problem(10)
-        solve1 = master._solve1
+        # degenerate_problem(13), whose merit falls at each of its first nine
+        # iterates, with a fourth coordinate that no cut and no linear term
+        # sees, whose curvature b the model cap alone carries.  The pass
+        # never moves along it, and every bit of its iterates is the same
+        # whatever b is, so long as its Newton matrices are not singular.
+        # That coordinate's row of the Newton matrix is zero but for its
+        # diagonal entry 2 lam_ball - lam_model * b, and b is chosen to make
+        # that entry exactly zero at the Newton step from iterate
+        # singular_at - 1.  The pass then stops there with its best iterate,
+        # which is that of the pass held to singular_at Newton steps.
+        base = degenerate_problem(13)
+        n = base.center.shape[0]
 
-        def first_pass(held):
-            with monkeypatch.context() as patch:
-                if held:
-                    cap_fixed_pass(patch, singular_at)
-                core, passes = master._pdip_core, []
+        def decoupled(b):
+            quad = np.zeros((n + 1, n + 1))
+            quad[:n, :n], quad[n, n] = base.quad, b
+            return TrustRegionProblem(center=np.append(base.center, 0.0), alpha=base.alpha,
+                                      cut_normals=np.hstack([base.cut_normals, np.zeros((len(base.cut_offsets), 1))]),
+                                      cut_offsets=base.cut_offsets, quad=quad, lin=np.append(base.lin, 0.0))
 
-                def recording(problem, constraints, add_curvature, obj_grad, n_con, n, sigma):
-                    def evaluate(z, *out):
-                        if not passes:  # the first pass
-                            assert np.isfinite(z).all()
-                        return constraints(z, *out)
-
-                    z, lam = core(problem, evaluate, add_curvature, obj_grad, n_con, n, sigma)
-                    passes.append((z, lam))
-                    return z, lam
-
-                patch.setattr(master, "_pdip_core", recording)
-                try:
-                    solve_trust_region_qp(problem)
-                except master.TrustRegionSolverError:
-                    pass
-            return passes[0]
-
-        calls, answers = [], []
-
-        def singular_at_call(H, rhs):
-            calls.append(None)
-            dz = solve1(np.zeros_like(H) if len(calls) == singular_at else H, rhs)
-            answers.append(dz)
-            return dz
-
-        monkeypatch.setattr(master, "_solve1", singular_at_call)
-        z, lam = first_pass(held=False)
-        assert np.isnan(answers[singular_at - 1]).all()
-        monkeypatch.setattr(master, "_solve1", solve1)
-        z_held, lam_held = first_pass(held=True)
+        G, beta = distinct_cuts(decoupled(-1.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(master, "_MAX_NEWTON", singular_at)
+            z_held, lam_held, held = master._interior_point_pass(decoupled(-1.0), G, beta, 0.1)
+        assert held == (singular_at, singular_at - 1, "max_newton")  # the merit fell at every iterate
+        target = 2.0 * lam_held[0]
+        b = target / lam_held[-1]
+        for _ in range(4):  # the b whose product with lam_model rounds to the target
+            b = np.nextafter(b, np.inf if lam_held[-1] * b < target else -np.inf)
+            if lam_held[-1] * b == target:
+                break
+        assert lam_held[-1] * b == target
+        z, lam, report = master._interior_point_pass(decoupled(b), G, beta, 0.1)
+        assert report == (singular_at - 1, singular_at - 1, "singular")
         assert z.tobytes() == z_held.tobytes() and lam.tobytes() == lam_held.tobytes()
+        # The full pass, with a b that keeps the matrices regular, goes on.
+        assert master._interior_point_pass(decoupled(-1.0), G, beta, 0.1)[2].steps > 10
+
+
+@st.composite
+def master_problems(draw):
+    """BTM and QNDA master problems: n from 1 to 20 and 1 to 50 cuts, some of
+    them near-duplicates of others or all of rank n - 1 nearly through the
+    centre, flat models, and model caps whose condition reaches 1e12."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(1, 20)), draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["cuts", "near-duplicates", "degenerate", "flat"]))
+    G = rng.normal(size=(m, n)) * 10 ** rng.uniform(-1, 1)
+    # Linearization errors of a concave dual are <= 0, and the cut of the
+    # centre itself has none.
+    beta = -np.abs(rng.normal(size=m)) * 10 ** rng.uniform(-8, 0, size=m)
+    beta[-1] = 0.0
+    if kind == "degenerate" and n > 1:  # as degenerate_problem
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:n - 1]
+        G = (rng.normal(size=(m, n - 1)) + 0.5 * rng.normal(size=n - 1)) @ basis
+        beta[:-1] = -np.abs(rng.normal(size=m - 1)) * 10 ** rng.uniform(-10, -7, size=m - 1)
+    elif kind == "near-duplicates":
+        k = int(rng.integers(1, m + 1))
+        src, dst = rng.integers(0, m, size=k), rng.integers(0, m, size=k)
+        noise = 10 ** rng.uniform(-10, -5, size=(k, 1))
+        G[dst] = G[src] + noise * rng.normal(size=(k, n))
+        beta[dst] = np.minimum(beta[src] + noise[:, 0] * rng.normal(size=k), 0.0)
+    elif kind == "flat":
+        G *= 10 ** rng.uniform(-9, -6)
+        beta *= 1e-8
+    quad = lin = None
+    if draw(st.booleans()):  # a QNDA model cap
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        low = rng.uniform(-4, 4)
+        B = -(Q * 10 ** rng.uniform(low, low + draw(st.floats(0, 12)), size=n)) @ Q.T
+        quad, lin = 0.5 * (B + B.T), G[-1]
+    return TrustRegionProblem(center=rng.normal(size=n), alpha=10 ** rng.uniform(-3, 0.5),
+                              cut_normals=G, cut_offsets=beta, quad=quad, lin=lin)
+
+
+class TestPassOracle:
+    """The compiled interior-point pass against the numpy pass of
+    master_reference.py, which runs the same algorithm in numpy's orders of
+    operations with LAPACK's solve."""
+
+    @given(master_problems(), st.sampled_from([0.1, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_pass_matches_numpy_pass(self, problem, sigma):
+        G, beta = distinct_cuts(problem)
+        z, lam, report = master._interior_point_pass(problem, G, beta, sigma)
+        assert np.isfinite(z).all() and np.isfinite(lam).all()
+        assert 0 <= report.returned <= report.steps <= master._MAX_NEWTON
+        z_ref, _, reference = reference_pass(problem, G, beta, sigma)
+        n = problem.center.shape[0]
+        for point in (z, z_ref):
+            assert float(point[:n] @ point[:n]) <= problem.alpha + 1e-8
+        if report.stop == reference.stop == "kkt":  # both passes met their tolerances
+            assert abs(z[n] - z_ref[n]) <= 1e-9 * max(1.0, abs(z_ref[n]))
 
 
 class TestBtmDirection:
