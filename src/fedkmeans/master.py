@@ -113,7 +113,8 @@ def _bundle_cuts(bundle: Bundle, lam_t: np.ndarray, d_t: float) -> tuple[np.ndar
 # ------------------------------ BFGS update ---------------------------------
 
 
-# Relative curvature y.s below which a BFGS update is skipped.
+# Relative curvature y.s below which a BFGS update is skipped, and the
+# smallest ratio of the updated matrix's eigenvalues that it may keep.
 _BFGS_SKIP_TOL = 1e-12
 
 
@@ -122,9 +123,14 @@ def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Skipped (B returned unchanged) unless y.s < -_BFGS_SKIP_TOL ||y|| ||s||; for a
     concave function the curvature pair should satisfy y.s < 0.  In exact
-    arithmetic such a pair keeps B negative definite, but with curvatures
-    many decades apart round-off can push the largest eigenvalue above 0, so
-    an update whose result has a computed eigenvalue >= 0 is skipped as well.
+    arithmetic such a pair keeps B negative definite, but the updates can
+    spread its curvatures many decades apart, so an update is skipped as
+    well when the computed eigenvalues of its result span more than
+    1 / _BFGS_SKIP_TOL, a condition above 1e12 (this covers a computed
+    eigenvalue >= 0).  Left to grow, the condition reached 1e19 on the
+    seed-0 grid, and every QNDA master problem there that missed the KKT
+    tolerance, and so fell back to a BTM step, had a model of condition
+    above 1e16.
     """
     B = np.asarray(B, dtype=float)
     s = np.asarray(s, dtype=float).ravel()
@@ -136,7 +142,8 @@ def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     sBs = float(s @ Bs)
     out = B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs
     out = 0.5 * (out + out.T)  # symmetrize against round-off drift
-    if np.linalg.eigvalsh(out)[-1] >= 0:
+    eig = np.linalg.eigvalsh(out)
+    if eig[-1] >= _BFGS_SKIP_TOL * eig[0]:
         return B
     return out
 
@@ -164,7 +171,7 @@ class TrustRegionProblem:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).ravel()
-        G = np.atleast_2d(np.asarray(self.cut_normals, dtype=float))
+        G = np.atleast_2d(np.ascontiguousarray(self.cut_normals, dtype=float))
         beta = np.asarray(self.cut_offsets, dtype=float).ravel()
         if self.alpha <= 0:
             raise ValueError("trust-region parameter must be positive")
@@ -189,43 +196,11 @@ class MasterSolution:
     argmax: np.ndarray        # the maximizing point (absolute coordinates)
     model_value: float        # model value at the argmax (including const)
     kkt_residual: float
-    path: str                 # accepting solver stage: "ipm", "polish", "recentred" or "sqp"
+    path: str                 # accepting solver stage: "ipm", "polish" or "recentred"
 
 
 class TrustRegionSolverError(RuntimeError):
     """Master solver failed to reach the requested KKT accuracy."""
-
-
-def _distinct_cuts(cut_normals: np.ndarray, cut_offsets: np.ndarray) -> list[int]:
-    """Indices of the cuts kept after collapsing near-duplicates, in order.
-
-    Cut i is dropped when its row (g_i, beta_i) lies within 1e-7 * max(1,
-    |row_i|) of a row already kept.  Near-duplicate cuts (bundle entries from
-    almost-identical dual points) would make the KKT system singular.
-
-    The pairwise test runs only when a prefilter finds a candidate pair: two
-    rows that close project onto any direction u within |u| * 1e-7 * max(1,
-    |rows|_F) of each other, so the test is skipped when no two sorted
-    projections come within twice that (the factor covers round-off).  The
-    direction weighs coordinate k by sqrt(k + 1).  Projections onto it
-    flagged 2 of the 347 master problems of the benchmark workloads at seed 0,
-    none of which has a duplicate, and 464 of the 2,682 of the K=3
-    replicate-1 grid cells under BTM and QNDA; the first coordinate alone
-    flagged 81 and 932.
-    """
-    rows = np.hstack([cut_normals, cut_offsets[:, None]])
-    u = np.sqrt(np.arange(1.0, rows.shape[1] + 1))
-    bound = 2e-7 * max(1.0, float(np.linalg.norm(rows))) * float(np.linalg.norm(u))
-    if not (np.diff(np.sort(rows @ u)) <= bound).any():
-        return list(range(rows.shape[0]))
-    gaps = np.linalg.norm(rows[:, None] - rows[None], axis=2)
-    # |row_i| as np.linalg.norm(rows[i]) computes it: one dot product per row.
-    scale = np.maximum(1.0, np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]))
-    close = np.tril(gaps <= 1e-7 * scale[:, None], k=-1)  # close[i, j]: row j < i is near row i
-    keep = np.ones(rows.shape[0], dtype=bool)
-    for i in np.flatnonzero(close.any(axis=1)).tolist():
-        keep[i] = not (close[i] & keep).any()
-    return np.flatnonzero(keep).tolist()
 
 
 # KKT residual that every stage of the master solver must reach, and the
@@ -244,33 +219,28 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
       cut l:  w - g_l . delta + beta_l
       model:  w - 1/2 delta^T B delta - g . delta        (if quad is given)
 
-    The objective is max w.  Stages run in order until one meets
+    The objective is max w.  Two stages run in order until one meets
     ``_KKT_TOL``: a primal-dual path-following pass
     (:func:`_interior_point_pass`) that aims each step at a tenth of the
-    mean complementarity; the same pass, from the same start, at half of
-    it; and an SLSQP restart from the first pass's iterate, which
-    identifies the active set at fully degenerate vertices (more active
-    constraints than variables).  The first pass settles nearly every
-    problem, by itself or through the polish: of the 5,364 BTM and QNDA
-    master problems of the replicate-1 cells of the seed-0 grid (t_max
-    150), the first pass settled 5,173 as it stood and 137 polished, the
-    second pass 25 and SLSQP 29.  Each stage ends at the same test, a KKT
-    residual within ``_KKT_TOL``: a pass stops at its first new best
-    iterate that passes it with a small duality gap as well (see
-    :func:`_interior_point_pass`), and the polish returns its first
-    candidate that passes it.  A stage's point is accepted as it stands
-    when it passes; otherwise it goes through the active-set polish of
-    :func:`_polish_kkt`, and the lower residual of the two is kept (SLSQP
-    returns no multipliers, so its point is always polished).
-    The solution's ``path`` names the accepting stage: "ipm" for the first
-    pass's point, "polish" for that point polished, and "recentred" or
-    "sqp" for the later stages, polished or not.  The solver fails loudly
-    if the best residual still exceeds ``_KKT_TOL``.
+    mean complementarity, and the same pass, from the same start, at half
+    of it.  The first pass settles nearly every problem, by itself or
+    through the polish: of the 5,364 BTM and QNDA master problems of the
+    replicate-1 cells of the seed-0 grid (t_max 150), the first pass
+    settled 5,307 as it stood and 54 polished, and the second pass 3.
+    Each stage ends at the same test, a KKT residual within ``_KKT_TOL``:
+    a pass stops at its first new best iterate that passes it with a small
+    duality gap as well (see :func:`_interior_point_pass`), and the polish
+    returns its first candidate that passes it.  A stage's
+    point is accepted as it stands when it passes; otherwise it goes
+    through the active-set polish of :func:`_polish_kkt`, and the lower
+    residual of the two is kept.  The solution's ``path`` names the
+    accepting stage: "ipm" for the first pass's point, "polish" for that
+    point polished, and "recentred" for the second pass's point, polished
+    or not.  The solver fails loudly if the best residual still exceeds
+    ``_KKT_TOL``.
     """
     n = problem.center.shape[0]
-    keep = _distinct_cuts(problem.cut_normals, problem.cut_offsets)
-    G = problem.cut_normals[keep]
-    beta = problem.cut_offsets[keep]
+    G, beta = problem.cut_normals, problem.cut_offsets
     m_cuts = G.shape[0]
     has_model = problem.quad is not None
 
@@ -297,8 +267,9 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
     obj_grad = np.zeros(n + 1)
     obj_grad[n] = -1.0  # minimizing -w
 
-    def candidate(z, lam, stage):
-        """(z, lambda, kkt_residual, path) for a stage's point, polished if it fails _KKT_TOL."""
+    def candidate(sigma, stage):
+        """(z, lambda, kkt_residual, path) for a pass's point, polished if it fails _KKT_TOL."""
+        z, lam, _ = _interior_point_pass(problem, sigma)
         vals, grads = constraints(z)
         kkt = _kkt_residual(vals, grads, obj_grad, lam)
         if kkt <= _KKT_TOL:
@@ -308,20 +279,9 @@ def solve_trust_region_qp(problem: TrustRegionProblem) -> MasterSolution:
             return (*polished, "polish" if stage == "ipm" else stage)
         return z, lam, kkt, stage
 
-    first = _interior_point_pass(problem, G, beta, 0.1)
-    result = candidate(*first[:2], "ipm")
-    for stage in ("recentred", "sqp"):
-        if result[2] <= _KKT_TOL:
-            break
-        if stage == "sqp":
-            point = _sqp_fallback(first[0], constraints, obj_grad, n_con)
-            if point is None:
-                break
-        else:
-            point = _interior_point_pass(problem, G, beta, 0.5)[:2]
-        trial = candidate(*point, stage)
-        if trial[2] < result[2]:
-            result = trial
+    result = candidate(0.1, "ipm")
+    if result[2] > _KKT_TOL:
+        result = min(result, candidate(0.5, "recentred"), key=lambda trial: trial[2])
 
     z, lam, kkt, path = result
     if kkt > _KKT_TOL:
@@ -346,10 +306,10 @@ def _kkt_residual(vals, grads, obj_grad, lam) -> float:
 # before any of its new best iterates passes its test.  The wait is long
 # because the merit can stall and then recover.  On the 2,682 master problems
 # of the K=3 replicate-1 cells of the seed-0 grid under BTM and QNDA (t_max
-# 150), the first passes took 51,240 Newton iterations and the second 1,042,
-# and the stages accepted 2,534 points as "ipm", 125 as "polish", 9 as
-# "recentred" and 14 as "sqp".  A wait of 3 on the same problems left 34 of
-# them above _KKT_TOL after all stages, and only 1,055 went to "ipm".
+# 150), the first passes took 52,033 Newton iterations and the second 72,
+# and the stages accepted 2,635 points as "ipm", 45 as "polish" and 2 as
+# "recentred".  A wait of 3 on the same problems left 1,299 of them above
+# _KKT_TOL after both stages, and only 1,091 went to "ipm".
 _PDIP_WAIT = 30
 
 # Duality gap sum_i lam_i |f_i| within which, relative to max(1, |w|), an
@@ -376,9 +336,9 @@ class _PassReport(NamedTuple):
     stop: str       # why the pass stopped, one of _PASS_STOPS
 
 
-def _interior_point_pass(problem: TrustRegionProblem, G: np.ndarray, beta: np.ndarray, sigma: float):
-    """One primal-dual path-following pass over ``problem`` with the cuts
-    (G, beta); returns an iterate (z, lambda) and its :class:`_PassReport`.
+def _interior_point_pass(problem: TrustRegionProblem, sigma: float):
+    """One primal-dual path-following pass over ``problem``; returns an
+    iterate (z, lambda) and its :class:`_PassReport`.
 
     The pass is one call into the package's C library, ``_master.c``.
     Every Newton step aims the complementarity at ``sigma`` times its mean,
@@ -413,53 +373,17 @@ def _interior_point_pass(problem: TrustRegionProblem, G: np.ndarray, beta: np.nd
     ``_KKT_TOL`` up to 1e-10 below the optimum, where the polish from an
     earlier iterate finds it to 1e-16.
     """
-    n, m = problem.center.shape[0], G.shape[0]
-    has_model = problem.quad is not None
+    (m, n), has_model = problem.cut_normals.shape, problem.quad is not None
     z, lam = np.empty(n + 1), np.empty(1 + m + has_model)
     report = np.empty(3, dtype=np.int64)
     lib = _search_library()
-    if lib.pdip(n, m, G.ctypes.data, beta.ctypes.data, problem.alpha,
+    if lib.pdip(n, m, problem.cut_normals.ctypes.data, problem.cut_offsets.ctypes.data, problem.alpha,
                 problem.quad.ctypes.data if has_model else None, problem.lin.ctypes.data if has_model else None,
                 sigma, _KKT_TOL, _GAP_TOL, _MAX_NEWTON, _PDIP_WAIT, z.ctypes.data, lam.ctypes.data,
                 report.ctypes.data) < 0:
         raise MemoryError("the master's interior-point pass ran out of memory")
     steps, returned, stop = report.tolist()
     return z, lam, _PassReport(steps, returned, _PASS_STOPS[stop])
-
-
-# Times SLSQP starts again from its own point after a failed line search.
-_SQP_RESTARTS = 2
-
-
-def _sqp_fallback(z0, constraints, obj_grad, n_con):
-    """SQP restart from a near-optimal iterate; returns (z, lambda) or None.
-
-    SLSQP that stops at a failed line search (its status 8, "positive
-    directional derivative") is started again from its point, with a fresh
-    Hessian approximation, up to ``_SQP_RESTARTS`` times."""
-    from scipy.optimize import minimize
-
-    def f_ineq(x):
-        vals, _ = constraints(x)
-        return -vals
-
-    def jac_ineq(x):
-        _, grads = constraints(x)
-        return -grads
-
-    x = z0
-    for _ in range(1 + _SQP_RESTARTS):
-        result = minimize(
-            lambda x: float(obj_grad @ x), x, jac=lambda x: obj_grad,
-            constraints=[{"type": "ineq", "fun": f_ineq, "jac": jac_ineq}],
-            method="SLSQP", options={"maxiter": 500, "ftol": 1e-16},
-        )
-        if not np.all(np.isfinite(result.x)):
-            return None
-        x = result.x
-        if result.status != 8:
-            break
-    return x, np.zeros(n_con)
 
 
 def _polish_kkt(z, z_vals, z_grads, constraints, obj_grad, n_con):

@@ -28,11 +28,12 @@ from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's ke
 import fedkmeans.master as master
 
 
-def constraint_values(problem, G, beta, z):
-    """Values and gradients of every constraint f_i of ``problem`` with the
-    cuts (G, beta) at z = (delta, w): the ball, the cuts, then the model
-    cap when there is one."""
-    n, m = problem.center.shape[0], G.shape[0]
+def constraint_values(problem, z):
+    """Values and gradients of every constraint f_i of ``problem`` at
+    z = (delta, w): the ball, the cuts, then the model cap when there is
+    one."""
+    G, beta = problem.cut_normals, problem.cut_offsets
+    m, n = G.shape
     delta, w = z[:n], z[n]
     n_con = 1 + m + (problem.quad is not None)
     vals, grads = np.empty(n_con), np.zeros((n_con, n + 1))
@@ -48,11 +49,11 @@ def constraint_values(problem, G, beta, z):
     return vals, grads
 
 
-def kkt_residual(problem, G, beta, z, lam):
+def kkt_residual(problem, z, lam):
     """``master._kkt_residual`` of the iterate (z, lam)."""
     obj_grad = np.zeros(z.shape[0])
     obj_grad[-1] = -1.0
-    return master._kkt_residual(*constraint_values(problem, G, beta, z), obj_grad, lam)
+    return master._kkt_residual(*constraint_values(problem, z), obj_grad, lam)
 
 
 def _step_length(x, dx, to_boundary):
@@ -65,11 +66,12 @@ def _step_length(x, dx, to_boundary):
 
 
 @np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
-def reference_pass(problem, G, beta, sigma, solve=_solve1):
+def reference_pass(problem, sigma, solve=_solve1):
     """One pass, as ``master._interior_point_pass``; ``solve(H, rhs)``
     solves each Newton system.  The limits ``master._MAX_NEWTON`` and
     ``master._PDIP_WAIT`` are read at each call."""
-    n, m = problem.center.shape[0], G.shape[0]
+    beta = problem.cut_offsets
+    m, n = problem.cut_normals.shape
     has_model = problem.quad is not None
     n_con = 1 + m + has_model
     tol = master._KKT_TOL
@@ -86,7 +88,7 @@ def reference_pass(problem, G, beta, sigma, solve=_solve1):
     # Strictly feasible start: delta = 0, w below every cut and the model cap.
     z = np.zeros(n + 1)
     z[n] = min(0.0, float(-beta.max())) - 1.0 - abs(float(beta.max()))
-    vals, grads = constraint_values(problem, G, beta, z)
+    vals, grads = constraint_values(problem, z)
     # Slacks and multipliers side by side, so that one step length moves both.
     state = np.concatenate((-vals, np.ones(n_con)))
     d_state = np.empty(2 * n_con)
@@ -97,7 +99,7 @@ def reference_pass(problem, G, beta, sigma, solve=_solve1):
     for newton in range(master._MAX_NEWTON):
         slack, lam = state[:n_con], state[n_con:]
         if newton:
-            vals, grads = constraint_values(problem, G, beta, z)
+            vals, grads = constraint_values(problem, z)
         r_stat = obj_grad + grads.T @ lam
         stationarity = float(abs(r_stat).max())
         r_prim = vals + slack
